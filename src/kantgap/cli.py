@@ -193,7 +193,10 @@ def _cmd_covers(args) -> int:
 
 def _cmd_study(args) -> int:
     fam = scenarios.family(args.scenario)
-    n_list = [int(t) for t in _parse_grid(args.n_list)]
+    try:
+        n_list = [int(t) for t in _parse_grid(args.n_list)]
+    except ValueError as exc:
+        raise InputError(f"--n-list needs integers: {exc}") from exc
     eps_list = _parse_grid(args.eps_grid)
     m_list = [problem_io.parse_number(t) for t in _parse_grid(args.m_grid)]
     if not n_list or not eps_list or not m_list:

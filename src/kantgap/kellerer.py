@@ -9,8 +9,11 @@ For a cell set L inside the grid X x Y:
 * on a single space with one shared weighting, the capacity gamma(L) is
   the least integral of f: X -> [0, 1] with f(x) + f(y) >= 1 on L.
 
-Cover and matching mass agree exactly on every instance (max-flow min-cut in
-LP clothing), and the capacity sandwiches the cover within a factor of 4:
+Cover and matching mass agree exactly on every instance (max-flow min-cut),
+so both are read from one run of the flow engine: the shipped mass is the
+value and the residual cut is the cover.  The capacity is half the cover
+value of the symmetrised set (Nemhauser-Trotter half-integrality), and it
+sandwiches the cover within a factor of 4:
 gamma <= m <= 4 gamma, via the threshold set {f >= 1/2} on one side and
 indicator functions on the other.
 
@@ -43,7 +46,6 @@ from .errors import (
 )
 from .flow import _run_ssp
 from .primal import _require_probability, primal_value
-from .simplex import OPTIMAL, solve_lp
 
 
 @dataclass(frozen=True)
@@ -75,8 +77,13 @@ class CellSet:
 
 
 def cellset_from_pairs(nx: int, ny: int, pairs: Sequence[Tuple[int, int]]) -> CellSet:
+    if not isinstance(pairs, (list, tuple)):
+        raise InputError("cell-set pairs must be a list of [i, j] pairs")
     grid = [[False] * ny for _ in range(nx)]
-    for i, j in pairs:
+    for cell in pairs:
+        if not (isinstance(cell, (list, tuple)) and [type(v) for v in cell] == [int, int]):
+            raise InputError(f"cell {cell!r} is not a pair of integer indices")
+        i, j = cell
         if not (0 <= i < nx and 0 <= j < ny):
             raise InputError(f"cell ({i}, {j}) outside a {nx}x{ny} grid")
         grid[i][j] = True
@@ -84,13 +91,16 @@ def cellset_from_pairs(nx: int, ny: int, pairs: Sequence[Tuple[int, int]]) -> Ce
 
 
 def cellset_from_matrix(rows: Sequence[Sequence]) -> CellSet:
-    if not rows or not rows[0]:
+    if not (isinstance(rows, (list, tuple)) and rows and isinstance(rows[0], (list, tuple))
+            and rows[0]):
         raise InputError("cell-set matrix needs at least one row and column")
     width = len(rows[0])
     out = []
     for row in rows:
-        if len(row) != width:
+        if not isinstance(row, (list, tuple)) or len(row) != width:
             raise DimensionMismatchError("ragged cell-set matrix")
+        if not all(isinstance(v, int) and v in (0, 1) for v in row):
+            raise InputError(f"cell-set matrix entries must be 0, 1 or booleans: {row!r}")
         out.append(tuple(bool(v) for v in row))
     return CellSet(rows=tuple(out))
 
@@ -125,49 +135,23 @@ def max_mass_on(L: CellSet, mu: Marginal, nu: Marginal) -> Tuple[object, Couplin
 def cover_value(L: CellSet, mu: Marginal, nu: Marginal) -> Tuple[object, CoverCertificate]:
     """Exact minimum of mu(A) + nu(B) over band covers of L.
 
-    Solved as the [0, 1]-relaxed covering program; a basic optimum of that
-    program is integral (the constraint matrix is an incidence matrix of a
-    bipartite graph plus box rows), so thresholding at 1/2 recovers sets.
-    If a degenerate fractional optimum ever slips through, the residual cut
-    of the matching flow provides the integral cover at the same value; the
-    certificate is verified against the LP value either way.
+    By max-flow min-cut (Koenig's theorem on the bipartite graph L), the
+    least cover weight is the largest mass a partial coupling can put inside
+    L.  The residual cut of that matching flow is a cover of the same
+    weight: rows the source can no longer reach, plus columns it can.
     """
     _check_shape(L, mu, nu)
-    nx, ny = L.nx, L.ny
-    n = nx + ny
-    constraints = []
-    for i, j in L.cells():
-        coeffs = [0] * n
-        coeffs[i] = 1
-        coeffs[nx + j] = 1
-        constraints.append((coeffs, ">=", 1))
-    for k in range(n):
-        coeffs = [0] * n
-        coeffs[k] = 1
-        constraints.append((coeffs, "<=", 1))
-    objective = list(mu.weights) + list(nu.weights)
-    res = solve_lp(n, objective, constraints)
-    assert res.status == OPTIMAL  # the all-ones vector is always feasible
-    half = modes.div(1, 2)
-    rows = frozenset(i for i in range(nx) if modes.geq(res.x[i], half))
-    cols = frozenset(j for j in range(ny) if modes.geq(res.x[nx + j], half))
+    run = _run_ssp(_indicator_cost(L), mu, nu)
+    rows = frozenset(i for i in range(L.nx) if i not in run.reachable_rows)
+    cols = frozenset(run.reachable_cols)
     value = sum((mu.weights[i] for i in rows), 0) + sum(
         (nu.weights[j] for j in cols), 0
     )
-    covers = all(i in rows or j in cols for i, j in L.cells())
-    if not covers or not modes.eq(value, res.value):
-        run = _run_ssp(_indicator_cost(L), mu, nu)
-        rows = frozenset(i for i in range(nx) if i not in run.reachable_rows)
-        cols = frozenset(run.reachable_cols)
-        value = sum((mu.weights[i] for i in rows), 0) + sum(
-            (nu.weights[j] for j in cols), 0
-        )
-        covers = all(i in rows or j in cols for i, j in L.cells())
-    if not covers:
+    if not all(i in rows or j in cols for i, j in L.cells()):
         raise PostconditionError("cover certificate does not cover the cell set")
-    if not modes.eq(value, res.value):
-        raise PostconditionError("integral cover does not match the LP optimum")
-    return res.value, CoverCertificate(rows=rows, cols=cols, value=value)
+    if not modes.eq(value, run.shipped):
+        raise PostconditionError("cover weight does not match the matching mass")
+    return run.shipped, CoverCertificate(rows=rows, cols=cols, value=value)
 
 
 def capacity_value(L: CellSet, lam: Marginal) -> Tuple[object, Tuple]:
@@ -175,26 +159,19 @@ def capacity_value(L: CellSet, lam: Marginal) -> Tuple[object, Tuple]:
     square cell set over one space with one shared weighting.
 
     Unlike the two-sided cover program this one lives on a single function,
-    so genuinely fractional optima (f = 1/2) occur; the optimal vector is
-    returned as-is."""
+    so genuinely fractional optima occur.  By Nemhauser-Trotter
+    half-integrality, gamma(L) is half the cover value of L u L^T under
+    (lam, lam), and a cover (A, B) of it gives the optimal f = (1_A + 1_B)/2,
+    with values in {0, 1/2, 1}."""
     if L.nx != L.ny:
         raise NotSquareError("capacity needs a square cell set")
     if lam.space.size != L.nx:
         raise NotSquareError("capacity needs one shared marginal on the square")
     n = L.nx
-    constraints = []
-    for i, j in L.cells():
-        coeffs = [0] * n
-        coeffs[i] += 1
-        coeffs[j] += 1  # the diagonal cell (i, i) contributes 2 f_i
-        constraints.append((coeffs, ">=", 1))
-    for k in range(n):
-        coeffs = [0] * n
-        coeffs[k] = 1
-        constraints.append((coeffs, "<=", 1))
-    res = solve_lp(n, list(lam.weights), constraints)
-    assert res.status == OPTIMAL
-    return res.value, res.x
+    sym = cellset_from_pairs(n, n, [c for i, j in L.cells() for c in ((i, j), (j, i))])
+    value, cert = cover_value(sym, lam, lam)
+    f = tuple(modes.div((i in cert.rows) + (i in cert.cols), 2) for i in range(n))
+    return modes.div(value, 2), f
 
 
 def null_for_all_couplings(L: CellSet, mu: Marginal, nu: Marginal) -> bool:

@@ -56,12 +56,12 @@ def coerce(x):
     repr so 0.1 becomes 1/10, not the binary expansion.  Strings accept the
     ``"p/q"`` form.
     """
+    if isinstance(x, bool):
+        raise TypeError("bool is not a number here")
     if not is_exact():
         if isinstance(x, str):
             return float(Fraction(x))
         return float(x)
-    if isinstance(x, bool):
-        raise TypeError("bool is not a number here")
     if isinstance(x, int):
         return x
     if isinstance(x, Fraction):

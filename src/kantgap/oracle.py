@@ -1,24 +1,27 @@
 """Independent brute-force references used to certify solver outputs.
 
-These share no code with the flow or simplex engines.  ``brute_profile``
-exhausts the basic sub-coupling plans (spanning-forest supports) and takes
-the lower convex envelope of their (mass, cost) projections, which is the
-exact mass-to-cost profile; ``brute_primal`` evaluates that envelope.
-``brute_cover`` exhausts band covers.  All exact, auditable, and meant for
-tiny instances only.
+These share no code with the flow engine or the covers built on it.
+``brute_profile`` exhausts the basic sub-coupling plans (spanning-forest
+supports) and takes the lower convex envelope of their (mass, cost)
+projections, which is the exact mass-to-cost profile; ``brute_primal``
+evaluates that envelope.  ``brute_cover`` exhausts band covers and
+``brute_capacity`` half-integral functions.  All exact, auditable, and meant
+for tiny instances only.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from typing import Dict, Tuple
 
 from . import modes
 from .core import INF, CostMatrix, Marginal
-from .errors import InputError, InstanceTooLargeError
+from .errors import InputError, InstanceTooLargeError, NotSquareError
 
 _PRIMAL_LIMIT = 4
 _COVER_LIMIT = 20
+_CAPACITY_LIMIT = 10
 
 
 def _lower_hull(cloud):
@@ -157,3 +160,21 @@ def brute_cover(L, mu: Marginal, nu: Marginal):
         if best is None or val < best:
             best = val
     return best
+
+
+def brute_capacity(L, lam: Marginal):
+    """Exact least integral of f: X -> [0, 1] with f(x) + f(y) >= 1 on the
+    square cell set L.  Enumerates g = 2f in {0, 1, 2}^n, which holds an
+    optimum because the capacity program's vertices are half-integral."""
+    n = L.nx
+    if n > _CAPACITY_LIMIT:
+        raise InstanceTooLargeError(
+            f"brute_capacity is exhaustive; n = {n} exceeds {_CAPACITY_LIMIT}"
+        )
+    if L.ny != n or lam.space.size != n:
+        raise NotSquareError("capacity needs a square cell set and one marginal")
+    cells = list(L.cells())
+    feasible = (
+        g for g in product((0, 1, 2), repeat=n) if all(g[i] + g[j] >= 2 for i, j in cells)
+    )
+    return modes.div(min(sum(w * k for w, k in zip(lam.weights, g)) for g in feasible), 2)

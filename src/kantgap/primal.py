@@ -163,10 +163,12 @@ class StudyRow:
 def resolve_eps(token, n: int):
     """Grid entries may scale with the instance: "1/n", "2/n" and plain
     numbers are accepted."""
-    if isinstance(token, str) and token.strip().endswith("/n"):
-        head = token.strip()[:-2]
-        return modes.div(int(head), n)
-    return modes.coerce(token)
+    try:
+        if isinstance(token, str) and token.strip().endswith("/n"):
+            return modes.div(int(token.strip()[:-2]), n)
+        return modes.coerce(token)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise InputError(f"malformed eps {token!r}") from exc
 
 
 def refinement_study(

@@ -43,11 +43,14 @@ def format_number(x) -> str:
 
 
 def parse_number(token):
-    """Accept ints, floats, Fractions and "p/q" strings; reject non-finite
-    floats (use the "inf" token for forbidden cells)."""
+    """Accept ints, floats, Fractions and "p/q" strings; reject anything
+    else and non-finite floats (use the "inf" token for forbidden cells)."""
     if isinstance(token, float) and (token != token or token in (float("inf"), float("-inf"))):
         raise InputError(f"non-finite number {token!r}; use the string tokens")
-    return modes.coerce(token)
+    try:
+        return modes.coerce(token)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise InputError(f"malformed number {token!r}") from exc
 
 
 def _parse_cost_entry(token):
@@ -63,21 +66,25 @@ def parse_potential(token):
     return parse_number(token)
 
 
+def _require_list(value, what: str, length: int) -> list:
+    if not isinstance(value, list) or len(value) != length:
+        raise InputError(f"{what} must be a list of length {length}")
+    return value
+
+
 def load_problem(doc: dict) -> Tuple[CostMatrix, Marginal, Marginal]:
     try:
-        nx, ny = int(doc["nx"]), int(doc["ny"])
+        nx, ny = doc["nx"], doc["ny"]
         mu_raw, nu_raw, cost_raw = doc["mu"], doc["nu"], doc["cost"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed problem document: {exc}") from exc
-    if len(mu_raw) != nx or len(nu_raw) != ny or len(cost_raw) != nx:
-        raise InputError("problem document dimensions are inconsistent")
-    mu = make_marginal(DiscreteSpace(nx), [parse_number(w) for w in mu_raw])
-    nu = make_marginal(DiscreteSpace(ny), [parse_number(w) for w in nu_raw])
-    rows = []
-    for row in cost_raw:
-        if len(row) != ny:
-            raise InputError("cost rows must have length ny")
-        rows.append([_parse_cost_entry(v) for v in row])
+    X, Y = DiscreteSpace(nx), DiscreteSpace(ny)
+    mu = make_marginal(X, [parse_number(w) for w in _require_list(mu_raw, "mu", nx)])
+    nu = make_marginal(Y, [parse_number(w) for w in _require_list(nu_raw, "nu", ny)])
+    rows = [
+        [_parse_cost_entry(v) for v in _require_list(row, "cost row", ny)]
+        for row in _require_list(cost_raw, "cost", nx)
+    ]
     return make_cost_matrix(rows), mu, nu
 
 
@@ -102,7 +109,7 @@ def load_cellset(doc, nx: int, ny: int) -> CellSet:
     pairs."""
     if isinstance(doc, dict):
         if "pairs" in doc:
-            return cellset_from_pairs(nx, ny, [tuple(p) for p in doc["pairs"]])
+            return cellset_from_pairs(nx, ny, doc["pairs"])
         if "matrix" in doc:
             L = cellset_from_matrix(doc["matrix"])
             if (L.nx, L.ny) != (nx, ny):
@@ -114,7 +121,7 @@ def load_cellset(doc, nx: int, ny: int) -> CellSet:
             isinstance(row, list) and len(row) == ny for row in doc
         ):
             return cellset_from_matrix(doc)
-        return cellset_from_pairs(nx, ny, [tuple(p) for p in doc])
+        return cellset_from_pairs(nx, ny, doc)
     raise InputError("unrecognized cell-set document")
 
 

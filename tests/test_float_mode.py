@@ -3,6 +3,8 @@
 import pytest
 
 import kantgap as kg
+from kantgap import problem_io
+from kantgap.errors import InputError
 from kantgap.modes import FLOAT, arithmetic
 
 
@@ -16,6 +18,12 @@ def test_weights_become_floats():
     mu = kg.uniform_marginal(3)
     assert all(isinstance(w, float) for w in mu.weights)
     assert mu.is_probability()
+
+
+@pytest.mark.parametrize("token", [True, "abc", "1/0", "1e400", None])
+def test_parse_number_rejects_malformed_tokens(token):
+    with pytest.raises(InputError):
+        problem_io.parse_number(token)
 
 
 def test_diagonal_values_within_tolerance():
@@ -49,8 +57,9 @@ def test_cover_functionals_float():
     L = kg.cellset_from_pairs(3, 3, [(i, i) for i in range(3)])
     v, _ = kg.cover_value(L, mu, mu)
     assert abs(v - 1) <= 1e-9
-    gamma, _ = kg.capacity_value(L, mu)
+    gamma, f = kg.capacity_value(L, mu)
     assert abs(gamma - 0.5) <= 1e-9
+    assert all(abs(v - 0.5) <= 1e-9 for v in f)
 
 
 def test_shrink_and_complete_float():

@@ -205,6 +205,48 @@ def test_cli_invalid_input_exit1(tmp_path, capsys):
     assert main(["solve", str(missing)]) == 1
 
 
+_ONE = {"nx": 1, "ny": 1, "mu": ["1"], "nu": ["1"], "cost": [[0]]}
+_CASES = [
+    ("covers", {"pairs": [[1]]}),
+    ("covers", {"pairs": 5}),
+    ("covers", {"pairs": [["a", 0]]}),
+    ("covers", {"pairs": [[1.5, 0]]}),
+    ("covers", {"pairs": [[True, 0]]}),
+    ("covers", {"matrix": [1, 2]}),
+    ("covers", {"matrix": [["x", 0, 0], [0, 0, 0], [0, 0, 0]]}),
+    ("covers", {"matrix": [[2, 0, 0], [0, 0, 0], [0, 0, 0]]}),
+    ("problem", {"mu": ["abc"]}),
+    ("problem", {"mu": ["1/0"]}),
+    ("problem", {"mu": [True]}),
+    ("problem", {"cost": [[None]]}),
+    ("problem", {"cost": 5}),
+    ("problem", {"nx": "a"}),
+    ("args", ["solve", "{p}", "--eps-grid", "x"]),
+    ("args", ["sweep", "{p}", "--m-grid", "1/0"]),
+    ("args", ["profile", "{p}", "--at", "abc"]),
+    ("args", ["study", "--n-list", "a", "--eps-grid", "0", "--m-grid", "1"]),
+    ("args", ["study", "--n-list", "2", "--eps-grid", "x/n", "--m-grid", "1"]),
+]
+
+
+@pytest.mark.parametrize("kind,data", _CASES, ids=[json.dumps(d) for _, d in _CASES])
+def test_cli_malformed_input_exit1_without_traceback(kind, data, diag3_file, tmp_path, capsys):
+    if kind == "covers":
+        cells = tmp_path / "cells.json"
+        cells.write_text(json.dumps(data))
+        argv = ["covers", diag3_file, "--cells", str(cells)]
+    elif kind == "problem":
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**_ONE, **data}))
+        argv = ["solve", str(path)]
+    else:
+        argv = [a.replace("{p}", diag3_file) for a in data]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_cli_validation_error_exit1(tmp_path):
     path = tmp_path / "neg.json"
     path.write_text(

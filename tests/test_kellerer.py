@@ -99,6 +99,32 @@ def test_capacity_not_square(uni3):
         kg.capacity_value(L, uni3)
 
 
+def _random_square(seed):
+    """Seeded square cell set, diagonal cells included, over a weighting
+    that may put zero weight on some atoms."""
+    import random
+
+    rng = random.Random(seed)
+    n = rng.randint(1, 7)
+    raw = [rng.choice((0, 0, 1, 2, 3)) for _ in range(n)]
+    if not any(raw):
+        raw[rng.randrange(n)] = 1
+    lam = kg.make_marginal(kg.DiscreteSpace(n), [F(w, sum(raw)) for w in raw])
+    density = rng.choice((0.2, 0.4, 0.7))
+    pairs = [(i, j) for i in range(n) for j in range(n) if rng.random() < density]
+    return kg.cellset_from_pairs(n, n, pairs), lam
+
+
+def test_capacity_matches_half_integral_oracle():
+    for seed in range(320):
+        L, lam = _random_square(seed)
+        gamma, f = kg.capacity_value(L, lam)
+        assert gamma == kg.brute_capacity(L, lam), seed
+        assert all(0 <= v <= 1 for v in f)
+        assert all(f[i] + f[j] >= 1 for i, j in L.cells())
+        assert sum(w * v for w, v in zip(lam.weights, f)) == gamma
+
+
 def test_sandwich_gamma_m_4gamma(uni3):
     import random
 

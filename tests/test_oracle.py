@@ -67,10 +67,24 @@ def test_brute_cover_size_limit():
         kg.brute_cover(L, mu, mu)
 
 
+def test_brute_capacity_goldens():
+    mu = kg.uniform_marginal(3)
+    assert kg.brute_capacity(kg.cellset_from_pairs(3, 3, []), mu) == 0
+    diag = kg.cellset_from_pairs(3, 3, [(i, i) for i in range(3)])
+    assert kg.brute_capacity(diag, mu) == F(1, 2)
+    assert kg.brute_capacity(kg.cellset_from_matrix([[1] * 3] * 3), mu) == F(1, 2)
+
+
+def test_brute_capacity_size_limit():
+    mu = kg.uniform_marginal(11)
+    with pytest.raises(InstanceTooLargeError):
+        kg.brute_capacity(kg.cellset_from_pairs(11, 11, [(0, 0)]), mu)
+
+
 def test_oracles_share_no_solver_code():
     # the oracle module must not import the engines it certifies
     import kantgap.oracle as om
 
     src = open(om.__file__).read()
-    assert "from .flow" not in src and "from .simplex" not in src
-    assert "import flow" not in src and "import simplex" not in src
+    assert "from .flow" not in src and "from .kellerer" not in src
+    assert "import flow" not in src and "import kellerer" not in src
