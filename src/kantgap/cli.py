@@ -35,7 +35,7 @@ from .kellerer import (
     null_for_all_couplings,
 )
 from .oracle import brute_cover, brute_primal
-from .primal import constant_truncation_sweep, refinement_study
+from .primal import check_eps, constant_truncation_sweep, refinement_study
 from .problem_io import format_number
 
 EXIT_OK = 0
@@ -74,10 +74,10 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     c, mu, nu = problem_io.load_problem_file(args.problem)
+    eps_grid = [check_eps(problem_io.parse_number(t)) for t in _parse_grid(args.eps_grid)]
     profile = solve_profile(c, mu, nu)
     p = evaluate_profile(profile, 1) if modes.geq(profile.max_mass, 1) else None
     rep = dual_value(c, mu, nu)
-    eps_grid = [problem_io.parse_number(t) for t in _parse_grid(args.eps_grid)]
     partials = [(e, evaluate_profile(profile, 1 - e)) for e in sorted(eps_grid)]
     if p is None:
         doc = {"P": "inf", "D": "inf"}

@@ -275,8 +275,12 @@ def truncate_cost(c: CostMatrix, h: CostMatrix) -> CostMatrix:
 
 
 def truncate_at(c: CostMatrix, level) -> CostMatrix:
-    """Convenience constant truncation c /\\ M."""
-    return truncate_cost(c, constant_matrix(c.nx, c.ny, level))
+    """Convenience constant truncation c /\\ M for a level M >= 0."""
+    try:
+        h = constant_matrix(c.nx, c.ny, level)
+    except NegativeWeightError:
+        raise NegativeWeightError(f"truncation level {level} is negative") from None
+    return truncate_cost(c, h)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,14 @@ def _require_probability(mu: Marginal, nu: Marginal) -> None:
         raise PreconditionError("probability marginals required")
 
 
+def check_eps(eps):
+    """eps in the current mode; ``InputError`` unless 0 <= eps <= 1."""
+    eps = modes.coerce(eps)
+    if not (0 <= eps <= 1):
+        raise InputError(f"eps {eps} outside [0, 1]")
+    return eps
+
+
 def primal_value(c: CostMatrix, mu: Marginal, nu: Marginal):
     """Least cost of a full coupling; INF when finite cells cannot carry
     the whole unit mass."""
@@ -48,9 +56,7 @@ def primal_value(c: CostMatrix, mu: Marginal, nu: Marginal):
 def partial_value(c: CostMatrix, mu: Marginal, nu: Marginal, eps):
     """Least cost of shipping mass 1 - eps (the drop-eps transport value)."""
     _require_probability(mu, nu)
-    eps = modes.coerce(eps)
-    if not (0 <= eps <= 1):
-        raise InputError(f"eps {eps} outside [0, 1]")
+    eps = check_eps(eps)
     return evaluate_profile(solve_profile(c, mu, nu), 1 - eps)
 
 
@@ -135,9 +141,7 @@ def primal_report(
     feasible = modes.geq(profile.max_mass, 1)
     value = evaluate_profile(profile, 1) if feasible else INF
     partials = []
-    for eps in sorted(modes.coerce(e) for e in eps_grid):
-        if not (0 <= eps <= 1):
-            raise InputError(f"eps {eps} outside [0, 1]")
+    for eps in sorted(check_eps(e) for e in eps_grid):
         partials.append((eps, evaluate_profile(profile, 1 - eps)))
     witness = optimal_coupling_at(c, mu, nu, 1) if feasible else None
     return PrimalReport(
@@ -197,8 +201,7 @@ def refinement_study(
         m_values = [modes.coerce(m) for m in m_list]
         truncated = {m: primal_value(truncate_at(c, m), mu, nu) for m in m_values}
         for eps, m in _cartesian(eps_values, m_values):
-            if not (0 <= eps <= 1):
-                raise InputError(f"eps {eps} outside [0, 1]")
+            check_eps(eps)
             rows.append(
                 StudyRow(
                     n=n,

@@ -1,9 +1,13 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
 import kantgap as kg
+from kantgap import modes
 from kantgap.errors import InfeasibleMassError, InputError
+from kantgap.flow import _run_ssp
+from kantgap.modes import EXACT, FLOAT, arithmetic
 
 
 @pytest.fixture
@@ -155,3 +159,101 @@ def test_max_shippable_mass_band():
     c, mu, nu = kg.closed_inf_band(4, 3)
     # only the two far corners are finite
     assert kg.max_shippable_mass(c, mu, nu) == F(1, 2)
+
+
+def _primes(count):
+    found = []
+    k = 2
+    while len(found) < count:
+        if all(k % p for p in found):
+            found.append(k)
+        k += 1
+    return found
+
+
+def _prime_denominator_instance(n, seed, inf_density=0.25):
+    """Every finite cost and every weight has its own prime in its
+    denominator, so the engine's common denominators are products of up to
+    n*n + 2n primes."""
+    rng = random.Random(seed)
+    primes = iter(_primes(n * n + 2 * n))
+
+    def odd_fraction(top):
+        # k/p with p not dividing k, below top
+        p = next(primes)
+        return F(rng.randrange(top) * p + rng.randrange(1, p), p)
+
+    rows = [
+        [kg.INF if rng.random() < inf_density else odd_fraction(3) for _ in range(n)]
+        for _ in range(n)
+    ]
+    weights = [odd_fraction(1) / n for _ in range(2 * n)]
+    space = kg.DiscreteSpace(n)
+    return (
+        kg.make_cost_matrix(rows),
+        kg.make_marginal(space, weights[:n]),
+        kg.make_marginal(space, weights[n:]),
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_prime_denominators_match_brute_profile(n):
+    for seed in range(4):
+        c, mu, nu = _prime_denominator_instance(n, seed)
+        assert kg.solve_profile(c, mu, nu).breakpoints == kg.brute_profile(c, mu, nu)
+
+
+def test_prime_denominators_certificates_n12():
+    c, mu, nu = _prime_denominator_instance(12, 5)
+    prof = kg.solve_profile(c, mu, nu)
+    assert len(prof.breakpoints) > 2
+    for (mass, cost), pots in zip(prof.breakpoints, prof.potentials):
+        for i, j, v in c.finite_cells():
+            assert pots.u[i] + pots.v[j] <= v
+        pi = kg.optimal_coupling_at(c, mu, nu, mass)
+        assert pi.mass == mass
+        assert kg.cost_of(c, pi) == cost
+        for i, j in pi.entries:
+            assert pots.u[i] + pots.v[j] == c[(i, j)]
+
+
+def test_optimal_coupling_at_target_with_a_new_denominator(diag3):
+    c, mu, nu = diag3
+    pi = kg.optimal_coupling_at(c, mu, nu, F(1, 7))
+    assert pi.mass == F(1, 7)
+    assert kg.cost_of(c, pi) == kg.brute_primal(c, mu, nu, F(1, 7)) == 0
+    pi = kg.optimal_coupling_at(c, mu, nu, F(5, 7))
+    assert pi.mass == F(5, 7)
+    assert kg.cost_of(c, pi) == kg.brute_primal(c, mu, nu, F(5, 7)) == F(1, 7)
+
+
+def _run_numbers(run):
+    yield run.shipped
+    yield run.cost
+    for slope, mass, pots in run.segments:
+        yield from (slope, mass, *pots.u, *pots.v)
+    yield from run.final_potentials.u
+    yield from run.final_potentials.v
+    yield from run.flows.values()
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_engine_numbers_stay_in_mode(mode):
+    with arithmetic(mode):
+        for seed in range(20):
+            c, mu, nu = kg.random_instance(5, 6, 0.3, "random", seed)
+            for target in (None, modes.coerce(F(1, 7)), modes.coerce(F(1, 2))):
+                for x in _run_numbers(_run_ssp(c, mu, nu, target)):
+                    if mode == EXACT:
+                        assert type(x) in (int, F)
+                    else:
+                        # a row potential no path has raised keeps the
+                        # engine's initial int 0, as floats would print -0.0
+                        assert type(x) is float or (type(x) is int and x == 0)
+
+
+def test_objects_from_float_mode_rejected_in_exact_mode():
+    with arithmetic(FLOAT):
+        c, mu, nu = kg.example_diagonal(3)
+    with pytest.raises(InputError):
+        kg.solve_profile(c, mu, nu)

@@ -206,6 +206,12 @@ def test_cli_invalid_input_exit1(tmp_path, capsys):
 
 
 _ONE = {"nx": 1, "ny": 1, "mu": ["1"], "nu": ["1"], "cost": [[0]]}
+# parameters out of range, with the message that must name them
+_OUT_OF_RANGE = [
+    (["solve", "{p}", "--eps-grid", "-1"], "error: eps -1 outside [0, 1]\n"),
+    (["solve", "{p}", "--eps-grid", "0,2"], "error: eps 2 outside [0, 1]\n"),
+    (["sweep", "{p}", "--m-grid", "-1"], "error: truncation level -1 is negative\n"),
+]
 _CASES = [
     ("covers", {"pairs": [[1]]}),
     ("covers", {"pairs": 5}),
@@ -226,7 +232,7 @@ _CASES = [
     ("args", ["profile", "{p}", "--at", "abc"]),
     ("args", ["study", "--n-list", "a", "--eps-grid", "0", "--m-grid", "1"]),
     ("args", ["study", "--n-list", "2", "--eps-grid", "x/n", "--m-grid", "1"]),
-]
+] + [("args", argv) for argv, _ in _OUT_OF_RANGE]
 
 
 @pytest.mark.parametrize("kind,data", _CASES, ids=[json.dumps(d) for _, d in _CASES])
@@ -245,6 +251,12 @@ def test_cli_malformed_input_exit1_without_traceback(kind, data, diag3_file, tmp
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,message", _OUT_OF_RANGE, ids=[" ".join(a) for a, _ in _OUT_OF_RANGE])
+def test_cli_out_of_range_parameter_named(argv, message, diag3_file, capsys):
+    assert main([a.replace("{p}", diag3_file) for a in argv]) == 1
+    assert capsys.readouterr().err == message
 
 
 def test_cli_validation_error_exit1(tmp_path):
