@@ -68,7 +68,13 @@ from .kellerer import (
     null_for_all_couplings,
 )
 from .modes import arithmetic, get_mode, set_mode
-from .oracle import brute_capacity, brute_cover, brute_primal, brute_profile
+from .oracle import (
+    brute_capacity,
+    brute_chargeable,
+    brute_cover,
+    brute_primal,
+    brute_profile,
+)
 from .primal import (
     PrimalReport,
     StudyRow,

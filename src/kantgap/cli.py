@@ -20,22 +20,29 @@ carry).  Outputs are deterministic for fixed inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from . import modes, problem_io, scenarios
-from .dual import dual_value, relaxed_dual_value, verify_feasible
+from .core import is_inf, make_coupling
+from .dual import dual_from_run, dual_value, relaxed_dual_value, verify_feasible
 from .errors import InfeasibleMassError, InputError, NotApplicableError, TransportError
-from .flow import evaluate_profile, optimal_coupling_at, solve_profile
+from .flow import _run_ssp, evaluate_profile, solve_profile, value_from_run
 from .kellerer import (
     capacity_value,
-    cover_value,
-    kellerer_decompose,
-    max_mass_on,
-    null_for_all_couplings,
+    cover_from_run,
+    decompose_from_run,
+    matching_run,
+    null_from_run,
 )
 from .oracle import brute_cover, brute_primal
-from .primal import check_eps, constant_truncation_sweep, refinement_study
+from .primal import (
+    _require_probability,
+    check_eps,
+    constant_truncation_sweep,
+    refinement_study,
+)
 from .problem_io import format_number
 
 EXIT_OK = 0
@@ -75,11 +82,13 @@ def _cmd_gen(args) -> int:
 def _cmd_solve(args) -> int:
     c, mu, nu = problem_io.load_problem_file(args.problem)
     eps_grid = [check_eps(problem_io.parse_number(t)) for t in _parse_grid(args.eps_grid)]
-    profile = solve_profile(c, mu, nu)
-    p = evaluate_profile(profile, 1) if modes.geq(profile.max_mass, 1) else None
-    rep = dual_value(c, mu, nu)
-    partials = [(e, evaluate_profile(profile, 1 - e)) for e in sorted(eps_grid)]
-    if p is None:
+    _require_probability(mu, nu)
+    # one engine run: P, P_eps, the dual and the witness all read from it
+    run = _run_ssp(c, mu, nu)
+    p = value_from_run(run, 1)
+    rep = dual_from_run(run, c, mu, nu)
+    partials = [(e, value_from_run(run, 1 - e)) for e in sorted(eps_grid)]
+    if is_inf(p):
         doc = {"P": "inf", "D": "inf"}
         if partials:
             doc["P_eps"] = [[format_number(e), format_number(v)] for e, v in partials]
@@ -97,7 +106,7 @@ def _cmd_solve(args) -> int:
             _write("\n".join(lines) + "\n", args.output)
         return EXIT_OK
     gap = p - rep.value
-    witness = optimal_coupling_at(c, mu, nu, 1)
+    witness = make_coupling(mu.space, nu.space, run.flows)
     if args.format == "json":
         doc = {
             "P": format_number(p),
@@ -166,20 +175,21 @@ def _cmd_sweep(args) -> int:
 def _cmd_covers(args) -> int:
     c, mu, nu = problem_io.load_problem_file(args.problem)
     L = problem_io.load_cellset_file(args.cells, c.nx, c.ny)
-    m_val, cert = cover_value(L, mu, nu)
-    mass, _witness = max_mass_on(L, mu, nu)
+    # one engine run on the indicator cost of L serves everything but gamma
+    run = matching_run(L, mu, nu)
+    m_val, cert = cover_from_run(run, L, mu, nu)
     doc = {
         "m": format_number(m_val),
         "cover_rows": sorted(cert.rows),
         "cover_cols": sorted(cert.cols),
-        "max_mass": format_number(mass),
-        "null_for_all_couplings": null_for_all_couplings(L, mu, nu),
+        "max_mass": format_number(run.shipped),
+        "null_for_all_couplings": null_from_run(run, mu, nu),
     }
     if L.nx == L.ny:
         gamma, f = capacity_value(L, mu)
         doc["gamma"] = format_number(gamma)
         doc["f"] = [format_number(v) for v in f]
-    dec = kellerer_decompose(L, mu, nu)
+    dec = decompose_from_run(run, L, mu, nu)
     if dec.is_null:
         doc["decomposition"] = {
             "null_rows": sorted(dec.null_rows),
@@ -219,7 +229,10 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and then shared: parsing only
+    reads it."""
     parser = argparse.ArgumentParser(
         prog="kantgap",
         description="Exact finite-instance transport duality laboratory.",

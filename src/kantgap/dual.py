@@ -15,9 +15,16 @@ deficit, reported alongside the INF value.
 
 The "relaxed" dual keeps the constraint phi_i + psi_j <= c(i, j) only on
 chargeable cells, those carried by some finite-cost full coupling.  The
-chargeable set is certified cell by cell with an exact optimization (max
-mass through the cell over finite-cost plans), never by inspecting one
-plan's support.
+chargeable set is read from one optimal full plan and its residual graph:
+full couplings on finite cells differ by circulations, so a cell can carry
+mass exactly when the plan charges it or a residual cycle runs through it,
+which is one strongly-connected-components pass (Tarjan, SIAM J. Comput.
+1972).
+
+Every answer here has a ``*_from_run`` form that reads an existing
+``SolverRun``, so one engine run serves the primal value, the dual pair,
+the witness plan and the chargeable set of an instance; the public
+functions are thin wrappers that run the engine once and read from it.
 
 On these finite instances the plain, relaxed-dual and primal values always
 coincide; a genuinely smaller relaxed dual needs continuum structure and is
@@ -49,7 +56,7 @@ from .errors import (
     PostconditionError,
     PreconditionError,
 )
-from .flow import _run_ssp, evaluate_profile, solve_profile
+from .flow import SolverRun, _run_ssp, value_from_run
 from .primal import _require_probability, primal_value
 
 
@@ -155,7 +162,11 @@ def dual_value(c: CostMatrix, mu: Marginal, nu: Marginal) -> DualReport:
     improving ray from the residual cut.
     """
     _require_probability(mu, nu)
-    run = _run_ssp(c, mu, nu)
+    return dual_from_run(_run_ssp(c, mu, nu), c, mu, nu)
+
+
+def dual_from_run(run: SolverRun, c: CostMatrix, mu: Marginal, nu: Marginal) -> DualReport:
+    """``dual_value`` read from an untargeted run of (c, mu, nu)."""
     if modes.eq(run.shipped, 1):
         pots = run.final_potentials
         pair = _finalize_pair(list(pots.u), list(pots.v), c, mu, nu)
@@ -195,34 +206,83 @@ def j_functional(pair: DualPair, pi: Coupling, c: CostMatrix):
 
 
 def chargeable_cells(c: CostMatrix, mu: Marginal, nu: Marginal) -> FrozenSet:
-    """Cells that some finite-cost full coupling charges.
-
-    Certified per cell: the largest mass a finite-cost plan can put on the
-    cell equals 1 minus the cheapest full transport under the 0/1 cost that
-    charges every *other* finite cell; the cell is chargeable when that
-    maximum is positive.
-    """
+    """Cells that some finite-cost full coupling charges (none when no
+    finite-cost full coupling exists)."""
     _require_probability(mu, nu)
-    out = set()
-    for i in range(c.nx):
-        for j in range(c.ny):
-            if c.rows[i][j] is INF:
-                continue
-            indicator = make_cost_matrix(
-                [
-                    [
-                        INF
-                        if c.rows[a][b] is INF
-                        else (0 if (a, b) == (i, j) else 1)
-                        for b in range(c.ny)
-                    ]
-                    for a in range(c.nx)
-                ]
-            )
-            off_mass = primal_value(indicator, mu, nu)
-            if not is_inf(off_mass) and modes.is_positive(1 - off_mass):
-                out.add((i, j))
-    return frozenset(out)
+    return chargeable_from_run(_run_ssp(c, mu, nu), c)
+
+
+def chargeable_from_run(run: SolverRun, c: CostMatrix) -> FrozenSet:
+    """``chargeable_cells`` read from an untargeted run of (c, mu, nu).
+
+    The run's plan is a finite-cost full coupling whenever one exists, and
+    any other one differs from it by a circulation in the residual graph
+    over X u Y: an arc X_i -> Y_j for every finite cell (uncapped) and an
+    arc Y_j -> X_i for every cell the plan charges.  A finite cell can
+    therefore carry mass exactly when X_i and Y_j share a strongly
+    connected component; that covers the cells the plan charges, and a
+    weightless atom, never charged, sits alone in its component.
+    """
+    if not modes.eq(run.shipped, 1):
+        return frozenset()
+    nx = c.nx
+    succ = [[] for _ in range(nx + c.ny)]
+    for i, j, _v in c.finite_cells():
+        succ[i].append(nx + j)
+    for i, j in run.flows:
+        succ[nx + j].append(i)
+    comp = _strong_components(succ)
+    return frozenset(
+        (i, j) for i, j, _v in c.finite_cells() if comp[i] == comp[nx + j]
+    )
+
+
+def _strong_components(succ) -> list:
+    """Component label per node of the digraph ``succ`` (adjacency lists):
+    Tarjan's algorithm with an explicit stack instead of recursion."""
+    n = len(succ)
+    index = [None] * n
+    low = [0] * n
+    label = [None] * n
+    on_stack = [False] * n
+    stack = []
+    counter = 0
+    n_comps = 0
+    for root in range(n):
+        if index[root] is not None:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, arcs = work[-1]
+            for w in arcs:
+                if index[w] is None:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        label[w] = n_comps
+                        if w == v:
+                            break
+                    n_comps += 1
+    return label
 
 
 @dataclass(frozen=True)
@@ -239,12 +299,12 @@ def relaxed_dual_value(c: CostMatrix, mu: Marginal, nu: Marginal) -> RelaxedDual
     chargeable support, so it sits between the plain dual value and the
     primal value.  Requires at least one finite-cost full coupling."""
     _require_probability(mu, nu)
-    base = solve_profile(c, mu, nu)
-    if not modes.geq(base.max_mass, 1):
+    base = _run_ssp(c, mu, nu)
+    if not modes.eq(base.shipped, 1):
         raise NotApplicableError(
             "no finite-cost full coupling exists; the relaxed dual is undefined"
         )
-    cells = chargeable_cells(c, mu, nu)
+    cells = chargeable_from_run(base, c)
     restricted = make_cost_matrix(
         [
             [c.rows[i][j] if (i, j) in cells else INF for j in range(c.ny)]
@@ -274,22 +334,24 @@ class AttainmentReport:
 def attainment_check(
     c: CostMatrix, mu: Marginal, nu: Marginal, m_grid: Sequence
 ) -> AttainmentReport:
-    """Scan an ascending grid of constant truncation levels for the least one
-    whose truncated value already equals the relaxed value.
+    """Find the least level of an ascending grid of constant truncation
+    levels whose truncated value already equals the relaxed value.
 
-    When the relaxed value is finite, the optimal pair yields the finite
-    ladder h = (phi_i + psi_j)_+ with truncated value equal to the relaxed
-    value, so truncation at max(h) is a certified sufficient level; both
-    facts are asserted here rather than trusted.
+    Truncated values are nondecreasing in the level and never exceed the
+    relaxed value, so the levels that attain form a tail of the grid and
+    bisection finds its first one.  When the relaxed value is finite, the
+    optimal pair yields the finite ladder h = (phi_i + psi_j)_+ with
+    truncated value equal to the relaxed value, so truncation at max(h) is
+    a certified sufficient level; both facts are asserted here rather than
+    trusted.
     """
     _require_probability(mu, nu)
     grid = [modes.coerce(m) for m in m_grid]
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise InputError("truncation grid must be ascending")
-    profile = solve_profile(c, mu, nu)
-    feasible = modes.geq(profile.max_mass, 1)
-    relaxed = evaluate_profile(profile, 1) if feasible else INF
-    if not feasible:
+    run = _run_ssp(c, mu, nu)
+    relaxed = value_from_run(run, 1)
+    if is_inf(relaxed):
         return AttainmentReport(
             attained=False,
             level=None,
@@ -298,8 +360,7 @@ def attainment_check(
             certified_bound=None,
             relaxed=INF,
         )
-    rep = dual_value(c, mu, nu)
-    pair = rep.pair
+    pair = dual_from_run(run, c, mu, nu).pair
     h = make_cost_matrix(
         [
             [max(pair.phi[i] + pair.psi[j], 0) for j in range(c.ny)]
@@ -311,11 +372,14 @@ def attainment_check(
         raise PostconditionError("attainment ladder failed to reach the relaxed value")
     if not modes.eq(primal_value(truncate_at(c, bound), mu, nu), relaxed):
         raise PostconditionError("certified bound failed to reach the relaxed value")
-    level = None
-    for m in grid:
-        if modes.eq(primal_value(truncate_at(c, m), mu, nu), relaxed):
-            level = m
-            break
+    lo, hi = 0, len(grid)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if modes.eq(primal_value(truncate_at(c, grid[mid]), mu, nu), relaxed):
+            hi = mid
+        else:
+            lo = mid + 1
+    level = grid[lo] if lo < len(grid) else None
     return AttainmentReport(
         attained=level is not None,
         level=level,

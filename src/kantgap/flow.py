@@ -30,7 +30,9 @@ the lcm of the finite costs' denominators, and masses (weights and the
 target) by lw, the lcm of theirs.  Scaling by a positive constant keeps
 every comparison and tie, so the ints take the same paths the rationals
 would.  The scaling is undone once, when the run is returned: slopes and
-potentials are divided by lc, masses and flows by lw, the cost by lc*lw.
+the final potentials are divided by lc, masses and flows by lw, the cost by
+lc*lw.  The per-segment potential snapshots stay scaled in the run, since
+only a full profile reads them; ``profile_from_run`` unscales them.
 Integral results come out as ``int``, the rest as ``Fraction``.  Float mode
 runs the same loop on the floats as given, unscaled.
 
@@ -114,12 +116,15 @@ class TransportProfile:
 def evaluate_profile(profile: TransportProfile, m):
     """Value of the profile at mass m: linear interpolation on [0, max_mass],
     ``INF`` beyond, error for negative m."""
+    return _interpolate(profile.breakpoints, profile.max_mass, m)
+
+
+def _interpolate(bps, max_mass, m):
     m = modes.coerce(m)
     if m < 0:
         raise InputError(f"mass {m} is negative")
-    if not modes.leq(m, profile.max_mass):
+    if not modes.leq(m, max_mass):
         return INF
-    bps = profile.breakpoints
     masses = [bm for bm, _ in bps]
     k = bisect_right(masses, m) - 1
     if k == len(bps) - 1:
@@ -130,17 +135,27 @@ def evaluate_profile(profile: TransportProfile, m):
 
 @dataclass
 class SolverRun:
-    """Full record of one parametric solve."""
+    """Full record of one parametric solve.
+
+    ``segments`` holds (slope, mass, snapshot) after merging equal slopes;
+    a snapshot is the engine's raw node potentials, scaled by
+    ``potential_scale``, and ``segment_potentials`` unscales it on demand.
+    """
 
     nx: int
     ny: int
     shipped: object
     cost: object
-    segments: List[Tuple[object, object, PotentialPair]]  # (slope, mass, pots)
+    segments: List[Tuple[object, object, tuple]]
     final_potentials: PotentialPair
     flows: dict  # (i, j) -> positive mass
     reachable_rows: frozenset
     reachable_cols: frozenset
+    potential_scale: int
+
+    def segment_potentials(self, k: int) -> PotentialPair:
+        """The potentials certifying the profile at the end of segment k."""
+        return _potential_pair(self.segments[k][2], self.nx, self.ny, self.potential_scale)
 
 
 def _common_denominator(values) -> int:
@@ -166,6 +181,15 @@ def _unscaled(x, scale: int):
         return x
     q, r = divmod(x, scale)
     return Fraction(x, scale) if r else q
+
+
+def _potential_pair(pots, nx: int, ny: int, scale: int) -> PotentialPair:
+    """(u, v) from raw node potentials: u_i = -pot(X_i), v_j = pot(Y_j),
+    both divided by scale."""
+    return PotentialPair(
+        u=tuple(_unscaled(-pots[1 + i], scale) for i in range(nx)),
+        v=tuple(_unscaled(pots[1 + nx + j], scale) for j in range(ny)),
+    )
 
 
 def _run_ssp(c: CostMatrix, mu: Marginal, nu: Marginal, target=None) -> SolverRun:
@@ -297,12 +321,6 @@ def _run_ssp(c: CostMatrix, mu: Marginal, nu: Marginal, target=None) -> SolverRu
         total_cost += sigma * delta
         raw_segments.append((sigma, delta, tuple(potentials)))
 
-    def unscaled_pots(pots) -> PotentialPair:
-        return PotentialPair(
-            u=tuple(_unscaled(-pots[1 + i], lc) for i in range(nx)),
-            v=tuple(_unscaled(pots[1 + nx + j], lc) for j in range(ny)),
-        )
-
     # merge consecutive segments with equal slope, keeping the last snapshot
     merged: List[Tuple[object, object, tuple]] = []
     for sigma, delta, pots in raw_segments:
@@ -311,8 +329,7 @@ def _run_ssp(c: CostMatrix, mu: Marginal, nu: Marginal, target=None) -> SolverRu
         else:
             merged.append((sigma, delta, pots))
     segments = [
-        (_unscaled(sigma, lc), _unscaled(delta, lw), unscaled_pots(pots))
-        for sigma, delta, pots in merged
+        (_unscaled(sigma, lc), _unscaled(delta, lw), pots) for sigma, delta, pots in merged
     ]
 
     # residual reachability from the source (min-cut data when saturated)
@@ -337,31 +354,50 @@ def _run_ssp(c: CostMatrix, mu: Marginal, nu: Marginal, target=None) -> SolverRu
         shipped=_unscaled(shipped, lw),
         cost=_unscaled(total_cost, lc * lw),
         segments=segments,
-        final_potentials=unscaled_pots(potentials),
+        final_potentials=_potential_pair(potentials, nx, ny, lc),
         flows=flows,
         reachable_rows=frozenset(i for i in range(nx) if seen[1 + i]),
         reachable_cols=frozenset(j for j in range(ny) if seen[1 + nx + j]),
+        potential_scale=lc,
     )
+
+
+def _breakpoints(run: SolverRun) -> List[Tuple[object, object]]:
+    """(mass, cost) at (0, 0) and at the end of each merged segment; the
+    last mass is the profile's max_mass."""
+    breakpoints = [(0, 0)]
+    mass = 0
+    cost = 0
+    for sigma, delta, _snap in run.segments:
+        mass += delta
+        cost += sigma * delta
+        breakpoints.append((mass, cost))
+    return breakpoints
+
+
+def profile_from_run(run: SolverRun) -> TransportProfile:
+    """The profile an untargeted run traced, with a certificate per
+    breakpoint."""
+    breakpoints = _breakpoints(run)
+    zero_pots = PotentialPair(u=(0,) * run.nx, v=(0,) * run.ny)
+    pots = [zero_pots] + [run.segment_potentials(k) for k in range(len(run.segments))]
+    return TransportProfile(
+        breakpoints=tuple(breakpoints),
+        potentials=tuple(pots),
+        max_mass=breakpoints[-1][0],
+    )
+
+
+def value_from_run(run: SolverRun, m):
+    """``evaluate_profile(profile_from_run(run), m)``, without unscaling the
+    per-segment potentials."""
+    breakpoints = _breakpoints(run)
+    return _interpolate(breakpoints, breakpoints[-1][0], m)
 
 
 def solve_profile(c: CostMatrix, mu: Marginal, nu: Marginal) -> TransportProfile:
     """The full cost-vs-mass profile with a dual certificate per breakpoint."""
-    run = _run_ssp(c, mu, nu, target=None)
-    zero_pots = PotentialPair(u=(0,) * c.nx, v=(0,) * c.ny)
-    breakpoints = [(0, 0)]
-    pots = [zero_pots]
-    mass = 0
-    cost = 0
-    for sigma, delta, snap in run.segments:
-        mass += delta
-        cost += sigma * delta
-        breakpoints.append((mass, cost))
-        pots.append(snap)
-    return TransportProfile(
-        breakpoints=tuple(breakpoints),
-        potentials=tuple(pots),
-        max_mass=mass,
-    )
+    return profile_from_run(_run_ssp(c, mu, nu))
 
 
 def optimal_coupling_at(c: CostMatrix, mu: Marginal, nu: Marginal, m) -> Coupling:

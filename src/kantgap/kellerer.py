@@ -10,8 +10,11 @@ For a cell set L inside the grid X x Y:
   the least integral of f: X -> [0, 1] with f(x) + f(y) >= 1 on L.
 
 Cover and matching mass agree exactly on every instance (max-flow min-cut),
-so both are read from one run of the flow engine: the shipped mass is the
-value and the residual cut is the cover.  The capacity is half the cover
+so both are read from one run of the flow engine on the indicator cost of
+L: the shipped mass is the value, the residual cut is the cover, and the
+same run settles the zero-mass questions below.  Each such answer has a
+``*_from_run`` form that reads that run; the public functions run the
+engine once and read from it.  The capacity is half the cover
 value of the symmetrised set (Nemhauser-Trotter half-integrality), and it
 sandwiches the cover within a factor of 4:
 gamma <= m <= 4 gamma, via the threshold set {f >= 1/2} on one side and
@@ -44,8 +47,8 @@ from .errors import (
     NotSquareError,
     PostconditionError,
 )
-from .flow import _run_ssp
-from .primal import _require_probability, primal_value
+from .flow import SolverRun, _run_ssp
+from .primal import _require_probability
 
 
 @dataclass(frozen=True)
@@ -124,12 +127,17 @@ class CoverCertificate:
     value: object
 
 
+def matching_run(L: CellSet, mu: Marginal, nu: Marginal) -> SolverRun:
+    """One engine run on the indicator cost of L: the run that the cover,
+    the matching mass and the zero-mass dichotomy of L all read."""
+    _check_shape(L, mu, nu)
+    return _run_ssp(_indicator_cost(L), mu, nu)
+
+
 def max_mass_on(L: CellSet, mu: Marginal, nu: Marginal) -> Tuple[object, Coupling]:
     """Largest mass of a partial coupling supported inside L, with witness."""
-    _check_shape(L, mu, nu)
-    run = _run_ssp(_indicator_cost(L), mu, nu)
-    witness = make_coupling(mu.space, nu.space, run.flows)
-    return run.shipped, witness
+    run = matching_run(L, mu, nu)
+    return run.shipped, make_coupling(mu.space, nu.space, run.flows)
 
 
 def cover_value(L: CellSet, mu: Marginal, nu: Marginal) -> Tuple[object, CoverCertificate]:
@@ -140,8 +148,13 @@ def cover_value(L: CellSet, mu: Marginal, nu: Marginal) -> Tuple[object, CoverCe
     L.  The residual cut of that matching flow is a cover of the same
     weight: rows the source can no longer reach, plus columns it can.
     """
-    _check_shape(L, mu, nu)
-    run = _run_ssp(_indicator_cost(L), mu, nu)
+    return cover_from_run(matching_run(L, mu, nu), L, mu, nu)
+
+
+def cover_from_run(
+    run: SolverRun, L: CellSet, mu: Marginal, nu: Marginal
+) -> Tuple[object, CoverCertificate]:
+    """``cover_value`` read from ``matching_run(L, mu, nu)``."""
     rows = frozenset(i for i in range(L.nx) if i not in run.reachable_rows)
     cols = frozenset(run.reachable_cols)
     value = sum((mu.weights[i] for i in rows), 0) + sum(
@@ -175,19 +188,19 @@ def capacity_value(L: CellSet, lam: Marginal) -> Tuple[object, Tuple]:
 
 
 def null_for_all_couplings(L: CellSet, mu: Marginal, nu: Marginal) -> bool:
-    """True when every full coupling of (mu, nu) gives L mass zero.
+    """True when every full coupling of (mu, nu) gives L mass zero."""
+    return null_from_run(matching_run(L, mu, nu), mu, nu)
 
-    Certified by optimization: the largest mass any full coupling puts on L
-    is 1 minus the cheapest full transport under the indicator cost of the
-    complement, so L is null for all couplings exactly when that cheapest
-    value is the whole unit mass."""
-    _check_shape(L, mu, nu)
+
+def null_from_run(run: SolverRun, mu: Marginal, nu: Marginal) -> bool:
+    """``null_for_all_couplings`` read from ``matching_run(L, mu, nu)``.
+
+    L is null for all couplings exactly when its matching mass is 0: a
+    partial coupling that charges L puts mass on a cell whose row and column
+    both carry weight, and the product coupling mu x nu, a full coupling,
+    charges every such cell."""
     _require_probability(mu, nu)
-    complement_cost = make_cost_matrix(
-        [[0 if flag else 1 for flag in row] for row in L.rows]
-    )
-    off_mass = primal_value(complement_cost, mu, nu)
-    return modes.geq(off_mass, 1)
+    return not modes.is_positive(run.shipped)
 
 
 @dataclass(frozen=True)
@@ -211,9 +224,14 @@ def kellerer_decompose(L: CellSet, mu: Marginal, nu: Marginal) -> Decomposition:
     weightless columns meeting L elsewhere, form the null cover.  Otherwise
     some cell of L has positive weights on both sides and the product
     coupling already charges it."""
-    _check_shape(L, mu, nu)
-    mass, _ = max_mass_on(L, mu, nu)
-    if not modes.is_positive(mass):
+    return decompose_from_run(matching_run(L, mu, nu), L, mu, nu)
+
+
+def decompose_from_run(
+    run: SolverRun, L: CellSet, mu: Marginal, nu: Marginal
+) -> Decomposition:
+    """``kellerer_decompose`` read from ``matching_run(L, mu, nu)``."""
+    if not modes.is_positive(run.shipped):
         null_rows = frozenset(
             i
             for i in range(L.nx)

@@ -4,7 +4,8 @@ These share no code with the flow engine or the covers built on it.
 ``brute_profile`` exhausts the basic sub-coupling plans (spanning-forest
 supports) and takes the lower convex envelope of their (mass, cost)
 projections, which is the exact mass-to-cost profile; ``brute_primal``
-evaluates that envelope.  ``brute_cover`` exhausts band covers and
+evaluates that envelope, and ``brute_chargeable`` asks it, cell by cell, how
+much mass a full plan can put on one cell.  ``brute_cover`` exhausts band covers and
 ``brute_capacity`` half-integral functions.  All exact, auditable, and meant
 for tiny instances only.
 """
@@ -16,7 +17,7 @@ from itertools import product
 from typing import Dict, Tuple
 
 from . import modes
-from .core import INF, CostMatrix, Marginal
+from .core import INF, CostMatrix, Marginal, make_cost_matrix
 from .errors import InputError, InstanceTooLargeError, NotSquareError
 
 _PRIMAL_LIMIT = 4
@@ -111,6 +112,31 @@ def brute_primal(c: CostMatrix, mu: Marginal, nu: Marginal, m):
         if m <= m1:
             return c0 + modes.div((c1 - c0) * (m - m0), m1 - m0)
     return hull[-1][1]
+
+
+def brute_chargeable(c: CostMatrix, mu: Marginal, nu: Marginal):
+    """Cells that some finite-cost full coupling of the probability
+    marginals (mu, nu) charges, certified one cell at a time: the most mass
+    such a plan can put on (i, j) is 1 minus the least mass it must put
+    elsewhere, which is the brute value at mass 1 of the cost that is 0 on
+    (i, j), 1 on the other finite cells and oo on the rest."""
+    if c.nx > _PRIMAL_LIMIT or c.ny > _PRIMAL_LIMIT:
+        raise InstanceTooLargeError(
+            f"brute_chargeable is exhaustive; {c.nx}x{c.ny} exceeds "
+            f"{_PRIMAL_LIMIT}x{_PRIMAL_LIMIT}"
+        )
+    out = set()
+    for i, j, _v in c.finite_cells():
+        one_cell = make_cost_matrix(
+            [
+                [INF if v is INF else int((a, b) != (i, j)) for b, v in enumerate(row)]
+                for a, row in enumerate(c.rows)
+            ]
+        )
+        off_mass = brute_primal(one_cell, mu, nu, 1)
+        if off_mass is not INF and modes.is_positive(1 - off_mass):
+            out.add((i, j))
+    return frozenset(out)
 
 
 def brute_cover(L, mu: Marginal, nu: Marginal):

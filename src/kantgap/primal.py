@@ -20,17 +20,17 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import modes
 from .core import (
-    INF,
     CostMatrix,
     Coupling,
     Marginal,
     is_inf,
+    make_coupling,
     scale_marginal,
     truncate_at,
     truncate_cost,
 )
 from .errors import InputError, MassMismatchError, PreconditionError
-from .flow import evaluate_profile, optimal_coupling_at, solve_profile
+from .flow import _run_ssp, profile_from_run, value_from_run
 
 
 def _require_probability(mu: Marginal, nu: Marginal) -> None:
@@ -50,14 +50,14 @@ def primal_value(c: CostMatrix, mu: Marginal, nu: Marginal):
     """Least cost of a full coupling; INF when finite cells cannot carry
     the whole unit mass."""
     _require_probability(mu, nu)
-    return evaluate_profile(solve_profile(c, mu, nu), 1)
+    return value_from_run(_run_ssp(c, mu, nu), 1)
 
 
 def partial_value(c: CostMatrix, mu: Marginal, nu: Marginal, eps):
     """Least cost of shipping mass 1 - eps (the drop-eps transport value)."""
     _require_probability(mu, nu)
     eps = check_eps(eps)
-    return evaluate_profile(solve_profile(c, mu, nu), 1 - eps)
+    return value_from_run(_run_ssp(c, mu, nu), 1 - eps)
 
 
 def relaxed_value(c: CostMatrix, mu: Marginal, nu: Marginal):
@@ -68,10 +68,7 @@ def relaxed_value(c: CostMatrix, mu: Marginal, nu: Marginal):
     name in reports and studies.
     """
     _require_probability(mu, nu)
-    profile = solve_profile(c, mu, nu)
-    if modes.geq(profile.max_mass, 1):
-        return evaluate_profile(profile, 1)
-    return INF
+    return value_from_run(_run_ssp(c, mu, nu), 1)
 
 
 def phi_value(c: CostMatrix, mu: Marginal, nu: Marginal, f: Sequence, g: Sequence):
@@ -83,7 +80,7 @@ def phi_value(c: CostMatrix, mu: Marginal, nu: Marginal, f: Sequence, g: Sequenc
         raise MassMismatchError(
             f"masses differ: |f mu| = {fmu.mass}, |g nu| = {gnu.mass}"
         )
-    return evaluate_profile(solve_profile(c, fmu, gnu), fmu.mass)
+    return value_from_run(_run_ssp(c, fmu, gnu), fmu.mass)
 
 
 def truncation_sweep(
@@ -137,17 +134,18 @@ def primal_report(
     c: CostMatrix, mu: Marginal, nu: Marginal, eps_grid: Sequence = ()
 ) -> PrimalReport:
     _require_probability(mu, nu)
-    profile = solve_profile(c, mu, nu)
-    feasible = modes.geq(profile.max_mass, 1)
-    value = evaluate_profile(profile, 1) if feasible else INF
+    run = _run_ssp(c, mu, nu)
+    profile = profile_from_run(run)
+    value = value_from_run(run, 1)
+    feasible = not is_inf(value)
     partials = []
     for eps in sorted(check_eps(e) for e in eps_grid):
-        partials.append((eps, evaluate_profile(profile, 1 - eps)))
-    witness = optimal_coupling_at(c, mu, nu, 1) if feasible else None
+        partials.append((eps, value_from_run(run, 1 - eps)))
+    witness = make_coupling(mu.space, nu.space, run.flows) if feasible else None
     return PrimalReport(
         value=value,
         partials=tuple(partials),
-        relaxed=value if feasible else INF,
+        relaxed=value,
         max_mass=profile.max_mass,
         witness=witness,
     )
@@ -188,15 +186,15 @@ def refinement_study(
     stays at 0: the order of the two limits (n up, eps down) matters, which
     is exactly the mechanism the table is meant to exhibit.
     """
-    from .dual import dual_value  # local import keeps module layering simple
+    from .dual import dual_from_run  # local import keeps module layering simple
 
     rows: List[StudyRow] = []
     for n in n_list:
         c, mu, nu = family(n)
-        profile = solve_profile(c, mu, nu)
-        feasible = modes.geq(profile.max_mass, 1)
-        p = evaluate_profile(profile, 1) if feasible else INF
-        d = dual_value(c, mu, nu).value
+        _require_probability(mu, nu)
+        run = _run_ssp(c, mu, nu)
+        p = value_from_run(run, 1)
+        d = dual_from_run(run, c, mu, nu).value
         eps_values = [resolve_eps(e, n) for e in eps_list]
         m_values = [modes.coerce(m) for m in m_list]
         truncated = {m: primal_value(truncate_at(c, m), mu, nu) for m in m_values}
@@ -208,7 +206,7 @@ def refinement_study(
                     eps=eps,
                     level=m,
                     value=p,
-                    partial=evaluate_profile(profile, 1 - eps),
+                    partial=value_from_run(run, 1 - eps),
                     truncated=truncated[m],
                     dual=d,
                 )

@@ -240,3 +240,103 @@ def test_relaxed_primal_dominates_dual_everywhere():
             assert kg.is_inf(r)
         else:
             assert r >= d
+
+
+def _per_cell_chargeable(c, mu, nu):
+    """The per-cell definition chargeable_cells replaced: a finite cell is
+    chargeable when the cheapest full transport under the cost that is 0 on
+    it, 1 on the other finite cells and oo elsewhere leaves it some mass."""
+    out = set()
+    for i, j, _v in c.finite_cells():
+        indicator = kg.make_cost_matrix(
+            [
+                [
+                    "inf" if kg.is_inf(c.rows[a][b]) else int((a, b) != (i, j))
+                    for b in range(c.ny)
+                ]
+                for a in range(c.nx)
+            ]
+        )
+        off_mass = kg.primal_value(indicator, mu, nu)
+        if not kg.is_inf(off_mass) and off_mass < 1:
+            out.add((i, j))
+    return frozenset(out)
+
+
+def _small_instances():
+    """Seeded instances up to 4x4, kept small enough for the brute oracle:
+    sparse and dense, uniform and random marginals (zero atoms included)."""
+    sizes = [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)]
+    for k, (nx, ny) in enumerate(sizes * 8):
+        density = (0.0, 0.3, 0.5, 0.7)[k % 4]
+        kind = ("uniform", "random")[k // 4 % 2]
+        yield kg.random_instance(nx, ny, density, kind, 3000 + k)
+    for seed in range(4):
+        yield kg.random_instance(3, 4, 0.5, "random", 3100 + seed)
+        yield kg.random_instance(4, 4, 0.5, ("uniform", "random")[seed % 2], 3200 + seed)
+
+
+def test_chargeable_cells_match_brute_oracle():
+    zero_atoms = infeasible = 0
+    for c, mu, nu in _small_instances():
+        cells = kg.chargeable_cells(c, mu, nu)
+        assert cells == kg.brute_chargeable(c, mu, nu)
+        zero_atoms += 0 in mu.weights + nu.weights
+        infeasible += kg.is_inf(kg.primal_value(c, mu, nu))
+        if kg.is_inf(kg.primal_value(c, mu, nu)):
+            assert cells == frozenset()
+    assert zero_atoms >= 5 and infeasible >= 5
+
+
+def test_chargeable_cells_match_per_cell_definition():
+    import random
+
+    instances = [kg.example_diagonal(n) for n in (2, 5, 7)]
+    instances += [kg.closed_inf_band(n, w) for n, w in ((4, 1), (6, 2), (7, 3))]
+    rng = random.Random(77)
+    for seed in range(200):
+        nx, ny = rng.randint(1, 7), rng.randint(1, 7)
+        density = rng.choice((0.0, 0.3, 0.5, 0.7))
+        kind = rng.choice(("uniform", "random"))
+        instances.append(kg.random_instance(nx, ny, density, kind, 4000 + seed))
+    nonempty = 0
+    for c, mu, nu in instances:
+        cells = kg.chargeable_cells(c, mu, nu)
+        assert cells == _per_cell_chargeable(c, mu, nu)
+        nonempty += bool(cells) and cells != frozenset(
+            (i, j) for i, j, _v in c.finite_cells()
+        )
+    # the property is not trivial: many instances have a proper,
+    # nonempty chargeable subset of their finite cells
+    assert nonempty >= 20
+
+
+def _linear_scan_level(c, mu, nu, grid):
+    relaxed = kg.relaxed_value(c, mu, nu)
+    for m in grid:
+        if kg.primal_value(kg.truncate_at(c, m), mu, nu) == relaxed:
+            return m
+    return None
+
+
+def test_attainment_bisection_matches_linear_scan():
+    import random
+
+    rng = random.Random(5)
+    cases = {"never": 0, "first": 0, "inside": 0}
+    for seed in range(60):
+        n = rng.randint(2, 5)
+        c, mu, nu = kg.random_instance(n, n, rng.choice((0.0, 0.3)), "random", 5000 + seed)
+        if kg.is_inf(kg.primal_value(c, mu, nu)):
+            continue
+        grid = sorted(F(rng.randint(0, 12), 4) for _ in range(rng.randint(1, 6)))
+        level = _linear_scan_level(c, mu, nu, grid)
+        rep = kg.attainment_check(c, mu, nu, grid)
+        assert rep.level == level and rep.attained == (level is not None)
+        if level is None:
+            cases["never"] += 1
+        elif level == grid[0]:
+            cases["first"] += 1
+        else:
+            cases["inside"] += 1
+    assert min(cases.values()) >= 3, cases

@@ -230,7 +230,8 @@ def test_optimal_coupling_at_target_with_a_new_denominator(diag3):
 def _run_numbers(run):
     yield run.shipped
     yield run.cost
-    for slope, mass, pots in run.segments:
+    for k, (slope, mass, _snapshot) in enumerate(run.segments):
+        pots = run.segment_potentials(k)
         yield from (slope, mass, *pots.u, *pots.v)
     yield from run.final_potentials.u
     yield from run.final_potentials.v

@@ -311,3 +311,55 @@ def test_cli_relaxed_dual_infeasible_exit2(tmp_path, capsys):
     assert code == 2
     doc = json.loads(capsys.readouterr().out)
     assert "infeasible" in doc
+
+
+def test_cli_parser_reuse_matches_fresh_processes(tmp_path, capsys):
+    # main builds its parser once per process; interleaved calls, one of
+    # them rejected by argparse, must print what fresh processes print
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from kantgap import cli, modes
+
+    c, mu, nu = kg.random_instance(5, 6, 0.2, "random", 11)
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps(problem_io.dump_problem(c, mu, nu)))
+    square = tmp_path / "sq.json"
+    square.write_text(json.dumps(problem_io.dump_problem(kg.constant_matrix(5, 5, 0), mu, mu)))
+    cells = tmp_path / "cells.json"
+    cells.write_text(json.dumps({"pairs": [[0, 1], [3, 3], [4, 0]]}))
+    argvs = [
+        ["solve", str(problem), "--format", "json"],
+        ["covers", str(square), "--cells", str(cells)],
+        ["--float", "solve", str(problem), "--eps-grid", "1/5"],
+        ["dual", str(problem), "--relaxed"],
+        ["dual", str(problem), "--no-such-flag"],
+    ]
+
+    def in_process(argv):
+        with modes.arithmetic(modes.EXACT):  # main sets the process-wide mode
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+        out = capsys.readouterr()
+        return rc, out.out, out.err
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def fresh(argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "kantgap.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    expected = [fresh(argv) for argv in argvs]
+    assert expected[-1][0] == 2 and "--no-such-flag" in expected[-1][2]
+    assert all(rc == 0 for rc, _out, _err in expected[:-1])
+    for _ in range(2):
+        assert [in_process(argv) for argv in argvs] == expected
+    assert cli.build_parser() is cli.build_parser()

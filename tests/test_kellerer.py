@@ -147,6 +147,27 @@ def test_null_for_all_couplings_cases(uni3):
     assert kg.null_for_all_couplings(L, mu, uni3)
 
 
+def test_null_for_all_couplings_matches_complement_cost_formula():
+    # the formula null_for_all_couplings replaced: L is null exactly when
+    # the cheapest full transport under the indicator cost of the
+    # complement of L is the whole unit mass
+    import random
+
+    rng = random.Random(17)
+    nulls = 0
+    for seed in range(400):
+        nx, ny = rng.randint(1, 6), rng.randint(1, 6)
+        _, mu, nu = kg.random_instance(nx, ny, 0, "random", 6000 + seed)
+        density = rng.choice((0.1, 0.3, 0.6))
+        pairs = [(i, j) for i in range(nx) for j in range(ny) if rng.random() < density]
+        L = kg.cellset_from_pairs(nx, ny, pairs)
+        complement = kg.make_cost_matrix([[0 if f else 1 for f in row] for row in L.rows])
+        expected = kg.primal_value(complement, mu, nu) == 1
+        assert kg.null_for_all_couplings(L, mu, nu) == expected
+        nulls += expected
+    assert 20 <= nulls <= 380
+
+
 def test_decompose_zero_weight_rows():
     mu = kg.make_marginal(kg.DiscreteSpace(3), [F(1, 2), F(1, 2), 0])
     nu = kg.uniform_marginal(3)

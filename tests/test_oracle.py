@@ -50,6 +50,24 @@ def test_brute_profile_is_exact_envelope(diag3):
     assert kg.brute_profile(c, mu, nu) == ((0, 0), (F(2, 3), 0), (1, 1))
 
 
+def test_brute_chargeable_goldens(diag3):
+    c, mu, nu = diag3
+    assert kg.brute_chargeable(c, mu, nu) == frozenset({(0, 0), (1, 1), (2, 2)})
+    band, bmu, bnu = kg.closed_inf_band(4, 3)  # infeasible: nothing chargeable
+    assert kg.brute_chargeable(band, bmu, bnu) == frozenset()
+    # a weightless row is never charged, even through finite cells
+    mu0 = kg.make_marginal(kg.DiscreteSpace(2), [1, 0])
+    nu0 = kg.uniform_marginal(2)
+    c0 = kg.constant_matrix(2, 2, 0)
+    assert kg.brute_chargeable(c0, mu0, nu0) == frozenset({(0, 0), (0, 1)})
+
+
+def test_brute_chargeable_size_limit():
+    c, mu, nu = kg.random_instance(5, 3, 0, "uniform", 0)
+    with pytest.raises(InstanceTooLargeError):
+        kg.brute_chargeable(c, mu, nu)
+
+
 def test_brute_cover_goldens():
     mu = kg.uniform_marginal(3)
     diag = kg.cellset_from_pairs(3, 3, [(i, i) for i in range(3)])
