@@ -30,7 +30,7 @@ from .core import (
     truncate_cost,
 )
 from .errors import InputError, MassMismatchError, PreconditionError
-from .flow import _run_ssp, profile_from_run, value_from_run
+from .flow import _run_ssp, evaluate_profile, profile_from_run, value_from_run
 
 
 def _require_probability(mu: Marginal, nu: Marginal) -> None:
@@ -136,11 +136,11 @@ def primal_report(
     _require_probability(mu, nu)
     run = _run_ssp(c, mu, nu)
     profile = profile_from_run(run)
-    value = value_from_run(run, 1)
+    value = evaluate_profile(profile, 1)
     feasible = not is_inf(value)
     partials = []
     for eps in sorted(check_eps(e) for e in eps_grid):
-        partials.append((eps, value_from_run(run, 1 - eps)))
+        partials.append((eps, evaluate_profile(profile, 1 - eps)))
     witness = make_coupling(mu.space, nu.space, run.flows) if feasible else None
     return PrimalReport(
         value=value,
