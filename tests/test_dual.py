@@ -282,8 +282,8 @@ def test_chargeable_cells_match_brute_oracle():
         cells = kg.chargeable_cells(c, mu, nu)
         assert cells == kg.brute_chargeable(c, mu, nu)
         zero_atoms += 0 in mu.weights + nu.weights
-        infeasible += kg.is_inf(kg.primal_value(c, mu, nu))
         if kg.is_inf(kg.primal_value(c, mu, nu)):
+            infeasible += 1
             assert cells == frozenset()
     assert zero_atoms >= 5 and infeasible >= 5
 
