@@ -67,7 +67,7 @@ from .kellerer import (
     max_mass_on,
     null_for_all_couplings,
 )
-from .modes import arithmetic, get_mode, set_mode
+from .modes import arithmetic, get_mode
 from .oracle import (
     brute_capacity,
     brute_chargeable,

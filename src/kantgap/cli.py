@@ -81,7 +81,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     c, mu, nu = problem_io.load_problem_file(args.problem)
-    eps_grid = [check_eps(problem_io.parse_number(t)) for t in _parse_grid(args.eps_grid)]
+    eps_grid = [check_eps(t) for t in _parse_grid(args.eps_grid)]
     _require_probability(mu, nu)
     # one engine run: P, P_eps, the dual and the witness all read from it
     run = _run_ssp(c, mu, nu)
@@ -93,11 +93,7 @@ def _cmd_solve(args) -> int:
         if partials:
             doc["P_eps"] = [[format_number(e), format_number(v)] for e, v in partials]
         if rep.ray is not None:
-            doc["improving_ray"] = {
-                "d_phi": [format_number(v) for v in rep.ray.d_phi],
-                "d_psi": [format_number(v) for v in rep.ray.d_psi],
-                "slope": format_number(rep.ray.slope),
-            }
+            doc["improving_ray"] = problem_io.improving_ray(rep.ray)
         if args.format == "json":
             _write(json.dumps(doc) + "\n", args.output)
         else:
@@ -132,8 +128,7 @@ def _cmd_profile(args) -> int:
     c, mu, nu = problem_io.load_problem_file(args.problem)
     profile = solve_profile(c, mu, nu)
     if args.at is not None:
-        m = problem_io.parse_number(args.at)
-        value = evaluate_profile(profile, m)
+        value = evaluate_profile(profile, args.at)
         _write(f"{format_number(value)}\n", args.output)
         return EXIT_OK
     _write(problem_io.profile_csv(profile), args.output)
@@ -153,18 +148,14 @@ def _cmd_dual(args) -> int:
         feasible = verify_feasible(rep.pair, c).ok
         doc = problem_io.dual_certificate(rep.pair, rep.value, feasible)
         if rep.ray is not None:
-            doc["improving_ray"] = {
-                "d_phi": [format_number(v) for v in rep.ray.d_phi],
-                "d_psi": [format_number(v) for v in rep.ray.d_psi],
-                "slope": format_number(rep.ray.slope),
-            }
+            doc["improving_ray"] = problem_io.improving_ray(rep.ray)
     _write(json.dumps(doc) + "\n", args.output)
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
     c, mu, nu = problem_io.load_problem_file(args.problem)
-    grid = [problem_io.parse_number(t) for t in _parse_grid(args.m_grid)]
+    grid = _parse_grid(args.m_grid)
     if not grid:
         raise InputError("sweep needs --m-grid")
     rows = constant_truncation_sweep(c, mu, nu, grid)
@@ -208,7 +199,7 @@ def _cmd_study(args) -> int:
     except ValueError as exc:
         raise InputError(f"--n-list needs integers: {exc}") from exc
     eps_list = _parse_grid(args.eps_grid)
-    m_list = [problem_io.parse_number(t) for t in _parse_grid(args.m_grid)]
+    m_list = _parse_grid(args.m_grid)
     if not n_list or not eps_list or not m_list:
         raise InputError("study needs --n-list, --eps-grid and --m-grid")
     rows = refinement_study(fam, n_list, eps_list, m_list)
@@ -224,8 +215,7 @@ def _cmd_oracle(args) -> int:
         return EXIT_OK
     if args.mass is None:
         raise InputError("oracle needs --mass or --cover")
-    m = problem_io.parse_number(args.mass)
-    _write(f"{format_number(brute_primal(c, mu, nu, m))}\n", args.output)
+    _write(f"{format_number(brute_primal(c, mu, nu, args.mass))}\n", args.output)
     return EXIT_OK
 
 
@@ -316,9 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    modes.set_mode(args.mode)
     try:
-        return args.func(args)
+        with modes.arithmetic(args.mode):
+            return args.func(args)
     except (InfeasibleMassError, NotApplicableError) as exc:
         if getattr(args, "format", "text") == "json":
             sys.stdout.write(json.dumps({"infeasible": str(exc)}) + "\n")

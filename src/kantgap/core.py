@@ -106,13 +106,6 @@ def ext_min(a, b):
     return a if a <= b else b
 
 
-def ext_add(a, b):
-    """Sum in [0, oo]."""
-    if a is INF or b is INF:
-        return INF
-    return a + b
-
-
 # ---------------------------------------------------------------------------
 # spaces and marginals
 # ---------------------------------------------------------------------------
@@ -173,10 +166,6 @@ def uniform_marginal(n: int) -> Marginal:
     return make_marginal(DiscreteSpace(n), (modes.div(1, n),) * n)
 
 
-def zero_marginal(space: DiscreteSpace) -> Marginal:
-    return make_marginal(space, (0,) * space.size)
-
-
 def scale_marginal(mu: Marginal, factors: Sequence) -> Marginal:
     """Pointwise rescaling f*mu (densities f >= 0 required)."""
     if len(factors) != mu.space.size:
@@ -231,11 +220,9 @@ class CostMatrix:
 
 
 def _coerce_cost(v):
-    if v is INF:
-        return INF
-    if isinstance(v, str) and v.strip().lower() == "inf":
-        return INF
-    if isinstance(v, float) and v == float("inf"):
+    """A cost in [0, oo]: ``INF`` or the "inf" token (any case), else a
+    number read by ``modes.coerce``."""
+    if v is INF or (isinstance(v, str) and v.strip().lower() == "inf"):
         return INF
     x = modes.coerce(v)
     if x < 0:

@@ -75,9 +75,6 @@ class CellSet:
         i, j = ij
         return bool(self.rows[i][j])
 
-    def is_empty(self) -> bool:
-        return not any(any(row) for row in self.rows)
-
 
 def cellset_from_pairs(nx: int, ny: int, pairs: Sequence[Tuple[int, int]]) -> CellSet:
     if not isinstance(pairs, (list, tuple)):

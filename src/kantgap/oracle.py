@@ -91,11 +91,12 @@ def brute_profile(c: CostMatrix, mu: Marginal, nu: Marginal):
             f"brute_profile is exhaustive; {c.nx}x{c.ny} exceeds "
             f"{_PRIMAL_LIMIT}x{_PRIMAL_LIMIT}"
         )
-    return _cached_profile(c, mu, nu)
+    return _cached_profile(c, mu, nu, modes.get_mode())
 
 
 @lru_cache(maxsize=128)
-def _cached_profile(c: CostMatrix, mu: Marginal, nu: Marginal):
+def _cached_profile(c: CostMatrix, mu: Marginal, nu: Marginal, mode: str):
+    # the mode is part of the key: float and exact marginals compare equal
     return _profile_points(c, mu, nu)
 
 

@@ -6,9 +6,12 @@ Problem schema::
       "mu": [numbers or "p/q" strings], "nu": [...],
       "cost": [[..., "inf", ...], ...] }
 
-The token "inf" (any case) marks a forbidden cell.  Rationals serialize as
-"p/q" strings in exact mode and as decimal reprs in float mode.  All writers
-emit deterministic bytes for identical inputs.
+The token "inf" (any case) marks a forbidden cell.  The loaders check the
+document's shape and hand every raw entry to the ``core`` constructors, which
+read it once through ``modes.coerce`` in the caller's arithmetic mode; JSON
+``NaN`` and ``Infinity`` are rejected there like any malformed number.
+Rationals serialize as "p/q" strings in exact mode and as decimal reprs in
+float mode.  All writers emit deterministic bytes for identical inputs.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from typing import List, Sequence, Tuple
 
 from . import modes
 from .core import (
-    INF,
     NEG_INF,
     CostMatrix,
     DiscreteSpace,
@@ -42,28 +44,12 @@ def format_number(x) -> str:
     return str(x)
 
 
-def parse_number(token):
-    """Accept ints, floats, Fractions and "p/q" strings; reject anything
-    else and non-finite floats (use the "inf" token for forbidden cells)."""
-    if isinstance(token, float) and (token != token or token in (float("inf"), float("-inf"))):
-        raise InputError(f"non-finite number {token!r}; use the string tokens")
-    try:
-        return modes.coerce(token)
-    except (TypeError, ValueError, ArithmeticError) as exc:
-        raise InputError(f"malformed number {token!r}") from exc
-
-
-def _parse_cost_entry(token):
-    if isinstance(token, str) and token.strip().lower() == "inf":
-        return INF
-    return parse_number(token)
-
-
 def parse_potential(token):
-    """Like parse_number, but admits the "-inf" token of dual certificates."""
+    """A dual potential: the "-inf" token of dual certificates, else a
+    number read by ``modes.coerce``."""
     if isinstance(token, str) and token.strip().lower() == "-inf":
         return NEG_INF
-    return parse_number(token)
+    return modes.coerce(token)
 
 
 def _require_list(value, what: str, length: int) -> list:
@@ -79,12 +65,9 @@ def load_problem(doc: dict) -> Tuple[CostMatrix, Marginal, Marginal]:
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed problem document: {exc}") from exc
     X, Y = DiscreteSpace(nx), DiscreteSpace(ny)
-    mu = make_marginal(X, [parse_number(w) for w in _require_list(mu_raw, "mu", nx)])
-    nu = make_marginal(Y, [parse_number(w) for w in _require_list(nu_raw, "nu", ny)])
-    rows = [
-        [_parse_cost_entry(v) for v in _require_list(row, "cost row", ny)]
-        for row in _require_list(cost_raw, "cost", nx)
-    ]
+    mu = make_marginal(X, _require_list(mu_raw, "mu", nx))
+    nu = make_marginal(Y, _require_list(nu_raw, "nu", ny))
+    rows = [_require_list(row, "cost row", ny) for row in _require_list(cost_raw, "cost", nx)]
     return make_cost_matrix(rows), mu, nu
 
 
@@ -128,6 +111,14 @@ def load_cellset(doc, nx: int, ny: int) -> CellSet:
 def load_cellset_file(path: str, nx: int, ny: int) -> CellSet:
     with open(path, "r", encoding="utf-8") as fh:
         return load_cellset(json.load(fh), nx, ny)
+
+
+def improving_ray(ray) -> dict:
+    return {
+        "d_phi": [format_number(v) for v in ray.d_phi],
+        "d_psi": [format_number(v) for v in ray.d_psi],
+        "slope": format_number(ray.slope),
+    }
 
 
 def dual_certificate(pair, value, feasible: bool) -> dict:

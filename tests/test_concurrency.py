@@ -1,10 +1,13 @@
 """Documented threading model: solves are deterministic and independent,
 inputs are immutable, so concurrent solves must agree with serial ones."""
 
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
 import kantgap as kg
+from kantgap import modes
 
 
 def test_concurrent_solves_match_serial():
@@ -31,3 +34,33 @@ def test_concurrent_dual_reports_agree():
     with ThreadPoolExecutor(max_workers=8) as pool:
         parallel = list(pool.map(lambda t: kg.dual_value(*t).value, instances))
     assert serial == parallel
+
+
+def test_float_mode_in_one_thread_leaves_others_exact():
+    # the mode is scoped to a context: a thread looping inside
+    # arithmetic(FLOAT) must not turn another thread's numbers into floats
+    stop = threading.Event()
+
+    def float_loop():
+        while not stop.is_set():
+            with modes.arithmetic(modes.FLOAT):
+                kg.uniform_marginal(3)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    worker = threading.Thread(target=float_loop)
+    worker.start()
+    try:
+        built = [kg.uniform_marginal(3) for _ in range(2000)]
+    finally:
+        stop.set()
+        worker.join(timeout=30)
+        sys.setswitchinterval(old)
+    assert not worker.is_alive()
+    assert sum(any(isinstance(w, float) for w in mu.weights) for mu in built) == 0
+
+
+def test_pool_workers_start_in_exact_mode():
+    with modes.arithmetic(modes.FLOAT), ThreadPoolExecutor(max_workers=2) as pool:
+        assert pool.submit(modes.get_mode).result(timeout=30) == modes.EXACT
+        assert modes.get_mode() == modes.FLOAT

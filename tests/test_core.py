@@ -3,10 +3,13 @@ from fractions import Fraction as F
 import pytest
 
 import kantgap as kg
+from kantgap import modes
 from kantgap.errors import (
     DimensionMismatchError,
+    InputError,
     NegativeWeightError,
 )
+from kantgap.primal import check_eps
 
 
 @pytest.fixture
@@ -200,3 +203,28 @@ def test_coupling_partial_and_full_predicates(diag3):
     assert kg.is_full_coupling(full, mu, nu)
     assert kg.is_partial_coupling(part, mu, nu)
     assert not kg.is_full_coupling(part, mu, nu)
+
+
+_BAD_NUMBERS = [float("nan"), float("inf"), float("-inf"), None, True, "abc", "1/0", object()]
+_BAD_IDS = ["nan", "inf", "-inf", "None", "True", "abc", "1/0", "object"]
+# every constructor and parameter check reads its numbers through modes.coerce
+_READERS = {
+    "make_marginal": lambda bad: kg.make_marginal(kg.DiscreteSpace(2), [bad, 1]),
+    "make_cost_matrix": lambda bad: kg.make_cost_matrix([[0, bad]]),
+    "truncate_at": lambda bad: kg.truncate_at(kg.make_cost_matrix([[0, 1]]), bad),
+    "make_coupling": lambda bad: kg.make_coupling(
+        kg.DiscreteSpace(1), kg.DiscreteSpace(1), {(0, 0): bad}
+    ),
+    "check_eps": check_eps,
+    "evaluate_profile": lambda bad: kg.evaluate_profile(
+        kg.solve_profile(*kg.example_diagonal(2)), bad
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", [modes.EXACT, modes.FLOAT])
+@pytest.mark.parametrize("reader", sorted(_READERS))
+@pytest.mark.parametrize("bad", _BAD_NUMBERS, ids=_BAD_IDS)
+def test_bad_numbers_raise_input_error(bad, reader, mode):
+    with modes.arithmetic(mode), pytest.raises(InputError):
+        _READERS[reader](bad)

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import kantgap as kg
-from kantgap import flow, modes, problem_io
+from kantgap import flow, problem_io
 from kantgap.cli import main
 
 
@@ -49,8 +49,7 @@ def test_solve_runs_the_engine_once(mode, tmp_path, engine_runs, capsys):
     for path in _feasible_and_infeasible(tmp_path):
         for fmt in ("json", "text"):
             del engine_runs[:]
-            with modes.arithmetic(modes.EXACT):  # main sets the process-wide mode
-                assert main(mode + ["solve", path, "--eps-grid", "0,1/4", "--format", fmt]) == 0
+            assert main(mode + ["solve", path, "--eps-grid", "0,1/4", "--format", fmt]) == 0
             assert len(engine_runs) == 1
     capsys.readouterr()
 

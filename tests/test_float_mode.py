@@ -3,9 +3,8 @@
 import pytest
 
 import kantgap as kg
-from kantgap import problem_io
 from kantgap.errors import InputError
-from kantgap.modes import FLOAT, arithmetic
+from kantgap.modes import FLOAT, arithmetic, coerce
 
 
 @pytest.fixture(autouse=True)
@@ -23,7 +22,7 @@ def test_weights_become_floats():
 @pytest.mark.parametrize("token", [True, "abc", "1/0", "1e400", None])
 def test_parse_number_rejects_malformed_tokens(token):
     with pytest.raises(InputError):
-        problem_io.parse_number(token)
+        coerce(token)
 
 
 def test_diagonal_values_within_tolerance():

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import kantgap as kg
-from kantgap import problem_io
+from kantgap import modes, problem_io
 from kantgap.cli import main
 
 
@@ -224,6 +224,9 @@ _CASES = [
     ("problem", {"mu": ["abc"]}),
     ("problem", {"mu": ["1/0"]}),
     ("problem", {"mu": [True]}),
+    ("problem", {"mu": [float("nan")]}),
+    ("problem", {"nu": [float("inf")]}),
+    ("problem", {"cost": [[float("inf")]]}),
     ("problem", {"cost": [[None]]}),
     ("problem", {"cost": 5}),
     ("problem", {"nx": "a"}),
@@ -259,6 +262,16 @@ def test_cli_out_of_range_parameter_named(argv, message, diag3_file, capsys):
     assert capsys.readouterr().err == message
 
 
+def test_cli_float_run_leaves_the_mode_exact(diag3_file, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**_ONE, "mu": ["abc"]}))
+    assert main(["--float", "solve", diag3_file]) == 0
+    assert modes.get_mode() == modes.EXACT
+    assert main(["--float", "solve", str(bad)]) == 1
+    assert modes.get_mode() == modes.EXACT
+    capsys.readouterr()
+
+
 def test_cli_validation_error_exit1(tmp_path):
     path = tmp_path / "neg.json"
     path.write_text(
@@ -288,7 +301,7 @@ def test_cli_pipeline_gen_solve_dual_consistent(tmp_path, capsys):
     pi = kg.make_coupling(
         mu.space,
         nu.space,
-        {(i, j): problem_io.parse_number(m) for i, j, m in solved["witness"]},
+        {(i, j): modes.coerce(m) for i, j, m in solved["witness"]},
     )
     assert kg.is_full_coupling(pi, mu, nu)
     assert problem_io.format_number(kg.cost_of(c, pi)) == solved["P"]
@@ -321,7 +334,7 @@ def test_cli_parser_reuse_matches_fresh_processes(tmp_path, capsys):
     import sys
     from pathlib import Path
 
-    from kantgap import cli, modes
+    from kantgap import cli
 
     c, mu, nu = kg.random_instance(5, 6, 0.2, "random", 11)
     problem = tmp_path / "p.json"
@@ -339,11 +352,10 @@ def test_cli_parser_reuse_matches_fresh_processes(tmp_path, capsys):
     ]
 
     def in_process(argv):
-        with modes.arithmetic(modes.EXACT):  # main sets the process-wide mode
-            try:
-                rc = main(argv)
-            except SystemExit as exc:
-                rc = exc.code
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
         out = capsys.readouterr()
         return rc, out.out, out.err
 

@@ -1,8 +1,10 @@
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 import kantgap as kg
+from kantgap import modes
 from kantgap.errors import InputError, InstanceTooLargeError
 
 
@@ -103,6 +105,16 @@ def test_oracles_share_no_solver_code():
     # the oracle module must not import the engines it certifies
     import kantgap.oracle as om
 
-    src = open(om.__file__).read()
+    src = Path(om.__file__).read_text()
     assert "from .flow" not in src and "from .kellerer" not in src
     assert "import flow" not in src and "import kellerer" not in src
+
+
+def test_brute_profile_cache_keeps_modes_apart():
+    # float and exact marginals compare and hash equal, so the cache must
+    # be keyed on the mode as well
+    exact = kg.brute_profile(*kg.example_diagonal(2))
+    with modes.arithmetic(modes.FLOAT):
+        floats = kg.brute_profile(*kg.example_diagonal(2))
+    assert any(isinstance(v, F) for point in exact for v in point)
+    assert not any(isinstance(v, F) for point in floats for v in point)
