@@ -83,8 +83,9 @@ def _cmd_solve(args) -> int:
     c, mu, nu = problem_io.load_problem_file(args.problem)
     eps_grid = [check_eps(t) for t in _parse_grid(args.eps_grid)]
     _require_probability(mu, nu)
-    # one engine run: P, P_eps, the dual and the witness all read from it
-    run = _run_ssp(c, mu, nu)
+    # one engine run: P, P_eps, the dual and the witness all read from it;
+    # warm-started unless the partial values need the profile
+    run = _run_ssp(c, mu, nu, warm=not eps_grid)
     p = value_from_run(run, 1)
     rep = dual_from_run(run, c, mu, nu)
     partials = [(e, value_from_run(run, 1 - e)) for e in sorted(eps_grid)]

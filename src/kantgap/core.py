@@ -119,7 +119,8 @@ class DiscreteSpace:
     labels: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self):
-        if not isinstance(self.size, int) or self.size < 1:
+        size = self.size
+        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
             raise InputError("space size must be a positive integer")
         if self.labels is not None:
             object.__setattr__(self, "labels", tuple(self.labels))

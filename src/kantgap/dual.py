@@ -162,11 +162,13 @@ def dual_value(c: CostMatrix, mu: Marginal, nu: Marginal) -> DualReport:
     improving ray from the residual cut.
     """
     _require_probability(mu, nu)
-    return dual_from_run(_run_ssp(c, mu, nu), c, mu, nu)
+    return dual_from_run(_run_ssp(c, mu, nu, warm=True), c, mu, nu)
 
 
 def dual_from_run(run: SolverRun, c: CostMatrix, mu: Marginal, nu: Marginal) -> DualReport:
-    """``dual_value`` read from an untargeted run of (c, mu, nu)."""
+    """``dual_value`` read from an untargeted run of (c, mu, nu), cold or
+    warm: both end with the same shipped mass and reachable sets, and at
+    full mass with potentials that certify the plan."""
     if modes.eq(run.shipped, 1):
         pots = run.final_potentials
         pair = _finalize_pair(list(pots.u), list(pots.v), c, mu, nu)

@@ -50,7 +50,13 @@ def primal_value(c: CostMatrix, mu: Marginal, nu: Marginal):
     """Least cost of a full coupling; INF when finite cells cannot carry
     the whole unit mass."""
     _require_probability(mu, nu)
-    return value_from_run(_run_ssp(c, mu, nu), 1)
+    return value_from_run(_run_ssp(c, mu, nu, warm=True), 1)
+
+
+# The limit of the partial values as the dropped mass shrinks to zero equals
+# the full value on every finite instance (profile continuity, module
+# docstring); the relaxed quantity keeps its own name for reports and studies.
+relaxed_value = primal_value
 
 
 def partial_value(c: CostMatrix, mu: Marginal, nu: Marginal, eps):
@@ -58,17 +64,6 @@ def partial_value(c: CostMatrix, mu: Marginal, nu: Marginal, eps):
     _require_probability(mu, nu)
     eps = check_eps(eps)
     return value_from_run(_run_ssp(c, mu, nu), 1 - eps)
-
-
-def relaxed_value(c: CostMatrix, mu: Marginal, nu: Marginal):
-    """Limit of the partial values as the dropped mass shrinks to zero.
-
-    Equals the full value on every finite instance (profile continuity);
-    kept as its own operation so the relaxed quantity has a first-class
-    name in reports and studies.
-    """
-    _require_probability(mu, nu)
-    return value_from_run(_run_ssp(c, mu, nu), 1)
 
 
 def phi_value(c: CostMatrix, mu: Marginal, nu: Marginal, f: Sequence, g: Sequence):
@@ -80,7 +75,7 @@ def phi_value(c: CostMatrix, mu: Marginal, nu: Marginal, f: Sequence, g: Sequenc
         raise MassMismatchError(
             f"masses differ: |f mu| = {fmu.mass}, |g nu| = {gnu.mass}"
         )
-    return value_from_run(_run_ssp(c, fmu, gnu), fmu.mass)
+    return value_from_run(_run_ssp(c, fmu, gnu, warm=True), fmu.mass)
 
 
 def truncation_sweep(

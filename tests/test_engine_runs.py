@@ -13,12 +13,13 @@ from kantgap.cli import main
 
 @pytest.fixture
 def engine_runs(monkeypatch):
-    """Counts calls of flow._run_ssp through every kantgap binding of it."""
+    """Records calls of flow._run_ssp, as (args, kwargs), through every
+    kantgap binding of it."""
     original = flow._run_ssp
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.append((args, kwargs))
         return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -75,6 +76,28 @@ def test_covers_runs_the_engine_twice(tmp_path, engine_runs, capsys):
         del engine_runs[:]
         assert main(["covers", path, "--cells", str(cells)]) == 0
         assert len(engine_runs) == 2
+    capsys.readouterr()
+
+
+def test_only_full_mass_answers_start_warm(tmp_path, engine_runs, capsys):
+    feasible, infeasible = _feasible_and_infeasible(tmp_path)
+    cells = tmp_path / "cells.json"
+    cells.write_text(json.dumps({"pairs": [[0, 1], [2, 2]]}))
+    expected = [
+        (["solve", feasible], [True]),
+        (["solve", infeasible], [True]),
+        (["--float", "solve", feasible], [True]),
+        (["solve", feasible, "--eps-grid", "0"], [False]),
+        (["dual", feasible], [True]),
+        (["dual", infeasible], [True]),
+        (["dual", feasible, "--relaxed"], [False, False]),
+        (["profile", feasible], [False]),
+        (["covers", feasible, "--cells", str(cells)], [False]),  # 6x7: no capacity run
+    ]
+    for argv, warm in expected:
+        del engine_runs[:]
+        assert main(argv) == 0
+        assert [kwargs.get("warm", False) for _args, kwargs in engine_runs] == warm
     capsys.readouterr()
 
 

@@ -243,8 +243,11 @@ def test_engine_numbers_stay_in_mode(mode):
     with arithmetic(mode):
         for seed in range(20):
             c, mu, nu = kg.random_instance(5, 6, 0.3, "random", seed)
-            for target in (None, modes.coerce(F(1, 7)), modes.coerce(F(1, 2))):
-                for x in _run_numbers(_run_ssp(c, mu, nu, target)):
+            targets = (None, modes.coerce(F(1, 7)), modes.coerce(F(1, 2)))
+            runs = [_run_ssp(c, mu, nu, target) for target in targets]
+            runs.append(_run_ssp(c, mu, nu, warm=True))
+            for run in runs:
+                for x in _run_numbers(run):
                     if mode == EXACT:
                         assert type(x) in (int, F)
                     else:

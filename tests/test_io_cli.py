@@ -230,6 +230,7 @@ _CASES = [
     ("problem", {"cost": [[None]]}),
     ("problem", {"cost": 5}),
     ("problem", {"nx": "a"}),
+    ("problem", {"nx": True}),
     ("args", ["solve", "{p}", "--eps-grid", "x"]),
     ("args", ["sweep", "{p}", "--m-grid", "1/0"]),
     ("args", ["profile", "{p}", "--at", "abc"]),
