@@ -25,10 +25,9 @@ import json
 import sys
 
 from . import modes, problem_io, scenarios
-from .core import is_inf, make_coupling
 from .dual import dual_from_run, dual_value, relaxed_dual_value, verify_feasible
 from .errors import InfeasibleMassError, InputError, NotApplicableError, TransportError
-from .flow import _run_ssp, evaluate_profile, solve_profile, value_from_run
+from .flow import _run_ssp, evaluate_profile, solve_profile
 from .kellerer import (
     capacity_value,
     cover_from_run,
@@ -41,6 +40,7 @@ from .primal import (
     _require_probability,
     check_eps,
     constant_truncation_sweep,
+    primal_from_run,
     refinement_study,
 )
 from .problem_io import format_number
@@ -86,42 +86,33 @@ def _cmd_solve(args) -> int:
     # one engine run: P, P_eps, the dual and the witness all read from it;
     # warm-started unless the partial values need the profile
     run = _run_ssp(c, mu, nu, warm=not eps_grid)
-    p = value_from_run(run, 1)
-    rep = dual_from_run(run, c, mu, nu)
-    partials = [(e, value_from_run(run, 1 - e)) for e in sorted(eps_grid)]
-    if is_inf(p):
-        doc = {"P": "inf", "D": "inf"}
-        if partials:
-            doc["P_eps"] = [[format_number(e), format_number(v)] for e, v in partials]
-        if rep.ray is not None:
-            doc["improving_ray"] = problem_io.improving_ray(rep.ray)
-        if args.format == "json":
-            _write(json.dumps(doc) + "\n", args.output)
-        else:
-            lines = ["P=inf D=inf gap=0"]
-            lines += [f"P_eps[{format_number(e)}]={format_number(v)}" for e, v in partials]
-            _write("\n".join(lines) + "\n", args.output)
-        return EXIT_OK
-    gap = p - rep.value
-    witness = make_coupling(mu.space, nu.space, run.flows)
+    rep = primal_from_run(run, mu, nu, eps_grid)
+    dual = dual_from_run(run, c, mu, nu)
+    feasible = rep.witness is not None
+    gap = rep.value - dual.value if feasible else 0
+    partials = [[format_number(e), format_number(v)] for e, v in rep.partials]
     if args.format == "json":
-        doc = {
-            "P": format_number(p),
-            "D": format_number(rep.value),
-            "gap": format_number(gap),
-            "witness": problem_io.coupling_entries(witness),
-            "phi": [format_number(v) for v in rep.pair.phi],
-            "psi": [format_number(v) for v in rep.pair.psi],
-        }
+        doc = {"P": format_number(rep.value), "D": format_number(dual.value)}
+        if feasible:
+            doc["gap"] = format_number(gap)
+            doc["witness"] = problem_io.coupling_entries(rep.witness)
+            doc["phi"] = [format_number(v) for v in dual.pair.phi]
+            doc["psi"] = [format_number(v) for v in dual.pair.psi]
         if partials:
-            doc["P_eps"] = [[format_number(e), format_number(v)] for e, v in partials]
+            doc["P_eps"] = partials
+        if dual.ray is not None:
+            doc["improving_ray"] = problem_io.improving_ray(dual.ray)
         _write(json.dumps(doc) + "\n", args.output)
-    else:
-        lines = [f"P={format_number(p)} D={format_number(rep.value)} gap={format_number(gap)}"]
-        lines += [f"P_eps[{format_number(e)}]={format_number(v)}" for e, v in partials]
-        for (i, j), m in witness.items():
+        return EXIT_OK
+    lines = [
+        f"P={format_number(rep.value)} D={format_number(dual.value)} "
+        f"gap={format_number(gap)}"
+    ]
+    lines += [f"P_eps[{e}]={v}" for e, v in partials]
+    if feasible:
+        for (i, j), m in rep.witness.items():
             lines.append(f"pi[{i},{j}]={format_number(m)}")
-        _write("\n".join(lines) + "\n", args.output)
+    _write("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
 

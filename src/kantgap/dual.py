@@ -21,14 +21,21 @@ mass exactly when the plan charges it or a residual cycle runs through it,
 which is one strongly-connected-components pass (Tarjan, SIAM J. Comput.
 1972).
 
-Every answer here has a ``*_from_run`` form that reads an existing
-``SolverRun``, so one engine run serves the primal value, the dual pair,
-the witness plan and the chargeable set of an instance; the public
-functions are thin wrappers that run the engine once and read from it.
+No restricted instance is solved for the relaxed dual: D = D_rel = P on a
+finite instance.  Every finite-cost full coupling lives on the chargeable
+cells, so a pair feasible there has objective at most its cost, and
+D_rel <= P.  A plain feasible pair is feasible on the chargeable cells too,
+so D <= D_rel, and D = P closes the chain; the plain optimal pair is a
+relaxed optimum.
 
-On these finite instances the plain, relaxed-dual and primal values always
-coincide; a genuinely smaller relaxed dual needs continuum structure and is
-out of reach at desk scale by design.
+Every answer here has a ``*_from_run`` form that reads an existing
+``SolverRun``, so one warm-started engine run serves the primal value, the
+dual pair, the witness plan and the chargeable set of an instance; the
+public functions are thin wrappers that run the engine once and read from
+it.
+
+A genuinely smaller relaxed dual needs continuum structure and is out of
+reach at desk scale by design.
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ from .errors import (
     PostconditionError,
     PreconditionError,
 )
-from .flow import SolverRun, _run_ssp, value_from_run
+from .flow import SolverRun, _run_ssp
 from .primal import _require_probability, primal_value
 
 
@@ -211,7 +218,7 @@ def chargeable_cells(c: CostMatrix, mu: Marginal, nu: Marginal) -> FrozenSet:
     """Cells that some finite-cost full coupling charges (none when no
     finite-cost full coupling exists)."""
     _require_probability(mu, nu)
-    return chargeable_from_run(_run_ssp(c, mu, nu), c)
+    return chargeable_from_run(_run_ssp(c, mu, nu, warm=True), c)
 
 
 def chargeable_from_run(run: SolverRun, c: CostMatrix) -> FrozenSet:
@@ -297,30 +304,19 @@ class RelaxedDualReport:
 def relaxed_dual_value(c: CostMatrix, mu: Marginal, nu: Marginal) -> RelaxedDualReport:
     """Dual optimum with constraints kept only on chargeable cells.
 
-    By LP duality this equals the cheapest full transport restricted to the
-    chargeable support, so it sits between the plain dual value and the
-    primal value.  Requires at least one finite-cost full coupling."""
+    The plain optimal pair is one (D = D_rel = P, module docstring), so
+    the pair, its value and the chargeable set all read from one warm run.
+    Requires at least one finite-cost full coupling."""
     _require_probability(mu, nu)
-    base = _run_ssp(c, mu, nu)
-    if not modes.eq(base.shipped, 1):
+    run = _run_ssp(c, mu, nu, warm=True)
+    if not modes.eq(run.shipped, 1):
         raise NotApplicableError(
             "no finite-cost full coupling exists; the relaxed dual is undefined"
         )
-    cells = chargeable_from_run(base, c)
-    restricted = make_cost_matrix(
-        [
-            [c.rows[i][j] if (i, j) in cells else INF for j in range(c.ny)]
-            for i in range(c.nx)
-        ]
+    rep = dual_from_run(run, c, mu, nu)
+    return RelaxedDualReport(
+        value=rep.value, pair=rep.pair, chargeable=chargeable_from_run(run, c)
     )
-    run = _run_ssp(restricted, mu, nu)
-    if not modes.eq(run.shipped, 1):
-        # every finite-cost plan is supported on chargeable cells, so the
-        # restricted instance inherits feasibility
-        raise PostconditionError("chargeable support lost feasibility")
-    pots = run.final_potentials
-    pair = _finalize_pair(list(pots.u), list(pots.v), restricted, mu, nu)
-    return RelaxedDualReport(value=pair.objective, pair=pair, chargeable=cells)
 
 
 @dataclass(frozen=True)
@@ -351,8 +347,8 @@ def attainment_check(
     grid = [modes.coerce(m) for m in m_grid]
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise InputError("truncation grid must be ascending")
-    run = _run_ssp(c, mu, nu)
-    relaxed = value_from_run(run, 1)
+    rep = dual_value(c, mu, nu)
+    relaxed = rep.value
     if is_inf(relaxed):
         return AttainmentReport(
             attained=False,
@@ -362,7 +358,7 @@ def attainment_check(
             certified_bound=None,
             relaxed=INF,
         )
-    pair = dual_from_run(run, c, mu, nu).pair
+    pair = rep.pair
     h = make_cost_matrix(
         [
             [max(pair.phi[i] + pair.psi[j], 0) for j in range(c.ny)]

@@ -27,13 +27,18 @@ _CAPACITY_LIMIT = 10
 
 def _lower_hull(cloud):
     """Minimal breakpoints of the lower convex envelope of (mass, cost)
-    points: strictly increasing masses, strictly increasing slopes."""
-    best = {}
-    for m_, c_ in cloud:
-        old = best.get(m_)
-        if old is None or c_ < old:
-            best[m_] = c_
-    pts = sorted(best.items())
+    points: strictly increasing masses, strictly increasing slopes.  Masses
+    within the mode's tolerance of the last kept one are the same mass, and
+    the cheaper cost stands for both: in float mode, shipping weights that
+    sum to 1 in two orders can end at 0.9999999999999999 and at 1.0."""
+    tol = modes.tolerance()
+    pts = []
+    for p in sorted(cloud):
+        if pts and p[0] - pts[-1][0] <= tol:
+            if p[1] < pts[-1][1]:
+                pts[-1] = p
+            continue
+        pts.append(p)
     hull = []
     for p in pts:
         while len(hull) >= 2:

@@ -30,7 +30,7 @@ from .core import (
     truncate_cost,
 )
 from .errors import InputError, MassMismatchError, PreconditionError
-from .flow import _run_ssp, evaluate_profile, profile_from_run, value_from_run
+from .flow import SolverRun, _run_ssp, value_from_run
 
 
 def _require_probability(mu: Marginal, nu: Marginal) -> None:
@@ -128,20 +128,28 @@ class PrimalReport:
 def primal_report(
     c: CostMatrix, mu: Marginal, nu: Marginal, eps_grid: Sequence = ()
 ) -> PrimalReport:
+    """P, the partial values at ``eps_grid`` and a witness from one engine
+    run, warm-started unless partial values are asked for."""
     _require_probability(mu, nu)
-    run = _run_ssp(c, mu, nu)
-    profile = profile_from_run(run)
-    value = evaluate_profile(profile, 1)
-    feasible = not is_inf(value)
-    partials = []
-    for eps in sorted(check_eps(e) for e in eps_grid):
-        partials.append((eps, evaluate_profile(profile, 1 - eps)))
-    witness = make_coupling(mu.space, nu.space, run.flows) if feasible else None
+    return primal_from_run(_run_ssp(c, mu, nu, warm=not eps_grid), mu, nu, eps_grid)
+
+
+def primal_from_run(
+    run: SolverRun, mu: Marginal, nu: Marginal, eps_grid: Sequence = ()
+) -> PrimalReport:
+    """``primal_report`` read from an untargeted run of (c, mu, nu); only a
+    cold run answers partial values."""
+    value = value_from_run(run, 1)
+    partials = tuple(
+        (eps, value_from_run(run, 1 - eps))
+        for eps in sorted(check_eps(e) for e in eps_grid)
+    )
+    witness = None if is_inf(value) else make_coupling(mu.space, nu.space, run.flows)
     return PrimalReport(
         value=value,
-        partials=tuple(partials),
+        partials=partials,
         relaxed=value,
-        max_mass=profile.max_mass,
+        max_mass=run.shipped,
         witness=witness,
     )
 

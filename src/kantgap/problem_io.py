@@ -88,8 +88,8 @@ def load_problem_file(path: str) -> Tuple[CostMatrix, Marginal, Marginal]:
 
 def load_cellset(doc, nx: int, ny: int) -> CellSet:
     """Cell sets arrive as {"pairs": [[i, j], ...]} or {"matrix": [[0, 1], ..]};
-    a bare list is read as a matrix when its shape matches the grid, else as
-    pairs."""
+    anything else, a bare list included, is rejected: a bare list of pairs
+    on an n x 2 grid has a matrix's shape."""
     if isinstance(doc, dict):
         if "pairs" in doc:
             return cellset_from_pairs(nx, ny, doc["pairs"])
@@ -98,14 +98,7 @@ def load_cellset(doc, nx: int, ny: int) -> CellSet:
             if (L.nx, L.ny) != (nx, ny):
                 raise InputError("cell-set matrix does not match the problem grid")
             return L
-        raise InputError('cell-set document needs "pairs" or "matrix"')
-    if isinstance(doc, list):
-        if len(doc) == nx and all(
-            isinstance(row, list) and len(row) == ny for row in doc
-        ):
-            return cellset_from_matrix(doc)
-        return cellset_from_pairs(nx, ny, doc)
-    raise InputError("unrecognized cell-set document")
+    raise InputError('cell-set document needs "pairs" or "matrix"')
 
 
 def load_cellset_file(path: str, nx: int, ny: int) -> CellSet:

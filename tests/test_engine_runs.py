@@ -3,6 +3,7 @@ per instance, read for every answer it serves."""
 
 import json
 import sys
+from fractions import Fraction as F
 
 import pytest
 
@@ -55,7 +56,7 @@ def test_solve_runs_the_engine_once(mode, tmp_path, engine_runs, capsys):
     capsys.readouterr()
 
 
-def test_dual_runs_the_engine_once_and_relaxed_twice(tmp_path, engine_runs, capsys):
+def test_dual_runs_the_engine_once(tmp_path, engine_runs, capsys):
     feasible, infeasible = _feasible_and_infeasible(tmp_path)
     for path in (feasible, infeasible):
         del engine_runs[:]
@@ -63,7 +64,7 @@ def test_dual_runs_the_engine_once_and_relaxed_twice(tmp_path, engine_runs, caps
         assert len(engine_runs) == 1
     del engine_runs[:]
     assert main(["dual", feasible, "--relaxed"]) == 0
-    assert len(engine_runs) == 2
+    assert len(engine_runs) == 1
     capsys.readouterr()
 
 
@@ -90,7 +91,7 @@ def test_only_full_mass_answers_start_warm(tmp_path, engine_runs, capsys):
         (["solve", feasible, "--eps-grid", "0"], [False]),
         (["dual", feasible], [True]),
         (["dual", infeasible], [True]),
-        (["dual", feasible, "--relaxed"], [False, False]),
+        (["dual", feasible, "--relaxed"], [True]),
         (["profile", feasible], [False]),
         (["covers", feasible, "--cells", str(cells)], [False]),  # 6x7: no capacity run
     ]
@@ -99,6 +100,26 @@ def test_only_full_mass_answers_start_warm(tmp_path, engine_runs, capsys):
         assert main(argv) == 0
         assert [kwargs.get("warm", False) for _args, kwargs in engine_runs] == warm
     capsys.readouterr()
+
+
+def test_full_mass_library_answers_run_warm_once(engine_runs):
+    inst = kg.random_instance(6, 7, 0.3, "random", 0)
+    expected = [
+        (lambda: kg.relaxed_dual_value(*inst), [True]),
+        (lambda: kg.chargeable_cells(*inst), [True]),
+        (lambda: kg.primal_report(*inst), [True]),
+        (lambda: kg.primal_report(*inst, eps_grid=[0, F(1, 4)]), [False]),
+    ]
+    for call, warm in expected:
+        del engine_runs[:]
+        call()
+        assert [kwargs.get("warm", False) for _args, kwargs in engine_runs] == warm
+    # the relaxed value comes from one warm run of the instance itself; the
+    # later runs are the truncated instances
+    del engine_runs[:]
+    kg.attainment_check(*inst, [1, 2, 4])
+    args, kwargs = engine_runs[0]
+    assert args[0] is inst[0] and kwargs.get("warm") is True
 
 
 def test_solve_witness_is_the_targeted_optimal_coupling(tmp_path, capsys):

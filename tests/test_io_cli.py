@@ -6,6 +6,7 @@ import pytest
 import kantgap as kg
 from kantgap import modes, problem_io
 from kantgap.cli import main
+from kantgap.errors import InputError
 
 
 @pytest.fixture
@@ -48,12 +49,16 @@ def test_cellset_loading_variants():
     assert set(L.cells()) == {(0, 1), (1, 0)}
     L2 = problem_io.load_cellset({"matrix": [[0, 1], [1, 0]]}, 2, 2)
     assert L2 == L
-    # a bare list whose shape matches the grid reads as a matrix
-    L3 = problem_io.load_cellset([[0, 1], [1, 0]], 2, 2)
-    assert L3 == L
-    # otherwise it reads as pairs
-    L4 = problem_io.load_cellset([[0, 1]], 2, 2)
-    assert set(L4.cells()) == {(0, 1)}
+    # a bare list is neither: on a 2 x 2 grid the pairs [[0, 0], [1, 1]]
+    # have a matrix's shape, and on a 3 x 2 grid pairs do too
+    for doc, nx, ny in (
+        ([[0, 1], [1, 0]], 2, 2),
+        ([[0, 0], [1, 1]], 2, 2),
+        ([[0, 1], [1, 0], [2, 1]], 3, 2),
+        ([[0, 1]], 2, 2),
+    ):
+        with pytest.raises(InputError, match='needs "pairs" or "matrix"'):
+            problem_io.load_cellset(doc, nx, ny)
 
 
 def test_format_number_tokens():
@@ -221,6 +226,8 @@ _CASES = [
     ("covers", {"matrix": [1, 2]}),
     ("covers", {"matrix": [["x", 0, 0], [0, 0, 0], [0, 0, 0]]}),
     ("covers", {"matrix": [[2, 0, 0], [0, 0, 0], [0, 0, 0]]}),
+    ("covers", [[0, 0], [1, 1]]),
+    ("covers", [[0, 1], [1, 0], [2, 1]]),
     ("problem", {"mu": ["abc"]}),
     ("problem", {"mu": ["1/0"]}),
     ("problem", {"mu": [True]}),

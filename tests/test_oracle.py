@@ -35,6 +35,21 @@ def test_brute_primal_beyond_max_mass(diag3):
     assert kg.brute_primal(band, bmu, bnu, F(1, 2)) == 0
 
 
+@pytest.mark.parametrize("mode", [modes.EXACT, modes.FLOAT])
+def test_brute_primal_golden_float_rounding(mode):
+    """In float mode, shipping the weights in two orders ends at masses
+    0.9999999999999999 and 1.0; they are the same mass, and the cheaper
+    cost 5/7 is the value at 1."""
+    with modes.arithmetic(mode):
+        c = kg.make_cost_matrix(
+            [[1, kg.INF, 2, 2], [2, 1, 0, 2], [1, 2, 1, 0], [1, kg.INF, 2, 2]]
+        )
+        mu = kg.make_marginal(kg.DiscreteSpace(4), [0, F(2, 7), F(3, 7), F(2, 7)])
+        nu = kg.make_marginal(kg.DiscreteSpace(4), [F(1, 2), 0, F(1, 2), 0])
+        assert modes.eq(kg.brute_primal(c, mu, nu, 1), modes.coerce(F(5, 7)))
+        assert len(kg.brute_profile(c, mu, nu)) == 3
+
+
 def test_brute_primal_negative_mass(diag3):
     c, mu, nu = diag3
     with pytest.raises(InputError):

@@ -117,11 +117,7 @@ def test_warm_run_matches_cold_run(mode):
             _check_certificate(warm, c, mu, nu)
             if c.nx <= 4 and c.ny <= 4:
                 brute += 1
-                # the oracle runs exact: in float mode it can report a
-                # breakpoint at a mass that rounding alone reaches
-                with arithmetic(EXACT):
-                    expected = kg.brute_primal(*_instance(seed), 1)
-                assert modes.eq(p, modes.coerce(expected))
+                assert modes.eq(p, kg.brute_primal(c, mu, nu, 1))
     assert feasible >= 250 and infeasible >= 100 and brute >= 100
 
 
