@@ -307,7 +307,7 @@ def main(argv=None) -> int:
         else:
             sys.stderr.write(f"infeasible: {exc}\n")
         return EXIT_INFEASIBLE
-    except (TransportError, OSError, json.JSONDecodeError) as exc:
+    except (TransportError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
 

@@ -18,6 +18,11 @@ therefore parametrizes by exact shipped mass.
 
 Infinite cells are never added to the network.  Zero-weight atoms keep their
 nodes (with zero-capacity source/sink arcs) so indices line up with inputs.
+Every arc keeps only its residual capacity (``math.inf`` on a cell arc); a
+cell's flow is its reverse arc's residual.  A run without a target ends with
+a search that misses the sink, which settles exactly what the source reaches
+in the residual graph: the source side of a minimum cut, ``reachable_rows``
+and ``reachable_cols``.  A targeted run has no cut.
 
 Certificates: cell arcs are uncapped, hence always residual, so the running
 potentials satisfy cost(i,j) - u_i - v_j >= 0 on *every* finite cell at every
@@ -166,6 +171,8 @@ class SolverRun:
     ``searches`` counts the Dijkstra runs.  ``full_mass`` is None on a run
     that traced the profile from zero flow, and the marginals' mass on a
     warm-started run, which answers only there and has no segments.
+    ``reachable_rows`` and ``reachable_cols`` are the source side of a min
+    cut, and None on a run stopped at its target.
     """
 
     nx: int
@@ -175,8 +182,8 @@ class SolverRun:
     segments: List[Tuple[object, object, tuple]]
     final_potentials: PotentialPair
     flows: dict  # (i, j) -> positive mass
-    reachable_rows: frozenset
-    reachable_cols: frozenset
+    reachable_rows: Optional[frozenset]
+    reachable_cols: Optional[frozenset]
     potential_scale: int
     searches: int
     full_mass: object = None
@@ -240,19 +247,13 @@ def _run_ssp(
 
     n_nodes = nx + ny + 2
     source, sink = 0, n_nodes - 1
-    cells = [
-        (i, j, cij)
-        for i, row in enumerate(c.rows)
-        for j, cij in enumerate(row)
-        if cij is not INF
-    ]
+    cells = list(c.finite_cells())
     mu_w, nu_w = list(mu.weights), list(nu.weights)
     tol = modes.tolerance()
     # exact mode: ints, costs times lc and masses times lw (module docstring)
     if modes.is_exact():
         lc = _common_denominator(cij for _, _, cij in cells)
-        masses = mu_w + nu_w + ([] if target is None else [target])
-        lw = _common_denominator(masses)
+        lw = _common_denominator(mu_w + nu_w + ([] if target is None else [target]))
         cells = [(i, j, _scaled(cij, lc)) for i, j, cij in cells]
         mu_w = [_scaled(w, lw) for w in mu_w]
         nu_w = [_scaled(w, lw) for w in nu_w]
@@ -261,34 +262,26 @@ def _run_ssp(
     else:
         lc = lw = 1
 
-    # Arc a runs from head[a ^ 1] to head[a]; arcs 2k and 2k + 1 are a
-    # forward arc and its reverse.  Flat lists keep the network free of
+    # Arc a runs from head[a ^ 1] to head[a] with residual capacity res[a]
+    # (math.inf = uncapped); arcs 2k and 2k + 1 are a forward arc and its
+    # reverse, so the flow on a forward arc a is res[a ^ 1].  The k-th finite
+    # cell's arc is first_cell + 2k.  Flat lists keep the network free of
     # reference cycles, so it is freed as soon as the run returns.
     adj: List[List[int]] = [[] for _ in range(n_nodes)]
-    head: list = []
-    cap: list = []  # None = uncapped
-    cost: list = []
-    flow: list = []
-
-    def add_arc(u: int, v: int, cap_uv, cost_uv) -> int:
-        a = len(head)
-        head.extend((v, u))
-        cap.extend((cap_uv, 0))
-        cost.extend((cost_uv, -cost_uv))
-        flow.extend((0, 0))
-        adj[u].append(a)
-        adj[v].append(a + 1)
-        return a
-
-    for i in range(nx):
-        add_arc(source, 1 + i, mu_w[i], 0)
-    for j in range(ny):
-        add_arc(1 + nx + j, sink, nu_w[j], 0)
-    cell_arcs = {(i, j): add_arc(1 + i, 1 + nx + j, None, cij) for i, j, cij in cells}
+    head, res, cost = [], [], []
+    first_cell = 2 * (nx + ny)
+    arcs = [(source, 1 + i, w, 0) for i, w in enumerate(mu_w)]
+    arcs += [(1 + nx + j, sink, w, 0) for j, w in enumerate(nu_w)]
+    arcs += [(1 + i, 1 + nx + j, math.inf, cij) for i, j, cij in cells]
+    for u, v, res_uv, cost_uv in arcs:
+        adj[u].append(len(head))
+        adj[v].append(len(head) + 1)
+        head += (v, u)
+        res += (res_uv, 0)
+        cost += (cost_uv, -cost_uv)
 
     potentials = [0] * n_nodes
-    shipped = 0
-    total_cost = 0
+    shipped = total_cost = 0
     if warm:
         # reduction potentials and greedy shipments (module docstring);
         # a row or column without finite cells keeps 0
@@ -306,16 +299,16 @@ def _run_ssp(
         potentials[1 + nx : sink] = col_min
         potentials[source] = -min(row_min)
         potentials[sink] = min(col_min)
-        for i, j, cij in cells:
+        for k, (i, j, cij) in enumerate(cells):
             if cij - row_min[i] != col_min[j]:
                 continue
             row, col = 2 * i, 2 * (nx + j)  # the source arc of X_i, the sink arc of Y_j
-            delta = min(cap[row] - flow[row], cap[col] - flow[col])
+            delta = min(res[row], res[col])
             if not delta > tol:
                 continue
-            for a in (row, cell_arcs[i, j], col):
-                flow[a] += delta
-                flow[a ^ 1] -= delta
+            for a in (row, first_cell + 2 * k, col):
+                res[a] -= delta
+                res[a ^ 1] += delta
             shipped += delta
             total_cost += cij * delta
 
@@ -334,11 +327,8 @@ def _run_ssp(
                 break
             pu = potentials[u]
             for a in adj[u]:
-                cap_a = cap[a]
-                if cap_a is not None and not cap_a - flow[a] > tol:
-                    continue
                 v = head[a]
-                if settled[v]:
+                if settled[v] or not res[a] > tol:
                     continue
                 nd = d + (cost[a] + pu - potentials[v])
                 if dist[v] is None or nd < dist[v]:
@@ -347,90 +337,56 @@ def _run_ssp(
                     heapq.heappush(heap, (nd, v))
         return dist, parent, settled
 
-    # (slope, mass, potentials) per augmentation, all still scaled
-    raw_segments: List[Tuple[object, object, tuple]] = []
+    # (slope, mass, potentials) per maximal run of equal slopes, still scaled
+    segments: List[Tuple[object, object, tuple]] = []
     searches = 0
-
     while target is None or target - shipped > tol:
         dist, parent, settled = dijkstra()
         searches += 1
-        if dist[sink] is None or not settled[sink]:
+        if not settled[sink]:
             break
         d_sink = dist[sink]
         for v in range(n_nodes):
-            if settled[v] and dist[v] is not None and dist[v] < d_sink:
-                potentials[v] += dist[v]
-            else:
-                potentials[v] += d_sink
+            potentials[v] += dist[v] if settled[v] and dist[v] < d_sink else d_sink
 
         # trace the path and its true (unreduced) unit cost
         path: List[int] = []
-        sigma = 0
-        v = sink
+        sigma, v = 0, sink
         while v != source:
             a = parent[v]
             path.append(a)
             sigma += cost[a]
             v = head[a ^ 1]
-
-        delta = None
-        for a in path:
-            if cap[a] is not None:
-                res = cap[a] - flow[a]
-                if delta is None or res < delta:
-                    delta = res
+        delta = min(res[a] for a in path)  # finite: the source arc is capped
         if target is not None:
-            remaining = target - shipped
-            if delta is None or remaining < delta:
-                delta = remaining
-        if delta is None or not delta > 0:
-            break
+            delta = min(delta, target - shipped)
         for a in path:
-            flow[a] += delta
-            flow[a ^ 1] -= delta
-
+            res[a] -= delta
+            res[a ^ 1] += delta
         shipped += delta
         total_cost += sigma * delta
-        if not warm:
-            raw_segments.append((sigma, delta, tuple(potentials)))
+        if not warm and segments and segments[-1][0] == sigma:
+            segments[-1] = (sigma, segments[-1][1] + delta, tuple(potentials))
+        elif not warm:
+            segments.append((sigma, delta, tuple(potentials)))
 
-    # merge consecutive segments with equal slope, keeping the last snapshot
-    merged: List[Tuple[object, object, tuple]] = []
-    for sigma, delta, pots in raw_segments:
-        if merged and merged[-1][0] == sigma:
-            merged[-1] = (sigma, merged[-1][1] + delta, pots)
-        else:
-            merged.append((sigma, delta, pots))
-    segments = [
-        (_unscaled(sigma, lc), _unscaled(delta, lw), pots) for sigma, delta, pots in merged
-    ]
-
-    # residual reachability from the source (min-cut data when saturated)
-    seen = [False] * n_nodes
-    seen[source] = True
-    stack = [source]
-    while stack:
-        u = stack.pop()
-        for a in adj[u]:
-            if cap[a] is not None and not cap[a] - flow[a] > tol:
-                continue
-            if not seen[head[a]]:
-                seen[head[a]] = True
-                stack.append(head[a])
-
-    flows = {
-        ij: _unscaled(flow[a], lw) for ij, a in cell_arcs.items() if flow[a] > tol
-    }
+    if target is None:  # the last search missed the sink (module docstring)
+        rows = frozenset(i for i in range(nx) if settled[1 + i])
+        cols = frozenset(j for j in range(ny) if settled[1 + nx + j])
+    else:
+        rows = cols = None
+    cell_flows = zip(cells, res[first_cell + 1 :: 2])  # reverse arcs' residuals
+    flows = {(i, j): _unscaled(f, lw) for (i, j, _), f in cell_flows if f > tol}
     return SolverRun(
         nx=nx,
         ny=ny,
         shipped=_unscaled(shipped, lw),
         cost=_unscaled(total_cost, lc * lw),
-        segments=segments,
+        segments=[(_unscaled(s, lc), _unscaled(d, lw), p) for s, d, p in segments],
         final_potentials=_potential_pair(potentials, nx, ny, lc),
         flows=flows,
-        reachable_rows=frozenset(i for i in range(nx) if seen[1 + i]),
-        reachable_cols=frozenset(j for j in range(ny) if seen[1 + nx + j]),
+        reachable_rows=rows,
+        reachable_cols=cols,
         potential_scale=lc,
         searches=searches,
         full_mass=_unscaled(sum(mu_w), lw) if warm else None,

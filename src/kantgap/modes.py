@@ -18,6 +18,8 @@ the other.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
@@ -28,6 +30,8 @@ EXACT = "exact"
 FLOAT = "float"
 
 FLOAT_TOL = 1e-9
+
+_EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)\s*\Z")
 
 _mode: ContextVar[str] = ContextVar("kantgap_mode", default=EXACT)
 
@@ -59,9 +63,14 @@ def coerce(x):
     everything else as ``Fraction``.  Floats are read through their decimal
     repr so 0.1 becomes 1/10, not the binary expansion.  Strings accept the
     ``"p/q"`` form.  Bools, ``None``, malformed strings, zero denominators,
-    nan, infinite floats and values that overflow a float raise
+    nan, infinite floats, values that overflow a float and exponents beyond
+    ``sys.get_int_max_str_digits()`` (slow powers of ten) raise
     ``InputError`` in both modes.
     """
+    if isinstance(x, str) and (e := _EXPONENT.search(x)):
+        limit = sys.get_int_max_str_digits() or math.inf  # 0: no limit
+        if len(digits := e.group(1).replace("_", "")) > limit or int(digits) > limit:
+            raise InputError(f"number exponent beyond +-{limit}: {x[:30]!r}")
     if isinstance(x, float) and not math.isfinite(x):
         raise InputError(f"non-finite number {x!r}; use the string tokens")
     if isinstance(x, bool):

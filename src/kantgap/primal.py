@@ -193,16 +193,15 @@ def refinement_study(
 
     rows: List[StudyRow] = []
     for n in n_list:
+        eps_values = [check_eps(resolve_eps(e, n)) for e in eps_list]
+        m_values = [modes.coerce(m) for m in m_list]
         c, mu, nu = family(n)
         _require_probability(mu, nu)
         run = _run_ssp(c, mu, nu)
         p = value_from_run(run, 1)
         d = dual_from_run(run, c, mu, nu).value
-        eps_values = [resolve_eps(e, n) for e in eps_list]
-        m_values = [modes.coerce(m) for m in m_list]
         truncated = {m: primal_value(truncate_at(c, m), mu, nu) for m in m_values}
         for eps, m in _cartesian(eps_values, m_values):
-            check_eps(eps)
             rows.append(
                 StudyRow(
                     n=n,

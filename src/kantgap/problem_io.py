@@ -17,6 +17,7 @@ float mode.  All writers emit deterministic bytes for identical inputs.
 from __future__ import annotations
 
 import json
+import sys
 from typing import List, Sequence, Tuple
 
 from . import modes
@@ -41,7 +42,10 @@ def format_number(x) -> str:
         return "-inf"
     if isinstance(x, float):
         return repr(x)
-    return str(x)
+    try:
+        return str(x)
+    except ValueError:  # an int beyond Python's digit limit
+        raise InputError(f"a number has more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def parse_potential(token):
@@ -81,9 +85,17 @@ def dump_problem(c: CostMatrix, mu: Marginal, nu: Marginal) -> dict:
     }
 
 
+def _load_json(path: str):
+    """A JSON file's document; InputError for whatever json cannot read."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
 def load_problem_file(path: str) -> Tuple[CostMatrix, Marginal, Marginal]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_problem(json.load(fh))
+    return load_problem(_load_json(path))
 
 
 def load_cellset(doc, nx: int, ny: int) -> CellSet:
@@ -102,8 +114,7 @@ def load_cellset(doc, nx: int, ny: int) -> CellSet:
 
 
 def load_cellset_file(path: str, nx: int, ny: int) -> CellSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_cellset(json.load(fh), nx, ny)
+    return load_cellset(_load_json(path), nx, ny)
 
 
 def improving_ray(ray) -> dict:

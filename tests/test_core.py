@@ -228,3 +228,14 @@ _READERS = {
 def test_bad_numbers_raise_input_error(bad, reader, mode):
     with modes.arithmetic(mode), pytest.raises(InputError):
         _READERS[reader](bad)
+
+
+@pytest.mark.parametrize("mode", [modes.EXACT, modes.FLOAT])
+def test_exponent_beyond_the_digit_limit_rejected(mode):
+    # the power of ten of a long exponent alone takes seconds to build
+    with modes.arithmetic(mode):
+        for token in ("1e4301", "1e-4301", "2.5E+1_0000_000", "1e10000000"):
+            with pytest.raises(InputError, match="exponent beyond"):
+                modes.coerce(token)
+    assert modes.coerce("1e4300") == 10**4300
+    assert modes.coerce("1e-4300") == F(1, 10**4300)

@@ -217,6 +217,11 @@ _OUT_OF_RANGE = [
     (["solve", "{p}", "--eps-grid", "0,2"], "error: eps 2 outside [0, 1]\n"),
     (["sweep", "{p}", "--m-grid", "-1"], "error: truncation level -1 is negative\n"),
 ]
+# two 4,300-digit denominators, each within Python's digit limit; the
+# answer's denominator, their product, is not
+_P, _Q = "1" + "0" * 4298 + "1", "1" + "0" * 4298 + "3"
+_WIDE = {"nx": 2, "ny": 2, "mu": ["1/2", "1/2"], "nu": ["1/2", "1/2"],
+         "cost": [["1/" + _P, "inf"], ["inf", "1/" + _Q]]}
 _CASES = [
     ("covers", {"pairs": [[1]]}),
     ("covers", {"pairs": 5}),
@@ -238,6 +243,8 @@ _CASES = [
     ("problem", {"cost": 5}),
     ("problem", {"nx": "a"}),
     ("problem", {"nx": True}),
+    ("problem", {"cost": [["1e10000000"]]}),
+    ("problem", _WIDE),
     ("args", ["solve", "{p}", "--eps-grid", "x"]),
     ("args", ["sweep", "{p}", "--m-grid", "1/0"]),
     ("args", ["profile", "{p}", "--at", "abc"]),
@@ -246,7 +253,7 @@ _CASES = [
 ] + [("args", argv) for argv, _ in _OUT_OF_RANGE]
 
 
-@pytest.mark.parametrize("kind,data", _CASES, ids=[json.dumps(d) for _, d in _CASES])
+@pytest.mark.parametrize("kind,data", _CASES, ids=[json.dumps(d)[:100] for _, d in _CASES])
 def test_cli_malformed_input_exit1_without_traceback(kind, data, diag3_file, tmp_path, capsys):
     if kind == "covers":
         cells = tmp_path / "cells.json"
@@ -262,6 +269,33 @@ def test_cli_malformed_input_exit1_without_traceback(kind, data, diag3_file, tmp
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# files json cannot read: nested too deeply, not UTF-8, an integer beyond
+# the digit limit
+_RAW_FILES = {
+    "deep": b"[" * 100000,
+    "latin-1": b'{"nx": 1, "ny": 1, "mu": ["\xe9"]}',
+    "long-int": b'{"nx": ' + b"7" * 5000 + b"}",
+}
+
+
+@pytest.mark.parametrize("as_cells", [False, True], ids=["problem", "cells"])
+@pytest.mark.parametrize("name", sorted(_RAW_FILES))
+def test_cli_unreadable_json_exit1_without_traceback(name, as_cells, diag3_file, tmp_path, capsys):
+    path = tmp_path / "raw.json"
+    path.write_bytes(_RAW_FILES[name])
+    argv = ["covers", diag3_file, "--cells", str(path)] if as_cells else ["solve", str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_format_number_beyond_the_digit_limit():
+    assert problem_io.format_number(F(1, 10**4299)) == "1/1" + "0" * 4299
+    with pytest.raises(InputError, match="more than 4300 digits"):
+        problem_io.format_number(F(1, 10**4300))
 
 
 @pytest.mark.parametrize("argv,message", _OUT_OF_RANGE, ids=[" ".join(a) for a, _ in _OUT_OF_RANGE])

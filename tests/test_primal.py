@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 import kantgap as kg
+from kantgap import primal
 from kantgap.errors import InputError, MassMismatchError, PreconditionError
 
 
@@ -193,3 +194,16 @@ def test_refinement_study_rows_cross_product():
     rows = kg.refinement_study(kg.example_diagonal, [2, 3], [0, "1/n"], [1, 2])
     assert len(rows) == 2 * 2 * 2
     assert [r.n for r in rows[:4]] == [2, 2, 2, 2]
+
+
+def test_refinement_study_checks_eps_before_solving(monkeypatch):
+    # an empty level list used to skip the eps check and return []
+    with pytest.raises(InputError, match="eps 2 outside"):
+        kg.refinement_study(kg.example_diagonal, [3], ["2"], [])
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the engine ran before the eps grid was checked")
+
+    monkeypatch.setattr(primal, "_run_ssp", no_run)
+    with pytest.raises(InputError, match="eps 2 outside"):
+        kg.refinement_study(kg.example_diagonal, [3], [0, "2"], [1])
