@@ -16,6 +16,10 @@ Conventions fixed here and relied on everywhere else:
   is a predicate, not a type.
 * Everything is immutable after construction and safe to share across
   threads read-only.
+* ``make_cost_matrix`` and ``make_marginal`` read each distinct string token
+  once per call: the same text gives the same value, so a matrix of a few
+  distinct tokens costs a few reads.  Non-string entries are read one by
+  one, and nothing is remembered between calls.
 """
 
 from __future__ import annotations
@@ -150,13 +154,34 @@ class Marginal:
         return modes.eq(self.mass, 1)
 
 
+def _read_once(read):
+    """``read`` with a memo of the string tokens it has read.
+
+    The constructors make one per call, so a memo lives for one call in the
+    caller's mode and nothing is shared.  Only ``str`` entries are keys:
+    ``1 == 1.0 == True`` and ``0.0 == -0.0`` hash alike but read
+    differently.  A bad token raises on its first occurrence.
+    """
+    memo = {}
+
+    def once(v):
+        if type(v) is not str:
+            return read(v)
+        x = memo.get(v)
+        if x is None:
+            x = memo[v] = read(v)
+        return x
+
+    return once
+
+
 def make_marginal(space: DiscreteSpace, weights: Sequence) -> Marginal:
     """Validate and build a marginal; the mass is cached exactly."""
     if len(weights) != space.size:
         raise DimensionMismatchError(
             f"{len(weights)} weights for a space of size {space.size}"
         )
-    ws = tuple(modes.coerce(w) for w in weights)
+    ws = tuple(map(_read_once(modes.coerce), weights))
     for i, w in enumerate(ws):
         if w < 0:
             raise NegativeWeightError(f"weight {w} at atom {i} is negative")
@@ -237,11 +262,12 @@ def make_cost_matrix(rows: Sequence[Sequence]) -> CostMatrix:
     width = len(rows[0])
     if width == 0:
         raise InputError("cost matrix needs at least one column")
+    read = _read_once(_coerce_cost)
     out = []
     for row in rows:
         if len(row) != width:
             raise DimensionMismatchError("ragged cost matrix")
-        out.append(tuple(_coerce_cost(v) for v in row))
+        out.append(tuple(map(read, row)))
     return CostMatrix(rows=tuple(out))
 
 

@@ -12,7 +12,10 @@ threads, including ``ThreadPoolExecutor`` workers, start in exact mode.
 Objects built under one mode should not be mixed with objects built under
 the other.
 
-``coerce`` is the one place where an outside value becomes a number.
+``coerce`` is the one place where an outside value becomes a number.  It
+is a pure function of its input and the mode, so the ``core`` constructors
+call it once per distinct string token of a call and reuse the value.
+Error messages show at most 30 characters of a rejected string.
 """
 
 from __future__ import annotations
@@ -56,6 +59,12 @@ def arithmetic(mode: str):
         _mode.reset(token)
 
 
+def _shown(x) -> str:
+    """A rejected input as error messages show it: a string cut to its
+    first 30 characters, so a huge token makes a short message."""
+    return repr(x[:30] if isinstance(x, str) else x)
+
+
 def coerce(x):
     """Bring a finite numeric input into the current mode.
 
@@ -70,11 +79,11 @@ def coerce(x):
     if isinstance(x, str) and (e := _EXPONENT.search(x)):
         limit = sys.get_int_max_str_digits() or math.inf  # 0: no limit
         if len(digits := e.group(1).replace("_", "")) > limit or int(digits) > limit:
-            raise InputError(f"number exponent beyond +-{limit}: {x[:30]!r}")
+            raise InputError(f"number exponent beyond +-{limit}: {_shown(x)}")
     if isinstance(x, float) and not math.isfinite(x):
-        raise InputError(f"non-finite number {x!r}; use the string tokens")
+        raise InputError(f"non-finite number {_shown(x)}; use the string tokens")
     if isinstance(x, bool):
-        raise InputError(f"malformed number {x!r}")
+        raise InputError(f"malformed number {_shown(x)}")
     exact = is_exact()
     if exact and isinstance(x, int):
         return x
@@ -86,11 +95,11 @@ def coerce(x):
         else:
             v = Fraction(repr(x) if isinstance(x, float) else x)
     except (TypeError, ValueError, ArithmeticError) as exc:
-        raise InputError(f"malformed number {x!r}") from exc
+        raise InputError(f"malformed number {_shown(x)}") from exc
     if exact:
         return int(v) if v.denominator == 1 else v
     if not math.isfinite(v):  # a non-float input such as Decimal("nan")
-        raise InputError(f"non-finite number {x!r}")
+        raise InputError(f"non-finite number {_shown(x)}")
     return v
 
 

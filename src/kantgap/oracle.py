@@ -31,7 +31,7 @@ def _lower_hull(cloud):
     within the mode's tolerance of the last kept one are the same mass, and
     the cheaper cost stands for both: in float mode, shipping weights that
     sum to 1 in two orders can end at 0.9999999999999999 and at 1.0."""
-    tol = modes.tolerance()
+    tol = modes.tolerance()  # a float residual within it is rounding, not mass
     pts = []
     for p in sorted(cloud):
         if pts and p[0] - pts[-1][0] <= tol:
@@ -67,6 +67,7 @@ def _profile_points(c: CostMatrix, mu: Marginal, nu: Marginal):
         ((v, i, j) for i, j, v in c.finite_cells()), key=lambda t: (t[0], t[1], t[2])
     )
     memo: Dict[Tuple, Tuple] = {}
+    tol = modes.tolerance()  # a float residual within it is rounding, not mass
 
     def explore(a: Tuple, b: Tuple):
         key = (a, b)
@@ -76,7 +77,7 @@ def _profile_points(c: CostMatrix, mu: Marginal, nu: Marginal):
         cloud = [(0, 0)]  # stopping here is itself a basic plan
         for v, i, j in finite:
             ai, bj = a[i], b[j]
-            if ai > 0 and bj > 0:
+            if ai > tol and bj > tol:
                 step = ai if ai <= bj else bj
                 na = a[:i] + (ai - step,) + a[i + 1 :]
                 nb = b[:j] + (bj - step,) + b[j + 1 :]

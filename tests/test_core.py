@@ -239,3 +239,15 @@ def test_exponent_beyond_the_digit_limit_rejected(mode):
                 modes.coerce(token)
     assert modes.coerce("1e4300") == 10**4300
     assert modes.coerce("1e-4300") == F(1, 10**4300)
+
+
+@pytest.mark.parametrize("mode", [modes.EXACT, modes.FLOAT])
+def test_long_bad_token_gives_a_short_message(mode):
+    long_tokens = ["7" * 5000 + "?", "x" * 5000, "1/" + "0" * 5000]
+    if mode == modes.FLOAT:
+        long_tokens.append("9" * 400)  # overflows a float
+    with modes.arithmetic(mode):
+        for token in long_tokens:
+            with pytest.raises(InputError) as err:
+                modes.coerce(token)
+            assert str(err.value) == f"malformed number {token[:30]!r}"

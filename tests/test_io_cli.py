@@ -417,3 +417,32 @@ def test_cli_parser_reuse_matches_fresh_processes(tmp_path, capsys):
     for _ in range(2):
         assert [in_process(argv) for argv in argvs] == expected
     assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("flags", [[], ["--float"]])
+@pytest.mark.parametrize("where", ["mu", "cost"])
+def test_cli_long_bad_token_one_short_error_line(tmp_path, flags, where):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from kantgap import cli
+
+    token = "7" * 5000 + "?"
+    doc = {"nx": 2, "ny": 2, "mu": ["1/2", "1/2"], "nu": ["1/2", "1/2"],
+           "cost": [["0", "1"], ["1", "0"]]}
+    if where == "mu":
+        doc["mu"][1] = token
+    else:
+        doc["cost"][1][0] = token
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kantgap.cli", *flags, "solve", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: malformed number {token[:30]!r}\n"

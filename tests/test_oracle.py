@@ -50,6 +50,45 @@ def test_brute_primal_golden_float_rounding(mode):
         assert len(kg.brute_profile(c, mu, nu)) == 3
 
 
+def _search(monkeypatch, c, mu, nu):
+    """The profile search run afresh (past the cache), with every (mass,
+    cost) cloud it hands to its hull."""
+    from kantgap import oracle
+
+    clouds = []
+    hull = oracle._lower_hull
+    monkeypatch.setattr(oracle, "_lower_hull", lambda cloud: clouds.append(cloud) or hull(cloud))
+    return oracle._profile_points(c, mu, nu), clouds
+
+
+def test_float_oracle_ships_no_residual_within_tolerance(monkeypatch):
+    """A float residual of about 1e-16 is no mass: the search ships only
+    when both residuals exceed the tolerance.  Here 3/10 - 1/10 - 2/10
+    leaves 2.8e-17 behind, which a shipment must not pick up."""
+    with modes.arithmetic(modes.FLOAT):
+        c = kg.make_cost_matrix([[1, 2], [3, 1], [2, 5]])
+        mu = kg.make_marginal(kg.DiscreteSpace(3), ["1/10", "2/10", "7/10"])
+        nu = kg.make_marginal(kg.DiscreteSpace(2), ["3/10", "7/10"])
+        hull, clouds = _search(monkeypatch, c, mu, nu)
+    assert all(m == 0 or m > modes.FLOAT_TOL for cloud in clouds for m, _ in cloud)
+    assert hull[-1] == pytest.approx((1, 3), abs=modes.FLOAT_TOL)
+
+
+def test_float_golden_masses_stay_apart(monkeypatch):
+    with modes.arithmetic(modes.FLOAT):
+        c = kg.make_cost_matrix(
+            [[1, kg.INF, 2, 2], [2, 1, 0, 2], [1, 2, 1, 0], [1, kg.INF, 2, 2]]
+        )
+        mu = kg.make_marginal(kg.DiscreteSpace(4), [0, F(2, 7), F(3, 7), F(2, 7)])
+        nu = kg.make_marginal(kg.DiscreteSpace(4), [F(1, 2), 0, F(1, 2), 0])
+        hull, clouds = _search(monkeypatch, c, mu, nu)
+        assert modes.eq(kg.brute_primal(c, mu, nu, 1), 5 / 7)
+    masses = [m for m, _ in hull]
+    assert len(hull) == 3
+    assert all(b - a > modes.FLOAT_TOL for a, b in zip(masses, masses[1:]))
+    assert all(m == 0 or m > modes.FLOAT_TOL for cloud in clouds for m, _ in cloud)
+
+
 def test_brute_primal_negative_mass(diag3):
     c, mu, nu = diag3
     with pytest.raises(InputError):
