@@ -33,7 +33,6 @@ from .kellerer import (
     cover_from_run,
     decompose_from_run,
     matching_run,
-    null_from_run,
 )
 from .oracle import brute_cover, brute_primal
 from .primal import (
@@ -161,18 +160,19 @@ def _cmd_covers(args) -> int:
     # one engine run on the indicator cost of L serves everything but gamma
     run = matching_run(L, mu, nu)
     m_val, cert = cover_from_run(run, L, mu, nu)
+    _require_probability(mu, nu)
+    dec = decompose_from_run(run, L, mu, nu)
     doc = {
         "m": format_number(m_val),
         "cover_rows": sorted(cert.rows),
         "cover_cols": sorted(cert.cols),
         "max_mass": format_number(run.shipped),
-        "null_for_all_couplings": null_from_run(run, mu, nu),
+        "null_for_all_couplings": dec.is_null,
     }
     if L.nx == L.ny:
         gamma, f = capacity_value(L, mu)
         doc["gamma"] = format_number(gamma)
         doc["f"] = [format_number(v) for v in f]
-    dec = decompose_from_run(run, L, mu, nu)
     if dec.is_null:
         doc["decomposition"] = {
             "null_rows": sorted(dec.null_rows),

@@ -25,7 +25,7 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Iterator, Mapping, Sequence, Tuple
 
 from . import modes
 from .errors import (
@@ -117,23 +117,14 @@ def ext_min(a, b):
 
 @dataclass(frozen=True)
 class DiscreteSpace:
-    """A finite set of atoms, optionally labelled for display."""
+    """A finite set of atoms."""
 
     size: int
-    labels: Optional[Tuple[str, ...]] = None
 
     def __post_init__(self):
         size = self.size
         if isinstance(size, bool) or not isinstance(size, int) or size < 1:
             raise InputError("space size must be a positive integer")
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
-            if len(self.labels) != self.size:
-                raise DimensionMismatchError(
-                    f"{len(self.labels)} labels for {self.size} atoms"
-                )
-            if len(set(self.labels)) != len(self.labels):
-                raise InputError("labels must be unique")
 
 
 @dataclass(frozen=True)
@@ -143,12 +134,6 @@ class Marginal:
     space: DiscreteSpace
     weights: Tuple
     mass: object = field(compare=False)
-
-    def __getitem__(self, i: int):
-        return self.weights[i]
-
-    def __len__(self) -> int:
-        return self.space.size
 
     def is_probability(self) -> bool:
         return modes.eq(self.mass, 1)
@@ -330,9 +315,6 @@ class Coupling:
     def items(self):
         """Entries in row-major order (deterministic)."""
         return sorted(self.entries.items())
-
-    def __getitem__(self, ij: Tuple[int, int]):
-        return self.entries.get(ij, 0)
 
 
 def make_coupling(

@@ -34,10 +34,12 @@ Exact arithmetic: the engine runs on Python ints.  Costs are scaled by lc,
 the lcm of the finite costs' denominators, and masses (weights and the
 target) by lw, the lcm of theirs.  Scaling by a positive constant keeps
 every comparison and tie, so the ints take the same paths the rationals
-would.  The scaling is undone once, when the run is returned: slopes and
-the final potentials are divided by lc, masses and flows by lw, the cost by
-lc*lw.  The per-segment potential snapshots stay scaled in the run, since
-only a full profile reads them; ``profile_from_run`` unscales them.
+would.  The profile is recorded as the run goes: ``SolverRun.segments``
+holds, for each breakpoint after (0, 0), the running shipped mass and total
+cost with a snapshot of the potentials there.  The scaling is undone once,
+when the run is returned: the final potentials are divided by lc, masses
+and flows by lw, costs by lc*lw.  The snapshots stay scaled in the run,
+since only a full profile reads them; ``profile_from_run`` unscales them.
 Integral results come out as ``int``, the rest as ``Fraction``.  Float mode
 runs the same loop on the floats as given, unscaled.
 
@@ -119,7 +121,10 @@ class TransportProfile:
 
     breakpoints: Tuple[Tuple[object, object], ...]
     potentials: Tuple[PotentialPair, ...]
-    max_mass: object
+
+    @property
+    def max_mass(self):
+        return self.breakpoints[-1][0]
 
     def __post_init__(self):
         bps = self.breakpoints
@@ -137,24 +142,23 @@ class TransportProfile:
             if prev_slope is not None and not modes.geq(slope, prev_slope):
                 raise InputError("profile slopes must be nondecreasing")
             prev_slope = slope
-        if not modes.eq(bps[-1][0], self.max_mass):
-            raise InputError("last breakpoint must sit at max_mass")
 
 
 def evaluate_profile(profile: TransportProfile, m):
     """Value of the profile at mass m: linear interpolation on [0, max_mass],
     ``INF`` beyond, error for negative m."""
-    return _interpolate(profile.breakpoints, profile.max_mass, m)
+    return _interpolate(profile.breakpoints, m)
 
 
-def _interpolate(bps, max_mass, m):
+def _interpolate(bps, m):
+    """The polyline through the (mass, cost) breakpoints ``bps``, which
+    start at (0, 0), at mass m: ``INF`` beyond the last mass."""
     m = modes.coerce(m)
     if m < 0:
         raise InputError(f"mass {m} is negative")
-    if not modes.leq(m, max_mass):
+    if not modes.leq(m, bps[-1][0]):
         return INF
-    masses = [bm for bm, _ in bps]
-    k = bisect_right(masses, m) - 1
+    k = bisect_right(bps, m, key=lambda bp: bp[0]) - 1
     if k == len(bps) - 1:
         return bps[-1][1]
     (m0, c0), (m1, c1) = bps[k], bps[k + 1]
@@ -165,9 +169,11 @@ def _interpolate(bps, max_mass, m):
 class SolverRun:
     """Full record of one parametric solve.
 
-    ``segments`` holds (slope, mass, snapshot) after merging equal slopes;
-    a snapshot is the engine's raw node potentials, scaled by
-    ``potential_scale``, and ``segment_potentials`` unscales it on demand.
+    ``segments`` holds (mass, cost, snapshot) at each breakpoint of the
+    profile after (0, 0), one per maximal run of equal slopes.  Mass and
+    cost are unscaled; a snapshot is the engine's raw node potentials, still
+    scaled by ``potential_scale``, and ``segment_potentials`` unscales it on
+    demand.
     ``searches`` counts the Dijkstra runs.  ``full_mass`` is None on a run
     that traced the profile from zero flow, and the marginals' mass on a
     warm-started run, which answers only there and has no segments.
@@ -337,8 +343,10 @@ def _run_ssp(
                     heapq.heappush(heap, (nd, v))
         return dist, parent, settled
 
-    # (slope, mass, potentials) per maximal run of equal slopes, still scaled
+    # (shipped, total cost, potentials) where each maximal run of equal
+    # slopes ends, still scaled
     segments: List[Tuple[object, object, tuple]] = []
+    last_sigma = None
     searches = 0
     while target is None or target - shipped > tol:
         dist, parent, settled = dijkstra()
@@ -365,10 +373,13 @@ def _run_ssp(
             res[a ^ 1] += delta
         shipped += delta
         total_cost += sigma * delta
-        if not warm and segments and segments[-1][0] == sigma:
-            segments[-1] = (sigma, segments[-1][1] + delta, tuple(potentials))
-        elif not warm:
-            segments.append((sigma, delta, tuple(potentials)))
+        if not warm:
+            point = (shipped, total_cost, tuple(potentials))
+            if sigma == last_sigma:
+                segments[-1] = point
+            else:
+                segments.append(point)
+                last_sigma = sigma
 
     if target is None:  # the last search missed the sink (module docstring)
         rows = frozenset(i for i in range(nx) if settled[1 + i])
@@ -382,7 +393,7 @@ def _run_ssp(
         ny=ny,
         shipped=_unscaled(shipped, lw),
         cost=_unscaled(total_cost, lc * lw),
-        segments=[(_unscaled(s, lc), _unscaled(d, lw), p) for s, d, p in segments],
+        segments=[(_unscaled(m, lw), _unscaled(x, lc * lw), p) for m, x, p in segments],
         final_potentials=_potential_pair(potentials, nx, ny, lc),
         flows=flows,
         reachable_rows=rows,
@@ -393,30 +404,15 @@ def _run_ssp(
     )
 
 
-def _breakpoints(run: SolverRun) -> List[Tuple[object, object]]:
-    """(mass, cost) at (0, 0) and at the end of each merged segment; the
-    last mass is the profile's max_mass."""
-    breakpoints = [(0, 0)]
-    mass = 0
-    cost = 0
-    for sigma, delta, _snap in run.segments:
-        mass += delta
-        cost += sigma * delta
-        breakpoints.append((mass, cost))
-    return breakpoints
-
-
 def profile_from_run(run: SolverRun) -> TransportProfile:
     """The profile an untargeted run traced, with a certificate per
     breakpoint."""
     _require_profile(run)
-    breakpoints = _breakpoints(run)
     zero_pots = PotentialPair(u=(0,) * run.nx, v=(0,) * run.ny)
-    pots = [zero_pots] + [run.segment_potentials(k) for k in range(len(run.segments))]
     return TransportProfile(
-        breakpoints=tuple(breakpoints),
-        potentials=tuple(pots),
-        max_mass=breakpoints[-1][0],
+        breakpoints=((0, 0),) + tuple((mass, cost) for mass, cost, _ in run.segments),
+        potentials=(zero_pots,)
+        + tuple(run.segment_potentials(k) for k in range(len(run.segments))),
     )
 
 
@@ -428,8 +424,8 @@ def value_from_run(run: SolverRun, m):
         if not modes.eq(m, run.full_mass):
             _require_profile(run)
         return run.cost if modes.leq(m, run.shipped) else INF
-    breakpoints = _breakpoints(run)
-    return _interpolate(breakpoints, breakpoints[-1][0], m)
+    breakpoints = ((0, 0),) + tuple((mass, cost) for mass, cost, _ in run.segments)
+    return _interpolate(breakpoints, m)
 
 
 def solve_profile(c: CostMatrix, mu: Marginal, nu: Marginal) -> TransportProfile:

@@ -13,12 +13,12 @@ Cover and matching mass agree exactly on every instance (max-flow min-cut),
 so both are read from one run of the flow engine on the indicator cost of
 L: the shipped mass is the value, the residual cut is the cover, and the
 same run settles the zero-mass questions below.  Each such answer has a
-``*_from_run`` form that reads that run; the public functions run the
-engine once and read from it.  The capacity is half the cover
-value of the symmetrised set (Nemhauser-Trotter half-integrality), and it
-sandwiches the cover within a factor of 4:
-gamma <= m <= 4 gamma, via the threshold set {f >= 1/2} on one side and
-indicator functions on the other.
+``*_from_run`` form that reads that run (the null question is the
+decomposition's ``is_null``); the public functions run the engine once and
+read from it.  The capacity is half the cover value of the symmetrised set
+(Nemhauser-Trotter half-integrality), and it sandwiches the cover within a
+factor of 4: gamma <= m <= 4 gamma, via the threshold set {f >= 1/2} on one
+side and indicator functions on the other.
 
 The zero level of all of these is the Kellerer-type dichotomy: either L is
 covered by weightless bands (so every coupling ignores it), or some full
@@ -185,19 +185,15 @@ def capacity_value(L: CellSet, lam: Marginal) -> Tuple[object, Tuple]:
 
 
 def null_for_all_couplings(L: CellSet, mu: Marginal, nu: Marginal) -> bool:
-    """True when every full coupling of (mu, nu) gives L mass zero."""
-    return null_from_run(matching_run(L, mu, nu), mu, nu)
-
-
-def null_from_run(run: SolverRun, mu: Marginal, nu: Marginal) -> bool:
-    """``null_for_all_couplings`` read from ``matching_run(L, mu, nu)``.
+    """True when every full coupling of (mu, nu) gives L mass zero.
 
     L is null for all couplings exactly when its matching mass is 0: a
     partial coupling that charges L puts mass on a cell whose row and column
     both carry weight, and the product coupling mu x nu, a full coupling,
     charges every such cell."""
+    run = matching_run(L, mu, nu)
     _require_probability(mu, nu)
-    return not modes.is_positive(run.shipped)
+    return decompose_from_run(run, L, mu, nu).is_null
 
 
 @dataclass(frozen=True)

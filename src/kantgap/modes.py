@@ -15,7 +15,8 @@ the other.
 ``coerce`` is the one place where an outside value becomes a number.  It
 is a pure function of its input and the mode, so the ``core`` constructors
 call it once per distinct string token of a call and reuse the value.
-Error messages show at most 30 characters of a rejected string.
+Error messages show at most 30 characters of a rejected string, and only
+the size of an int of more than 30 digits.
 """
 
 from __future__ import annotations
@@ -61,7 +62,11 @@ def arithmetic(mode: str):
 
 def _shown(x) -> str:
     """A rejected input as error messages show it: a string cut to its
-    first 30 characters, so a huge token makes a short message."""
+    first 30 characters and an int of more than 30 digits by its size, so a
+    huge token makes a short message; ``repr`` raises on an int beyond the
+    digit limit."""
+    if isinstance(x, int) and abs(x) >= 10**30:
+        return f"<an int of about {round(abs(x).bit_length() * math.log10(2))} digits>"
     return repr(x[:30] if isinstance(x, str) else x)
 
 

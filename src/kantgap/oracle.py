@@ -30,7 +30,9 @@ def _lower_hull(cloud):
     points: strictly increasing masses, strictly increasing slopes.  Masses
     within the mode's tolerance of the last kept one are the same mass, and
     the cheaper cost stands for both: in float mode, shipping weights that
-    sum to 1 in two orders can end at 0.9999999999999999 and at 1.0."""
+    sum to 1 in two orders can end at 0.9999999999999999 and at 1.0.  Three
+    points whose turn is within the tolerance are collinear, and the middle
+    one goes."""
     tol = modes.tolerance()  # a float residual within it is rounding, not mass
     pts = []
     for p in sorted(cloud):
@@ -43,8 +45,9 @@ def _lower_hull(cloud):
     for p in pts:
         while len(hull) >= 2:
             (ox, oy), (ax, ay) = hull[-2], hull[-1]
-            # pop while the middle point does not make a strict upward turn
-            if (ax - ox) * (p[1] - ay) - (ay - oy) * (p[0] - ax) <= 0:
+            # pop while the middle point does not make a strict upward
+            # turn; a cross product within the tolerance is collinear
+            if (ax - ox) * (p[1] - ay) - (ay - oy) * (p[0] - ax) <= tol:
                 hull.pop()
             else:
                 break

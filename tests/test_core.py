@@ -39,11 +39,6 @@ def test_make_marginal_length_mismatch():
         kg.make_marginal(kg.DiscreteSpace(2), [1, 2, 3])
 
 
-def test_space_labels_unique():
-    with pytest.raises(Exception):
-        kg.DiscreteSpace(2, labels=("a", "a"))
-
-
 def test_cost_of_zero_cost(diag3):
     _, mu, nu = diag3
     c0 = kg.constant_matrix(3, 3, 0)
@@ -239,6 +234,19 @@ def test_exponent_beyond_the_digit_limit_rejected(mode):
                 modes.coerce(token)
     assert modes.coerce("1e4300") == 10**4300
     assert modes.coerce("1e-4300") == F(1, 10**4300)
+
+
+@pytest.mark.parametrize("mode", [modes.EXACT, modes.FLOAT])
+def test_int_beyond_the_digit_limit(mode):
+    # float() overflows on it, and repr() of it raises ValueError
+    huge = 10**5000
+    with modes.arithmetic(mode):
+        if mode == modes.EXACT:
+            assert modes.coerce(huge) == huge
+        else:
+            with pytest.raises(InputError) as err:
+                modes.coerce(huge)
+            assert len(str(err.value)) < 60
 
 
 @pytest.mark.parametrize("mode", [modes.EXACT, modes.FLOAT])

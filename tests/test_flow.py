@@ -6,7 +6,7 @@ import pytest
 import kantgap as kg
 from kantgap import modes
 from kantgap.errors import InfeasibleMassError, InputError
-from kantgap.flow import _run_ssp
+from kantgap.flow import _run_ssp, profile_from_run
 from kantgap.modes import EXACT, FLOAT, arithmetic
 
 
@@ -227,12 +227,27 @@ def test_optimal_coupling_at_target_with_a_new_denominator(diag3):
     assert kg.cost_of(c, pi) == kg.brute_primal(c, mu, nu, F(5, 7)) == F(1, 7)
 
 
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_segments_are_the_profile_breakpoints(mode):
+    """A cold run records (mass, cost) at each breakpoint after (0, 0); the
+    last one is where the run ended."""
+    with arithmetic(mode):
+        for seed in range(20):
+            c, mu, nu = kg.random_instance(5, 6, 0.3, "random", seed)
+            run = _run_ssp(c, mu, nu)
+            assert profile_from_run(run).breakpoints == ((0, 0),) + tuple(
+                (m, x) for m, x, _ in run.segments
+            )
+            if run.segments:
+                assert run.segments[-1][:2] == (run.shipped, run.cost)
+
+
 def _run_numbers(run):
     yield run.shipped
     yield run.cost
-    for k, (slope, mass, _snapshot) in enumerate(run.segments):
+    for k, (mass, cost, _snapshot) in enumerate(run.segments):
         pots = run.segment_potentials(k)
-        yield from (slope, mass, *pots.u, *pots.v)
+        yield from (mass, cost, *pots.u, *pots.v)
     yield from run.final_potentials.u
     yield from run.final_potentials.v
     yield from run.flows.values()

@@ -202,6 +202,40 @@ def test_cli_oracle(diag3_file, capsys):
     assert capsys.readouterr().out.strip() == "1/2"
 
 
+def test_cli_oracle_cover_matches_covers(diag3_file, tmp_path, capsys):
+    cells = tmp_path / "cells.json"
+    cells.write_text(json.dumps({"pairs": [[0, 1], [0, 2], [1, 2]]}))
+    assert main(["covers", diag3_file, "--cells", str(cells)]) == 0
+    m = json.loads(capsys.readouterr().out)["m"]
+    assert main(["oracle", diag3_file, "--cover", str(cells)]) == 0
+    assert capsys.readouterr().out == f"{m}\n"
+
+
+def test_cli_gen_band(tmp_path, capsys):
+    out = tmp_path / "band.json"
+    assert main(["gen", "--scenario", "band", "--n", "4", "--bandwidth", "1",
+                 "-o", str(out)]) == 0
+    c, mu, nu = problem_io.load_problem_file(str(out))
+    assert (c, mu, nu) == kg.closed_inf_band(4, 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "{p}"],
+        ["sweep", "{p}", "--m-grid", ""],
+        ["study", "--n-list", "", "--eps-grid", "0", "--m-grid", "1"],
+    ],
+    ids=["oracle-no-question", "sweep-empty-grid", "study-empty-n-list"],
+)
+def test_cli_missing_question_exit1(argv, diag3_file, capsys):
+    assert main([a.format(p=diag3_file) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_cli_invalid_input_exit1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

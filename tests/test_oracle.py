@@ -50,6 +50,21 @@ def test_brute_primal_golden_float_rounding(mode):
         assert len(kg.brute_profile(c, mu, nu)) == 3
 
 
+@pytest.mark.parametrize("mode", [modes.EXACT, modes.FLOAT])
+def test_brute_profile_drops_collinear_points(mode):
+    """The float masses 0.1, 0.6, 0.9 and 1.0 all lie on one slope-1
+    segment; the turns between them are rounding, not breakpoints."""
+    with modes.arithmetic(mode):
+        c = kg.make_cost_matrix([[1, 2, 0], [3, 1, 2], [2, 5, 1], [1, 1, 1]])
+        mu = kg.make_marginal(kg.DiscreteSpace(4), ["1/10", "2/10", "3/10", "4/10"])
+        nu = kg.make_marginal(kg.DiscreteSpace(3), ["3/10", "3/10", "4/10"])
+        hull = kg.brute_profile(c, mu, nu)
+        engine = kg.solve_profile(c, mu, nu).breakpoints
+        assert len(hull) == len(engine) == 3
+        for (hm, hc), (em, ec) in zip(hull, engine):
+            assert modes.eq(hm, em) and modes.eq(hc, ec)
+
+
 def _search(monkeypatch, c, mu, nu):
     """The profile search run afresh (past the cache), with every (mass,
     cost) cloud it hands to its hull."""
