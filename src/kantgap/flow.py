@@ -194,6 +194,11 @@ class SolverRun:
     searches: int
     full_mass: object = None
 
+    @property
+    def breakpoints(self) -> tuple:
+        """(0, 0) followed by each segment's (mass, cost)."""
+        return ((0, 0),) + tuple((mass, cost) for mass, cost, _ in self.segments)
+
     def segment_potentials(self, k: int) -> PotentialPair:
         """The potentials certifying the profile at the end of segment k."""
         _require_profile(self)
@@ -410,7 +415,7 @@ def profile_from_run(run: SolverRun) -> TransportProfile:
     _require_profile(run)
     zero_pots = PotentialPair(u=(0,) * run.nx, v=(0,) * run.ny)
     return TransportProfile(
-        breakpoints=((0, 0),) + tuple((mass, cost) for mass, cost, _ in run.segments),
+        breakpoints=run.breakpoints,
         potentials=(zero_pots,)
         + tuple(run.segment_potentials(k) for k in range(len(run.segments))),
     )
@@ -424,8 +429,7 @@ def value_from_run(run: SolverRun, m):
         if not modes.eq(m, run.full_mass):
             _require_profile(run)
         return run.cost if modes.leq(m, run.shipped) else INF
-    breakpoints = ((0, 0),) + tuple((mass, cost) for mass, cost, _ in run.segments)
-    return _interpolate(breakpoints, m)
+    return _interpolate(run.breakpoints, m)
 
 
 def solve_profile(c: CostMatrix, mu: Marginal, nu: Marginal) -> TransportProfile:

@@ -13,9 +13,9 @@ Cover and matching mass agree exactly on every instance (max-flow min-cut),
 so both are read from one run of the flow engine on the indicator cost of
 L: the shipped mass is the value, the residual cut is the cover, and the
 same run settles the zero-mass questions below.  Each such answer has a
-``*_from_run`` form that reads that run (the null question is the
-decomposition's ``is_null``); the public functions run the engine once and
-read from it.  The capacity is half the cover value of the symmetrised set
+``*_from_run`` form that reads that run (the null question is whether it
+shipped any mass, as in the decomposition); the public functions run the
+engine once and read from it.  The capacity is half the cover value of the symmetrised set
 (Nemhauser-Trotter half-integrality), and it sandwiches the cover within a
 factor of 4: gamma <= m <= 4 gamma, via the threshold set {f >= 1/2} on one
 side and indicator functions on the other.
@@ -193,7 +193,7 @@ def null_for_all_couplings(L: CellSet, mu: Marginal, nu: Marginal) -> bool:
     charges every such cell."""
     run = matching_run(L, mu, nu)
     _require_probability(mu, nu)
-    return decompose_from_run(run, L, mu, nu).is_null
+    return not modes.is_positive(run.shipped)
 
 
 @dataclass(frozen=True)

@@ -30,9 +30,9 @@ def _lower_hull(cloud):
     points: strictly increasing masses, strictly increasing slopes.  Masses
     within the mode's tolerance of the last kept one are the same mass, and
     the cheaper cost stands for both: in float mode, shipping weights that
-    sum to 1 in two orders can end at 0.9999999999999999 and at 1.0.  Three
-    points whose turn is within the tolerance are collinear, and the middle
-    one goes."""
+    sum to 1 in two orders can end at 0.9999999999999999 and at 1.0.  A
+    point within the tolerance below the chord of its neighbours is on it,
+    and goes."""
     tol = modes.tolerance()  # a float residual within it is rounding, not mass
     pts = []
     for p in sorted(cloud):
@@ -46,8 +46,10 @@ def _lower_hull(cloud):
         while len(hull) >= 2:
             (ox, oy), (ax, ay) = hull[-2], hull[-1]
             # pop while the middle point does not make a strict upward
-            # turn; a cross product within the tolerance is collinear
-            if (ax - ox) * (p[1] - ay) - (ay - oy) * (p[0] - ax) <= tol:
+            # turn; the cross product over p[0] - ox is the middle point's
+            # height below the chord, and within the tolerance is collinear
+            cross = (ax - ox) * (p[1] - ay) - (ay - oy) * (p[0] - ax)
+            if cross <= tol * (p[0] - ox):
                 hull.pop()
             else:
                 break

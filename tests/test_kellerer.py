@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 import kantgap as kg
+from kantgap import modes
 from kantgap.errors import MassMismatchError, NotSquareError
 
 
@@ -145,6 +146,16 @@ def test_null_for_all_couplings_cases(uni3):
     mu = kg.make_marginal(kg.DiscreteSpace(3), [F(1, 2), F(1, 2), 0])
     L = kg.cellset_from_pairs(3, 3, [(2, 0), (2, 2)])
     assert kg.null_for_all_couplings(L, mu, uni3)
+
+
+def test_null_for_all_couplings_float_masses_apart():
+    """Each float marginal weighs within the tolerance of 1 but they differ
+    by more; the null question needs no full coupling, so it answers."""
+    with modes.arithmetic(modes.FLOAT):
+        mu = kg.make_marginal(kg.DiscreteSpace(2), [0.5, 0.5000000009])
+        nu = kg.make_marginal(kg.DiscreteSpace(2), [0.5, 0.4999999991])
+        assert not kg.null_for_all_couplings(_diag(2), mu, nu)
+        assert kg.null_for_all_couplings(kg.cellset_from_pairs(2, 2, []), mu, nu)
 
 
 def test_null_for_all_couplings_matches_complement_cost_formula():

@@ -65,6 +65,25 @@ def test_brute_profile_drops_collinear_points(mode):
             assert modes.eq(hm, em) and modes.eq(hc, ec)
 
 
+@pytest.mark.parametrize("mode", [modes.EXACT, modes.FLOAT])
+def test_brute_profile_keeps_small_mass_breakpoints(mode):
+    """A breakpoint whose cross product with its neighbours is below the
+    tolerance only because the masses are small is still 2.5e-6 below
+    their chord: (1e-4, 0) stays, and the value there is 0."""
+    with modes.arithmetic(mode):
+        c = kg.make_cost_matrix([[0], ["1/20"], [kg.INF]])
+        mu = kg.make_marginal(kg.DiscreteSpace(3), ["1/10000", "1/10000", "9998/10000"])
+        nu = kg.make_marginal(kg.DiscreteSpace(1), [1])
+        hull = kg.brute_profile(c, mu, nu)
+        engine = kg.solve_profile(c, mu, nu).breakpoints
+        assert len(hull) == len(engine) == 3
+        for (hm, hc), (em, ec) in zip(hull, engine):
+            assert modes.eq(hm, em) and modes.eq(hc, ec)
+        at = modes.coerce("1/10000")
+        assert kg.brute_primal(c, mu, nu, at) == 0
+        assert kg.evaluate_profile(kg.solve_profile(c, mu, nu), at) == 0
+
+
 def _search(monkeypatch, c, mu, nu):
     """The profile search run afresh (past the cache), with every (mass,
     cost) cloud it hands to its hull."""
