@@ -157,10 +157,10 @@ def _cmd_sweep(args) -> int:
 def _cmd_covers(args) -> int:
     c, mu, nu = problem_io.load_problem_file(args.problem)
     L = problem_io.load_cellset_file(args.cells, c.nx, c.ny)
+    _require_probability(mu, nu)
     # one engine run on the indicator cost of L serves everything but gamma
     run = matching_run(L, mu, nu)
     m_val, cert = cover_from_run(run, L, mu, nu)
-    _require_probability(mu, nu)
     dec = decompose_from_run(run, L, mu, nu)
     doc = {
         "m": format_number(m_val),

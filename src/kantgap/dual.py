@@ -63,7 +63,7 @@ from .errors import (
     PostconditionError,
     PreconditionError,
 )
-from .flow import SolverRun, _run_ssp
+from .flow import SolverRun, _run_ssp, truncation_ladder
 from .primal import _require_probability, primal_value
 
 
@@ -336,11 +336,12 @@ def attainment_check(
     levels whose truncated value already equals the relaxed value.
 
     Truncated values are nondecreasing in the level and never exceed the
-    relaxed value, so the levels that attain form a tail of the grid and
-    bisection finds its first one.  When the relaxed value is finite, the
-    optimal pair yields the finite ladder h = (phi_i + psi_j)_+ with
-    truncated value equal to the relaxed value, so truncation at max(h) is
-    a certified sufficient level; both facts are asserted here rather than
+    relaxed value, so the levels that attain form a tail of the grid; one
+    truncation ladder climbs the grid and stops at its first one.  When the
+    relaxed value is finite, the optimal pair yields the finite ladder
+    h = (phi_i + psi_j)_+ with truncated value equal to the relaxed value,
+    so truncation at max(h) is a certified sufficient level; both facts are
+    asserted here, by solves independent of the ladder, rather than
     trusted.
     """
     _require_probability(mu, nu)
@@ -370,14 +371,12 @@ def attainment_check(
         raise PostconditionError("attainment ladder failed to reach the relaxed value")
     if not modes.eq(primal_value(truncate_at(c, bound), mu, nu), relaxed):
         raise PostconditionError("certified bound failed to reach the relaxed value")
-    lo, hi = 0, len(grid)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if modes.eq(primal_value(truncate_at(c, grid[mid]), mu, nu), relaxed):
-            hi = mid
-        else:
-            lo = mid + 1
-    level = grid[lo] if lo < len(grid) else None
+    attaining = (
+        step.level
+        for step in truncation_ladder(c, mu, nu, grid)
+        if modes.eq(step.value, relaxed)
+    )
+    level = next(attaining, None)
     return AttainmentReport(
         attained=level is not None,
         level=level,

@@ -48,7 +48,7 @@ from .errors import (
     PostconditionError,
 )
 from .flow import SolverRun, _run_ssp
-from .primal import _require_probability
+from .primal import _require_unit_masses
 
 
 @dataclass(frozen=True)
@@ -192,7 +192,7 @@ def null_for_all_couplings(L: CellSet, mu: Marginal, nu: Marginal) -> bool:
     both carry weight, and the product coupling mu x nu, a full coupling,
     charges every such cell."""
     run = matching_run(L, mu, nu)
-    _require_probability(mu, nu)
+    _require_unit_masses(mu, nu)
     return not modes.is_positive(run.shipped)
 
 

@@ -77,9 +77,10 @@ def coerce(x):
     everything else as ``Fraction``.  Floats are read through their decimal
     repr so 0.1 becomes 1/10, not the binary expansion.  Strings accept the
     ``"p/q"`` form.  Bools, ``None``, malformed strings, zero denominators,
-    nan, infinite floats, values that overflow a float and exponents beyond
+    nan, infinite floats and exponents beyond
     ``sys.get_int_max_str_digits()`` (slow powers of ten) raise
-    ``InputError`` in both modes.
+    ``InputError`` in both modes, and so, in float mode, do well-formed
+    values too large for a float, with a message that says so.
     """
     if isinstance(x, str) and (e := _EXPONENT.search(x)):
         limit = sys.get_int_max_str_digits() or math.inf  # 0: no limit
@@ -99,6 +100,8 @@ def coerce(x):
             v = x
         else:
             v = Fraction(repr(x) if isinstance(x, float) else x)
+    except OverflowError as exc:
+        raise InputError(f"too large for a float: {_shown(x)}") from exc
     except (TypeError, ValueError, ArithmeticError) as exc:
         raise InputError(f"malformed number {_shown(x)}") from exc
     if exact:

@@ -26,16 +26,24 @@ from .core import (
     is_inf,
     make_coupling,
     scale_marginal,
-    truncate_at,
-    truncate_cost,
 )
 from .errors import InputError, MassMismatchError, PreconditionError
-from .flow import SolverRun, _run_ssp, value_from_run
+from .flow import SolverRun, _run_ssp, truncation_ladder, value_from_run
+
+
+def _require_unit_masses(mu: Marginal, nu: Marginal) -> None:
+    if not mu.is_probability() or not nu.is_probability():
+        raise PreconditionError("probability marginals required")
 
 
 def _require_probability(mu: Marginal, nu: Marginal) -> None:
-    if not mu.is_probability() or not nu.is_probability():
-        raise PreconditionError("probability marginals required")
+    """Unit masses that also equal each other within the float tolerance,
+    as a full coupling needs."""
+    _require_unit_masses(mu, nu)
+    if not modes.eq(mu.mass, nu.mass):
+        raise MassMismatchError(
+            f"marginal masses differ: |mu| = {mu.mass}, |nu| = {nu.mass}"
+        )
 
 
 def check_eps(eps):
@@ -82,36 +90,19 @@ def truncation_sweep(
     c: CostMatrix, mu: Marginal, nu: Marginal, levels: Sequence[CostMatrix]
 ) -> List[Tuple[int, object]]:
     """Full-transport values of c /\\ h for a nondecreasing ladder of finite
-    truncation levels h."""
+    truncation levels h, re-optimised level to level on one network."""
     _require_probability(mu, nu)
-    prev = None
-    for k, h in enumerate(levels):
-        for i, j, v in h.cells():
-            if is_inf(v):
-                raise InputError(f"level {k} is infinite at ({i}, {j})")
-            if prev is not None and v < prev.rows[i][j]:
-                raise InputError(f"levels decrease at ({i}, {j}) between "
-                                 f"{k - 1} and {k}")
-        prev = h
-    return [
-        (k, primal_value(truncate_cost(c, h), mu, nu)) for k, h in enumerate(levels)
-    ]
+    steps = truncation_ladder(c, mu, nu, levels)
+    return [(k, step.value) for k, step in enumerate(steps)]
 
 
 def constant_truncation_sweep(
     c: CostMatrix, mu: Marginal, nu: Marginal, ms: Sequence
 ) -> List[Tuple[object, object]]:
-    """Convenience sweep over constant levels M; returns (M, value) pairs."""
+    """Convenience sweep over nondecreasing constant levels M; returns
+    (M, value) pairs."""
     _require_probability(mu, nu)
-    out = []
-    prev = None
-    for m in ms:
-        m = modes.coerce(m)
-        if prev is not None and m < prev:
-            raise InputError("constant levels must be nondecreasing")
-        prev = m
-        out.append((m, primal_value(truncate_at(c, m), mu, nu)))
-    return out
+    return [(step.level, step.value) for step in truncation_ladder(c, mu, nu, ms)]
 
 
 @dataclass(frozen=True)
@@ -200,7 +191,8 @@ def refinement_study(
         run = _run_ssp(c, mu, nu)
         p = value_from_run(run, 1)
         d = dual_from_run(run, c, mu, nu).value
-        truncated = {m: primal_value(truncate_at(c, m), mu, nu) for m in m_values}
+        ladder = truncation_ladder(c, mu, nu, sorted(set(m_values)))
+        truncated = {step.level: step.value for step in ladder}
         for eps, m in _cartesian(eps_values, m_values):
             rows.append(
                 StudyRow(

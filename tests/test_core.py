@@ -252,10 +252,25 @@ def test_int_beyond_the_digit_limit(mode):
 @pytest.mark.parametrize("mode", [modes.EXACT, modes.FLOAT])
 def test_long_bad_token_gives_a_short_message(mode):
     long_tokens = ["7" * 5000 + "?", "x" * 5000, "1/" + "0" * 5000]
-    if mode == modes.FLOAT:
-        long_tokens.append("9" * 400)  # overflows a float
     with modes.arithmetic(mode):
         for token in long_tokens:
             with pytest.raises(InputError) as err:
                 modes.coerce(token)
             assert str(err.value) == f"malformed number {token[:30]!r}"
+        if mode == modes.FLOAT:  # well formed, but it overflows a float
+            token = "9" * 400
+            with pytest.raises(InputError) as err:
+                modes.coerce(token)
+            assert str(err.value) == f"too large for a float: {token[:30]!r}"
+            assert len(str(err.value)) < 60
+
+
+@pytest.mark.parametrize("value", ["9" * 400, 10**400, "1e400", "-1e400"])
+def test_float_overflow_says_too_large(value):
+    with modes.arithmetic(modes.FLOAT):
+        with pytest.raises(InputError) as err:
+            modes.coerce(value)
+    assert str(err.value).startswith("too large for a float: ")
+    assert len(str(err.value)) < 60
+    with modes.arithmetic(modes.EXACT):
+        assert modes.coerce(value) == F(value)

@@ -7,6 +7,7 @@ import kantgap as kg
 from kantgap import modes, problem_io
 from kantgap.cli import main
 from kantgap.errors import InputError
+from kantgap.primal import StudyRow
 
 
 @pytest.fixture
@@ -167,9 +168,20 @@ def test_cli_dual_relaxed(diag3_file, capsys):
     assert doc["chargeable"] == [[0, 0], [1, 1], [2, 2]]
 
 
-def test_cli_sweep(diag3_file, capsys):
+def test_cli_sweep(diag3_file, tmp_path, capsys):
     assert main(["sweep", diag3_file, "--m-grid", "1,2,3"]) == 0
     assert capsys.readouterr().out == "M,P_trunc\n1,1/3\n2,2/3\n3,1\n"
+    # the sweep re-optimises level to level; its bytes are those of one
+    # fresh solve per level, with INF cells, zero atoms and repeated levels
+    c, mu, nu = kg.random_instance(9, 8, 0.3, "random", 4)
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(problem_io.dump_problem(c, mu, nu)))
+    finite = sorted({v for _, _, v in c.finite_cells()})
+    levels = sorted([0, 0, F(1, 7), *finite[::3], finite[3], F(1, 2), 40])
+    grid = [str(m) for m in levels]
+    assert main(["sweep", str(path), "--m-grid", ",".join(grid)]) == 0
+    expected = [(m, kg.primal_value(kg.truncate_at(c, m), mu, nu)) for m in levels]
+    assert capsys.readouterr().out == problem_io.sweep_csv(expected)
 
 
 def test_cli_covers(diag3_file, tmp_path, capsys):
@@ -195,6 +207,25 @@ def test_cli_study_byte_identical(tmp_path):
     lines = a.read_text().splitlines()
     assert lines[0] == "n,epsilon,M,P,P_eps,P_trunc,D"
     assert lines[1] == "2,0,2,1,1,1,1"
+    # truncated values come from one ladder over the sorted distinct levels;
+    # rows keep the --m-grid order and equal one fresh solve per level
+    for scenario in ("diagonal", "band"):
+        args = [
+            "study", "--scenario", scenario, "--n-list", "2,3,5",
+            "--eps-grid", "0,1/n", "--m-grid", "100,2,1/2,2,0",
+        ]
+        assert main(args + ["-o", str(a)]) == 0
+        family = kg.scenarios.family(scenario)
+        rows = []
+        for n in (2, 3, 5):
+            c, mu, nu = family(n)
+            p, d = kg.primal_value(c, mu, nu), kg.dual_value(c, mu, nu).value
+            for eps in (0, F(1, n)):
+                for m in (100, 2, F(1, 2), 2, 0):
+                    trunc = kg.primal_value(kg.truncate_at(c, m), mu, nu)
+                    partial = kg.partial_value(c, mu, nu, eps)
+                    rows.append(StudyRow(n, eps, m, p, partial, trunc, d))
+        assert a.read_text() == problem_io.study_csv(rows)
 
 
 def test_cli_oracle(diag3_file, capsys):
@@ -480,3 +511,23 @@ def test_cli_long_bad_token_one_short_error_line(tmp_path, flags, where):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == f"error: malformed number {token[:30]!r}\n"
+
+
+def test_cli_float_masses_that_differ_exit_1(tmp_path, capsys):
+    """Each float marginal weighs within the tolerance of 1, but they differ
+    from each other by more, so no full coupling exists."""
+    doc = {"nx": 2, "ny": 2, "mu": ["0.5", "0.5000000009"],
+           "nu": ["0.5", "0.4999999991"], "cost": [["0", "1"], ["1", "0"]]}
+    problem, cells = tmp_path / "p.json", tmp_path / "cells.json"
+    problem.write_text(json.dumps(doc))
+    cells.write_text(json.dumps({"pairs": [[0, 1]]}))
+    for argv in (
+        ["solve", str(problem)],
+        ["sweep", str(problem), "--m-grid", "1"],
+        ["covers", str(problem), "--cells", str(cells)],
+    ):
+        assert main(["--float", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: marginal masses differ: |mu| = 1.0000000009")
+        assert "|nu| = 0.99999999" in captured.err
