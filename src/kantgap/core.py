@@ -24,7 +24,9 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterator, Mapping, Sequence, Tuple
 
 from . import modes
@@ -317,13 +319,38 @@ class Coupling:
         return sorted(self.entries.items())
 
 
+def _common_denominator(values) -> int:
+    """The lcm of the denominators of exact numbers (1 for none)."""
+    try:
+        return math.lcm(*{v.denominator for v in values})
+    except AttributeError:
+        raise InputError(
+            "a float reached the exact engine; objects built under one "
+            "arithmetic mode cannot be solved under the other"
+        ) from None
+
+
+def _scaled(x, scale: int) -> int:
+    """x * scale as an int; scale is a multiple of x's denominator."""
+    return x.numerator * (scale // x.denominator)
+
+
+def _unscaled(x, scale: int):
+    """x / scale: x itself when scale is 1, else an int when scale divides x,
+    else a Fraction."""
+    if scale == 1:
+        return x
+    q, r = divmod(x, scale)
+    return Fraction(x, scale) if r else q
+
+
 def make_coupling(
     space_x: DiscreteSpace, space_y: DiscreteSpace, entries: Mapping
 ) -> Coupling:
+    """Validate and build a coupling.  In exact mode the row, column and
+    total sums run on ints over the entries' common denominator and are
+    divided by it once; float mode sums the floats in entry order."""
     clean = {}
-    rows = [0] * space_x.size
-    cols = [0] * space_y.size
-    total = 0
     for (i, j), m in entries.items():
         if not (0 <= i < space_x.size and 0 <= j < space_y.size):
             raise DimensionMismatchError(f"cell ({i}, {j}) outside the grid")
@@ -333,6 +360,15 @@ def make_coupling(
         if v == 0:
             continue
         clean[(i, j)] = v
+    values = clean.values()
+    scale = 1
+    if modes.is_exact():
+        scale = _common_denominator(values)
+        values = [_scaled(v, scale) for v in values]
+    rows = [0] * space_x.size
+    cols = [0] * space_y.size
+    total = 0
+    for (i, j), v in zip(clean, values):
         rows[i] += v
         cols[j] += v
         total += v
@@ -340,9 +376,9 @@ def make_coupling(
         space_x=space_x,
         space_y=space_y,
         entries=clean,
-        row_sums=make_marginal(space_x, rows),
-        col_sums=make_marginal(space_y, cols),
-        mass=total,
+        row_sums=make_marginal(space_x, [_unscaled(r, scale) for r in rows]),
+        col_sums=make_marginal(space_y, [_unscaled(c, scale) for c in cols]),
+        mass=_unscaled(total, scale),
     )
 
 

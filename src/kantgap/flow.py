@@ -61,12 +61,17 @@ opens may have negative reduced cost, but no search scans them: the source
 is settled first and a search stops at the sink.  At full mass every source
 and sink arc is saturated, so the final potentials certify the plan as
 above; the shipped mass and the reachable rows and columns are those of any
-maximum flow.  What a warm run does not have is a profile: the greedy
-shipments carry no slopes, and below full mass a residual cycle through the
-source may have negative cost, so a short warm plan need not be the
-cheapest of its mass.  ``profile_from_run``, ``segment_potentials`` and
-``value_from_run`` at any other mass therefore raise ``PreconditionError``
-on a warm run.
+maximum flow.  So runs read only for those two, which may end short of
+full mass, start warm too in exact mode when the masses are equal
+(``_warm_max_flow``): ``max_shippable_mass`` and ``kellerer``'s matching
+runs, whose greedy start ships a maximal matching before the first search.
+Float mode keeps them cold: a warm plan adds its mass up in another order,
+which can move the last bit of the printed value.  What a warm run does not
+have is a profile: the greedy shipments carry no slopes, and below full
+mass a residual cycle through the source may have negative cost, so a short
+warm plan need not be the cheapest of its mass.  ``profile_from_run``,
+``segment_potentials`` and ``value_from_run`` at any other mass therefore
+raise ``PreconditionError`` on a warm run.
 
 Re-optimisation across truncation levels: ``truncation_ladder`` answers
 P(c /\\ level) for a nondecreasing sequence of finite levels from one
@@ -99,7 +104,6 @@ import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from . import modes
@@ -108,6 +112,9 @@ from .core import (
     CostMatrix,
     Coupling,
     Marginal,
+    _common_denominator,
+    _scaled,
+    _unscaled,
     is_inf,
     make_coupling,
 )
@@ -231,31 +238,6 @@ def _require_profile(run: SolverRun) -> None:
             f"a warm-started run answers only at its full mass {run.full_mass}; "
             "it traced no profile"
         )
-
-
-def _common_denominator(values) -> int:
-    """The lcm of the denominators of exact numbers (1 for none)."""
-    try:
-        return math.lcm(*{v.denominator for v in values})
-    except AttributeError:
-        raise InputError(
-            "a float reached the exact engine; objects built under one "
-            "arithmetic mode cannot be solved under the other"
-        ) from None
-
-
-def _scaled(x, scale: int) -> int:
-    """x * scale as an int; scale is a multiple of x's denominator."""
-    return x.numerator * (scale // x.denominator)
-
-
-def _unscaled(x, scale: int):
-    """x / scale: x itself when scale is 1, else an int when scale divides x,
-    else a Fraction."""
-    if scale == 1:
-        return x
-    q, r = divmod(x, scale)
-    return Fraction(x, scale) if r else q
 
 
 def _potential_pair(pots, nx: int, ny: int, scale: int) -> PotentialPair:
@@ -637,6 +619,12 @@ def optimal_coupling_at(c: CostMatrix, mu: Marginal, nu: Marginal, m) -> Couplin
     return make_coupling(mu.space, nu.space, run.flows)
 
 
+def _warm_max_flow(mu: Marginal, nu: Marginal) -> bool:
+    """Whether a run read only for its shipped mass and min cut starts
+    warm (module docstring)."""
+    return modes.is_exact() and mu.mass == nu.mass
+
+
 def max_shippable_mass(c: CostMatrix, mu: Marginal, nu: Marginal):
     """Largest mass a partial coupling on finite cells can carry."""
-    return _run_ssp(c, mu, nu).shipped
+    return _run_ssp(c, mu, nu, warm=_warm_max_flow(mu, nu)).shipped

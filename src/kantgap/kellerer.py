@@ -47,7 +47,7 @@ from .errors import (
     NotSquareError,
     PostconditionError,
 )
-from .flow import SolverRun, _run_ssp
+from .flow import SolverRun, _run_ssp, _warm_max_flow
 from .primal import _require_unit_masses
 
 
@@ -126,9 +126,12 @@ class CoverCertificate:
 
 def matching_run(L: CellSet, mu: Marginal, nu: Marginal) -> SolverRun:
     """One engine run on the indicator cost of L: the run that the cover,
-    the matching mass and the zero-mass dichotomy of L all read."""
+    the matching mass and the zero-mass dichotomy of L all read.  They need
+    only its shipped mass and min cut, so it starts warm in exact mode with
+    equal masses (``flow._warm_max_flow``), and its plan may differ from a
+    cold run's."""
     _check_shape(L, mu, nu)
-    return _run_ssp(_indicator_cost(L), mu, nu)
+    return _run_ssp(_indicator_cost(L), mu, nu, warm=_warm_max_flow(mu, nu))
 
 
 def max_mass_on(L: CellSet, mu: Marginal, nu: Marginal) -> Tuple[object, Coupling]:

@@ -15,8 +15,9 @@ the other.
 ``coerce`` is the one place where an outside value becomes a number.  It
 is a pure function of its input and the mode, so the ``core`` constructors
 call it once per distinct string token of a call and reuse the value.
-Error messages show at most 30 characters of a rejected string, and only
-the size of an int of more than 30 digits.
+Error messages show at most 30 characters of a rejected string or of any
+other rejected input's ``repr``, and only the size of an int of more than
+30 digits.
 """
 
 from __future__ import annotations
@@ -61,13 +62,20 @@ def arithmetic(mode: str):
 
 
 def _shown(x) -> str:
-    """A rejected input as error messages show it: a string cut to its
-    first 30 characters and an int of more than 30 digits by its size, so a
-    huge token makes a short message; ``repr`` raises on an int beyond the
-    digit limit."""
+    """A rejected input as error messages show it, so a huge input makes a
+    short message: a string cut to its first 30 characters, an int of more
+    than 30 digits by its size, and any other input's ``repr`` cut to 30
+    characters, or its type where the ``repr`` fails (it raises on a
+    Fraction whose numerator is beyond the digit limit).  Never raises."""
+    if isinstance(x, str):
+        return repr(x[:30])
     if isinstance(x, int) and abs(x) >= 10**30:
         return f"<an int of about {round(abs(x).bit_length() * math.log10(2))} digits>"
-    return repr(x[:30] if isinstance(x, str) else x)
+    try:
+        text = repr(x)
+    except Exception:  # the message is built for an error already being raised
+        return f"<a {type(x).__name__}>"
+    return text if len(text) <= 30 else text[:30] + "..."
 
 
 def coerce(x):

@@ -265,6 +265,16 @@ def test_long_bad_token_gives_a_short_message(mode):
             assert len(str(err.value)) < 60
 
 
+@pytest.mark.parametrize("value", [F(10**400), F(10**5000), F(-(10**5000), 3)])
+def test_huge_fraction_gives_a_short_message(value):
+    # repr() of a Fraction is unbounded, and raises beyond the digit limit
+    with modes.arithmetic(modes.FLOAT):
+        with pytest.raises(InputError) as err:
+            modes.coerce(value)
+    assert str(err.value).startswith("too large for a float: ")
+    assert len(str(err.value)) < 60
+
+
 @pytest.mark.parametrize("value", ["9" * 400, 10**400, "1e400", "-1e400"])
 def test_float_overflow_says_too_large(value):
     with modes.arithmetic(modes.FLOAT):

@@ -84,6 +84,8 @@ def test_only_full_mass_answers_start_warm(tmp_path, engine_runs, capsys):
     feasible, infeasible = _feasible_and_infeasible(tmp_path)
     cells = tmp_path / "cells.json"
     cells.write_text(json.dumps({"pairs": [[0, 1], [2, 2]]}))
+    _c, mu, _nu = kg.random_instance(5, 5, 0, "random", 3)
+    square = _write_problem(tmp_path, "square", (kg.constant_matrix(5, 5, 0), mu, mu))
     expected = [
         (["solve", feasible], [True]),
         (["solve", infeasible], [True]),
@@ -93,7 +95,9 @@ def test_only_full_mass_answers_start_warm(tmp_path, engine_runs, capsys):
         (["dual", infeasible], [True]),
         (["dual", feasible, "--relaxed"], [True]),
         (["profile", feasible], [False]),
-        (["covers", feasible, "--cells", str(cells)], [False]),  # 6x7: no capacity run
+        (["covers", feasible, "--cells", str(cells)], [True]),  # 6x7: no capacity run
+        (["covers", square, "--cells", str(cells)], [True, True]),  # and the capacity run
+        (["--float", "covers", square, "--cells", str(cells)], [False, False]),
     ]
     for argv, warm in expected:
         del engine_runs[:]

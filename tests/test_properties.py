@@ -142,3 +142,53 @@ def test_complete_partial_exactness(inst, tenths):
     full = kg.complete_partial(part, mu, nu, cost=c, bound=bound)
     assert kg.is_full_coupling(full, mu, nu)
     assert kg.cost_of(c, full) <= kg.cost_of(c, part) + (1 - m) * bound
+
+
+# Mersenne and other well-known primes: sums over them need a common
+# denominator of hundreds of bits
+_PRIMES = (1_000_003, 998_244_353, 1_000_000_007, 2**31 - 1, 2**61 - 1, 2**89 - 1, 2**127 - 1)
+_coupling_masses = st.one_of(
+    st.just(0),
+    st.integers(0, 10**6),
+    st.builds(F, st.integers(0, 10**6), st.integers(1, 60)),
+    st.builds(F, st.integers(0, 10**40), st.sampled_from(_PRIMES)),
+)
+
+
+@st.composite
+def coupling_entries(draw, masses):
+    nx, ny = draw(_pos), draw(_pos)
+    cells = st.tuples(st.integers(0, nx - 1), st.integers(0, ny - 1))
+    return nx, ny, draw(st.dictionaries(cells, masses, max_size=3 * nx * ny))
+
+
+def _plain_sums(nx, ny, entries):
+    """Row, column and total sums added up entry by entry."""
+    rows, cols, total = [0] * nx, [0] * ny, 0
+    for (i, j), m in entries.items():
+        rows[i] += m
+        cols[j] += m
+        total += m
+    return rows, cols, total
+
+
+@given(coupling_entries(_coupling_masses))
+def test_coupling_sums_equal_plain_fraction_sums(case):
+    nx, ny, entries = case
+    pi = kg.make_coupling(kg.DiscreteSpace(nx), kg.DiscreteSpace(ny), entries)
+    rows, cols, total = _plain_sums(nx, ny, entries)
+    assert list(pi.row_sums.weights) == rows
+    assert list(pi.col_sums.weights) == cols
+    assert pi.mass == total == pi.row_sums.mass == pi.col_sums.mass
+    assert pi.entries == {ij: m for ij, m in entries.items() if m != 0}
+
+
+@given(coupling_entries(st.floats(0, 1e6)))
+def test_float_coupling_sums_run_in_entry_order(case):
+    nx, ny, entries = case
+    with kg.arithmetic("float"):
+        pi = kg.make_coupling(kg.DiscreteSpace(nx), kg.DiscreteSpace(ny), entries)
+    rows, cols, total = _plain_sums(nx, ny, entries)
+    assert list(pi.row_sums.weights) == rows
+    assert list(pi.col_sums.weights) == cols
+    assert pi.mass == total
