@@ -365,17 +365,25 @@ def make_coupling(
     if modes.is_exact():
         scale = _common_denominator(values)
         values = [_scaled(v, scale) for v in values]
+    return _coupling(space_x, space_y, clean, values, scale)
+
+
+def _coupling(
+    space_x: DiscreteSpace, space_y: DiscreteSpace, entries: dict, values, scale: int
+) -> Coupling:
+    """The coupling of the checked positive ``entries``; ``values`` are the
+    same masses in entry order times ``scale`` (ints in exact mode)."""
     rows = [0] * space_x.size
     cols = [0] * space_y.size
     total = 0
-    for (i, j), v in zip(clean, values):
+    for (i, j), v in zip(entries, values):
         rows[i] += v
         cols[j] += v
         total += v
     return Coupling(
         space_x=space_x,
         space_y=space_y,
-        entries=clean,
+        entries=entries,
         row_sums=make_marginal(space_x, [_unscaled(r, scale) for r in rows]),
         col_sums=make_marginal(space_y, [_unscaled(c, scale) for c in cols]),
         mass=_unscaled(total, scale),
@@ -410,21 +418,32 @@ def cost_of(c: CostMatrix, pi: Coupling):
 
 
 def product_coupling(alpha: Marginal, beta: Marginal, scale=1) -> Coupling:
-    """The plan scale * alpha (x) beta; mass is scale*|alpha|*|beta|."""
+    """The plan scale * alpha (x) beta; mass is scale*|alpha|*|beta|.  In
+    exact mode each entry is formed on the weights' integer numerators over
+    one common denominator, and divided by it once."""
     s = modes.coerce(scale)
     if s < 0:
         raise NegativeWeightError(f"scale {s} is negative")
-    entries = {}
-    if s > 0:
-        for i, a in enumerate(alpha.weights):
-            if a == 0:
-                continue
-            sa = s * a
-            for j, b in enumerate(beta.weights):
-                if b == 0:
-                    continue
-                entries[(i, j)] = sa * b
-    return make_coupling(alpha.space, beta.space, entries)
+    a_w, b_w, denom = alpha.weights, beta.weights, 1
+    if modes.is_exact():
+        da, db = _common_denominator(a_w), _common_denominator(b_w)
+        denom = s.denominator * da * db
+        a_w = [s.numerator * _scaled(a, da) for a in a_w]
+        b_w = [_scaled(b, db) for b in b_w]
+    else:
+        a_w = [s * a for a in a_w]
+        if max(a_w) * max(b_w) == math.inf:
+            raise InputError(f"the product coupling at scale {s} overflows a float")
+    values = {}
+    for i, sa in enumerate(a_w):
+        if sa == 0:
+            continue
+        for j, b in enumerate(b_w):
+            v = sa * b
+            if v:  # a float product may underflow to 0
+                values[(i, j)] = v
+    entries = {ij: _unscaled(v, denom) for ij, v in values.items()}
+    return _coupling(alpha.space, beta.space, entries, values.values(), denom)
 
 
 def add_couplings(p: Coupling, q: Coupling) -> Coupling:

@@ -43,35 +43,45 @@ since only a full profile reads them; ``profile_from_run`` unscales them.
 Integral results come out as ``int``, the rest as ``Fraction``.  Float mode
 runs the same loop on the floats as given, unscaled.
 
-Determinism: adjacency lists are built in a fixed order (sources, sinks,
-then cells row-major) and Dijkstra breaks distance ties by node index with
-strict-improvement relaxation, so profiles, couplings and potentials are
-reproducible byte for byte.
+Determinism: the search is bipartite.  The source pushes the rows with room
+in index order, a row scans its cell arcs row-major (uncapped, so always
+residual), and a column its sink arc, then a sorted list of the reverse
+arcs of its cells that carry flow, which every shipment keeps current: the
+residual arcs a generic scan would meet, in the same order.  Dijkstra
+breaks distance ties by node index with strict-improvement relaxation, so
+profiles, couplings and potentials are reproducible byte for byte.
 
 Warm start: a caller that reads only the answer at full mass (the value,
-the dual pair, the witness plan) asks for ``warm=True``.  The run then starts
-from Jonker-Volgenant reduction potentials on the scaled costs,
+the dual pair, the witness plan) asks for ``warm=True``.  The run then
+starts from Jonker-Volgenant reduction potentials on the scaled costs,
 u_i = min_j c_ij and v_j = min_i (c_ij - u_i) (pot X_i = -u_i,
-pot Y_j = v_j, pot source = -min u, pot sink = min v), so every cell and
-every unsaturated source and sink arc has reduced cost >= 0.  It ships
-greedily, row-major, on the cells these potentials make tight, and the
-Dijkstra loop runs unchanged from that pseudoflow (Ahuja-Magnanti-Orlin,
-*Network Flows*, 1993, ch. 9).  The reverse source and sink arcs the greedy
-opens may have negative reduced cost, but no search scans them: the source
-is settled first and a search stops at the sink.  At full mass every source
-and sink arc is saturated, so the final potentials certify the plan as
-above; the shipped mass and the reachable rows and columns are those of any
-maximum flow.  So runs read only for those two, which may end short of
-full mass, start warm too in exact mode when the masses are equal
+pot Y_j = v_j, pot source = -min u), so every cell and every unsaturated
+source arc has reduced cost >= 0.  It ships greedily, row-major, on the
+cells these potentials make tight, and the Dijkstra loop runs from that
+pseudoflow (Ahuja-Magnanti-Orlin, *Network Flows*, 1993, ch. 9) with the
+stop rule of Jonker and Volgenant (*Computing* 38, 1987): a search ends at
+the first settled column whose sink arc has room (cold runs search on to
+the sink).  A full-mass plan saturates every sink arc, so the sink arcs'
+costs change neither which plan is cheapest nor the shipped mass or the min
+cut; with each open sink arc priced tight, that column ends a shortest
+path.  The labels of the settled nodes keep every cell's reduced cost >= 0
+and make the path tight.  No warm search scans a sink arc, nor the reverse
+source and sink arcs the greedy opens.  At full mass every source and sink
+arc is saturated, so the final potentials certify the plan as above; a
+search that finds no column with room settles all the source reaches, so
+the shipped mass and the reachable rows and columns are those of any
+maximum flow.  So runs read only for those two, which may end short of full
+mass, start warm too in exact mode when the masses are equal
 (``_warm_max_flow``): ``max_shippable_mass`` and ``kellerer``'s matching
 runs, whose greedy start ships a maximal matching before the first search.
 Float mode keeps them cold: a warm plan adds its mass up in another order,
 which can move the last bit of the printed value.  What a warm run does not
-have is a profile: the greedy shipments carry no slopes, and below full
-mass a residual cycle through the source may have negative cost, so a short
-warm plan need not be the cheapest of its mass.  ``profile_from_run``,
-``segment_potentials`` and ``value_from_run`` at any other mass therefore
-raise ``PreconditionError`` on a warm run.
+have is a profile: the greedy shipments carry no slopes, the stop rule
+prices no sink arc, and below full mass a residual cycle through the source
+may have negative cost, so a short warm plan need not be the cheapest of
+its mass.  ``profile_from_run``, ``segment_potentials`` and
+``value_from_run`` at any other mass therefore raise ``PreconditionError``
+on a warm run.
 
 Re-optimisation across truncation levels: ``truncation_ladder`` answers
 P(c /\\ level) for a nondecreasing sequence of finite levels from one
@@ -82,27 +92,27 @@ so the potentials keep cost(i,j) - u_i - v_j >= 0 on every cell: they stay
 feasible.  A cell whose cost rose and that carries flow would break
 complementary slackness (its reverse arc gets a negative reduced cost), so
 its flow goes back to its source and sink arcs.  The source potential is
-then reset to max pot X_i and the sink's to min pot Y_j, as the warm start
-sets them, so the reopened source and sink arcs have reduced cost >= 0, and
-the Dijkstra loop runs unchanged to full mass (Ahuja-Magnanti-Orlin, ch. 9).
-Only the unshipped mass is re-routed.  On the 20-level sweep over the
-finite-cost quantiles of a random 60x60 instance with 30% of its cells
-forbidden, this takes 188 Dijkstra runs and unships 137 cells, where
-fresh warm runs per level take 1,286.
+then reset to max pot X_i, as the warm start sets it, so the reopened
+source arcs have reduced cost >= 0, and the Dijkstra loop runs unchanged to
+full mass (Ahuja-Magnanti-Orlin, ch. 9).  Only the unshipped mass is
+re-routed.  On the 20-level sweep over the finite-cost quantiles of a
+random 60x60 instance with 30% of its cells forbidden, this takes 189
+Dijkstra runs and unships 137 cells, where fresh warm runs per level take
+1,291.
 
 Size: each augmentation is one Dijkstra (``SolverRun.searches`` counts
 them), so the time grows with the number of augmenting paths, not only with
-the number of cells.  A random 120x120 instance with 30% of its cells
-forbidden (~10^4 finite cells) traces its profile in about 0.7 s in either
-mode on one core (CPython 3.11, 275 searches); a warm run of it takes about
-0.2 s (103 searches).
+the number of cells.  ``random_instance(120, 120, 0.3, "random", 0)``
+(~10^4 finite cells) traces its profile in 285 searches and about 0.6 s
+exact, 0.5 s in float mode, on one core (CPython 3.11); a warm run of it
+takes 120 searches and about 0.2 s in either mode.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -263,35 +273,52 @@ class _Network:
     Arc a runs from head[a ^ 1] to head[a] with residual capacity res[a]
     (math.inf = uncapped) and cost cost[a]; arcs 2k and 2k + 1 are a forward
     arc and its reverse, so the flow on a forward arc a is res[a ^ 1].  The
-    source arc of X_i is 2i, the sink arc of Y_j is 2(nx + j), and the k-th
-    cell's arc is first_cell + 2k.  Flat lists keep the network free of
-    reference cycles, so it is freed as soon as its run returns.
+    source arc of X_i is 2i, the sink arc of Y_j is 2(nx + j) (node u's is
+    2(u - 1)), and the k-th cell's arc is first_cell + 2k.  ``row_arcs`` and
+    ``col_arcs`` are the bipartite lists a search scans (module docstring);
+    on a ``warm`` network it stops at the first settled column with room.
+    Flat lists keep the network free of reference cycles, so it is freed as
+    soon as its run returns.
     """
 
     def __init__(self, nx: int, ny: int, cells: list, mu_w: list, nu_w: list):
-        n_nodes = nx + ny + 2
-        source, sink = 0, n_nodes - 1
-        adj: List[List[int]] = [[] for _ in range(n_nodes)]
+        source, sink = 0, nx + ny + 1
         head, res, cost = [], [], []
         arcs = [(source, 1 + i, w, 0) for i, w in enumerate(mu_w)]
         arcs += [(1 + nx + j, sink, w, 0) for j, w in enumerate(nu_w)]
         arcs += [(1 + i, 1 + nx + j, math.inf, cij) for i, j, cij in cells]
         for u, v, res_uv, cost_uv in arcs:
-            adj[u].append(len(head))
-            adj[v].append(len(head) + 1)
             head += (v, u)
             res += (res_uv, 0)
             cost += (cost_uv, -cost_uv)
         self.nx, self.ny, self.cells, self.first_cell = nx, ny, cells, 2 * (nx + ny)
-        self.adj, self.head, self.res, self.cost = adj, head, res, cost
-        self.potentials = [0] * n_nodes
+        self.row_arcs: List[List[int]] = [[] for _ in range(nx)]
+        for k, (i, _j, _c) in enumerate(cells):
+            self.row_arcs[i].append(self.first_cell + 2 * k)
+        self.col_arcs: List[List[int]] = [[] for _ in range(ny)]
+        self.head, self.res, self.cost = head, res, cost
+        self.potentials = [0] * (sink + 1)
         self.shipped = self.total_cost = self.searches = 0
+        self.tol, self.warm = modes.tolerance(), False
+
+    def _push(self, a: int, delta) -> None:
+        """Push delta along arc a; a cell whose flow crosses the tolerance
+        enters or leaves its column's list."""
+        res, rev = self.res, a | 1
+        listed = a >= self.first_cell and res[rev] > self.tol
+        res[a] -= delta
+        res[a ^ 1] += delta
+        if a >= self.first_cell and listed != (res[rev] > self.tol):
+            col = self.col_arcs[self.head[rev ^ 1] - 1 - self.nx]
+            if listed:
+                col.remove(rev)
+            else:
+                insort(col, rev)
 
     def warm_start(self) -> None:
         """Reduction potentials and greedy shipments on the fresh network
         (module docstring); a row or column without cells keeps 0."""
         nx, cells, res, potentials = self.nx, self.cells, self.res, self.potentials
-        tol = modes.tolerance()
         row_min: list = [None] * nx  # u
         for i, _j, cij in cells:
             if row_min[i] is None or cij < row_min[i]:
@@ -305,39 +332,38 @@ class _Network:
         potentials[1 : 1 + nx] = [-x for x in row_min]
         potentials[1 + nx : -1] = col_min
         potentials[0] = -min(row_min)
-        potentials[-1] = min(col_min)
         shipped = total_cost = 0
         for k, (i, j, cij) in enumerate(cells):
             if cij - row_min[i] != col_min[j]:
                 continue
             row, col = 2 * i, 2 * (nx + j)  # the source arc of X_i, the sink arc of Y_j
             delta = min(res[row], res[col])
-            if not delta > tol:
+            if not delta > self.tol:
                 continue
             for a in (row, self.first_cell + 2 * k, col):
-                res[a] -= delta
-                res[a ^ 1] += delta
+                self._push(a, delta)
             shipped += delta
             total_cost += cij * delta
-        self.shipped, self.total_cost = shipped, total_cost
+        self.shipped, self.total_cost, self.warm = shipped, total_cost, True
 
     def augment(self, target=None, segments: Optional[list] = None):
         """Ship along shortest augmenting paths until the shipped mass
-        reaches the (scaled) target or, without one, until a search misses
-        the sink.
+        reaches the (scaled) target or, without one, until a search finds
+        no path.
 
         With ``segments``, append (shipped, total cost, potentials) where
         each maximal run of equal slopes ends, still scaled.  Returns the
         settled flags of the last search (None when none ran)."""
-        adj, head, res, cost = self.adj, self.head, self.res, self.cost
-        potentials = self.potentials
-        n_nodes = len(adj)
+        nx, head, res, cost = self.nx, self.head, self.res, self.cost
+        row_arcs, col_arcs, potentials = self.row_arcs, self.col_arcs, self.potentials
+        n_nodes = len(potentials)
         source, sink = 0, n_nodes - 1
-        tol = modes.tolerance()
+        sources = range(0, 2 * nx, 2)
+        tol, warm = self.tol, self.warm
         shipped, total_cost = self.shipped, self.total_cost
 
         def dijkstra():
-            dist = [None] * n_nodes
+            dist = [math.inf] * n_nodes
             parent: List[Optional[int]] = [None] * n_nodes  # arc into the node
             dist[source] = 0
             heap = [(0, source)]
@@ -347,15 +373,27 @@ class _Network:
                 if settled[u]:
                     continue
                 settled[u] = True
-                if u == sink:
-                    break
                 pu = potentials[u]
-                for a in adj[u]:
+                if u > nx:  # a column or the sink
+                    if u == sink:
+                        break
+                    a = 2 * (u - 1)  # the column's sink arc
+                    arcs = col_arcs[u - 1 - nx]
+                    if res[a] > tol:
+                        if warm:  # the stop rule (module docstring)
+                            dist[sink], parent[sink], settled[sink] = d, a, True
+                            break
+                        arcs = [a, *arcs]
+                elif u:
+                    arcs = row_arcs[u - 1]
+                else:  # the source: the rows with room
+                    arcs = [a for a in sources if res[a] > tol]
+                for a in arcs:
                     v = head[a]
-                    if settled[v] or not res[a] > tol:
+                    if settled[v]:
                         continue
                     nd = d + (cost[a] + pu - potentials[v])
-                    if dist[v] is None or nd < dist[v]:
+                    if nd < dist[v]:
                         dist[v] = nd
                         parent[v] = a
                         heapq.heappush(heap, (nd, v))
@@ -383,9 +421,10 @@ class _Network:
             delta = min(res[a] for a in path)  # finite: the source arc is capped
             if target is not None:
                 delta = min(delta, target - shipped)
+            if not delta > tol:  # a listed arc without room would ship nothing, forever
+                raise PostconditionError("an augmenting path has no room")
             for a in path:
-                res[a] -= delta
-                res[a ^ 1] += delta
+                self._push(a, delta)
             shipped += delta
             total_cost += sigma * delta
             if segments is not None:
@@ -401,22 +440,19 @@ class _Network:
 
     def raise_costs(self, costs: list) -> int:
         """Raise the cell arcs to ``costs`` (none may fall), unship every
-        cell whose cost rose and that carries flow, and reset the source and
-        sink potentials (module docstring).  Returns the cells unshipped."""
+        cell whose cost rose and that carries flow, and reset the source
+        potential (module docstring).  Returns the cells unshipped."""
         nx, res, cost, potentials = self.nx, self.res, self.cost, self.potentials
-        tol = modes.tolerance()
         shipped = total_cost = unshipped = 0
         a = self.first_cell
         for (i, j, _), x in zip(self.cells, costs):
             f = res[a + 1]
             if x != cost[a]:
                 cost[a], cost[a + 1] = x, -x
-                if f > tol:
-                    res[a + 1] = 0
-                    # back through the source arc of X_i and the sink arc of Y_j
-                    for b in (2 * i, 2 * (nx + j)):
-                        res[b] += f
-                        res[b + 1] -= f
+                if f > self.tol:
+                    # back through the cell and the source and sink arcs
+                    for b in (2 * i + 1, a + 1, 2 * (nx + j) + 1):
+                        self._push(b, f)
                     unshipped += 1
                     f = 0
             shipped += f
@@ -424,7 +460,6 @@ class _Network:
             a += 2
         self.shipped, self.total_cost = shipped, total_cost
         potentials[0] = max(potentials[1 : 1 + nx])
-        potentials[-1] = min(potentials[1 + nx : -1])
         return unshipped
 
 

@@ -36,7 +36,6 @@ from .core import (
     CostMatrix,
     Coupling,
     Marginal,
-    make_cost_matrix,
     make_coupling,
     product_coupling,
 )
@@ -112,8 +111,9 @@ def _check_shape(L: CellSet, mu: Marginal, nu: Marginal) -> None:
 
 def _indicator_cost(L: CellSet) -> CostMatrix:
     """Zero on L, forbidden elsewhere: plans under this cost live inside L."""
-    return make_cost_matrix(
-        [[0 if flag else INF for flag in row] for row in L.rows]
+    zero = modes.coerce(0)
+    return CostMatrix(
+        rows=tuple(tuple(zero if flag else INF for flag in row) for row in L.rows)
     )
 
 

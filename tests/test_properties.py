@@ -192,3 +192,34 @@ def test_float_coupling_sums_run_in_entry_order(case):
     assert list(pi.row_sums.weights) == rows
     assert list(pi.col_sums.weights) == cols
     assert pi.mass == total
+
+
+@given(
+    st.lists(_coupling_masses, min_size=1, max_size=5),
+    st.lists(_coupling_masses, min_size=1, max_size=5),
+    _coupling_masses,
+)
+def test_product_coupling_equals_plain_products(alpha, beta, scale):
+    """``product_coupling`` forms exact entries on integer numerators over
+    one common denominator: they, their types and the sums equal those of
+    the plain products (floats: the same products) read by
+    ``make_coupling``."""
+    for mode in ("exact", "float"):
+        with kg.arithmetic(mode):
+            a = kg.make_marginal(kg.DiscreteSpace(len(alpha)), alpha)
+            b = kg.make_marginal(kg.DiscreteSpace(len(beta)), beta)
+            s = kg.modes.coerce(scale)
+            plain = {
+                (i, j): s * x * y
+                for i, x in enumerate(a.weights)
+                for j, y in enumerate(b.weights)
+                if s * x * y != 0
+            }
+            ref = kg.make_coupling(a.space, b.space, plain)
+            pi = kg.product_coupling(a, b, s)
+            assert list(pi.entries.items()) == list(ref.entries.items())
+            assert [type(m) for m in pi.entries.values()] == [
+                type(m) for m in ref.entries.values()
+            ]
+            assert pi.row_sums == ref.row_sums and pi.col_sums == ref.col_sums
+            assert pi.mass == ref.mass and type(pi.mass) is type(ref.mass)

@@ -54,6 +54,10 @@ def test_warm_and_cold_matching_runs_agree(mode):
             L, mu, nu = _case(seed)
             mu, nu = _marginals(mu, nu)
             cost = _indicator_cost(L)
+            # built without reading its entries, it matches the read matrix
+            # in value and type (0 or 0.0)
+            indicator = [[0 if flag else kg.INF for flag in row] for row in L.rows]
+            assert repr(cost) == repr(kg.make_cost_matrix(indicator))
             warm = _run_ssp(cost, mu, nu, warm=True)
             cold = _run_ssp(cost, mu, nu)
             # float mode adds the shipped mass up in another order
