@@ -20,9 +20,9 @@ Infinite cells are never added to the network.  Zero-weight atoms keep their
 nodes (with zero-capacity source/sink arcs) so indices line up with inputs.
 Every arc keeps only its residual capacity (``math.inf`` on a cell arc); a
 cell's flow is its reverse arc's residual.  A run without a target ends with
-a search that misses the sink, which settles exactly what the source reaches
-in the residual graph: the source side of a minimum cut, ``reachable_rows``
-and ``reachable_cols``.  A targeted run has no cut.
+a search that finds no column with room, which settles exactly what the
+source reaches in the residual graph: the source side of a minimum cut,
+``reachable_rows`` and ``reachable_cols``.  A targeted run has no cut.
 
 Certificates: cell arcs are uncapped, hence always residual, so the running
 potentials satisfy cost(i,j) - u_i - v_j >= 0 on *every* finite cell at every
@@ -45,11 +45,26 @@ runs the same loop on the floats as given, unscaled.
 
 Determinism: the search is bipartite.  The source pushes the rows with room
 in index order, a row scans its cell arcs row-major (uncapped, so always
-residual), and a column its sink arc, then a sorted list of the reverse
-arcs of its cells that carry flow, which every shipment keeps current: the
-residual arcs a generic scan would meet, in the same order.  Dijkstra
-breaks distance ties by node index with strict-improvement relaxation, so
-profiles, couplings and potentials are reproducible byte for byte.
+residual), and a column a sorted list of the reverse arcs of its cells that
+carry flow, which every shipment keeps current.  No search scans a sink arc
+or the reverse arc of a source or sink arc.  A search ends at the first
+settled column whose sink arc has room, the stop rule of Jonker and
+Volgenant (*Computing* 38, 1987), which takes the sink's label and parent
+from that column.  Dijkstra breaks distance ties by node index with
+strict-improvement relaxation, so profiles, couplings and potentials are
+reproducible byte for byte.
+
+A cold run (zero flow, zero potentials) takes the paths and sets the
+potentials that a search on to the sink would.  A column whose sink arc has
+room never settles below the sink's label, since its zero-cost sink arc
+would give the sink a smaller one.  So each search adds the same d_sink to
+every such column and to the sink, and they keep one shared potential.  No
+path runs back through a sink arc, so a full column never reopens.  Hence
+the first settled column with room carries the sink's label, and
+strict-improvement relaxation would make it the sink's parent.  Every node
+a search on to the sink would settle after it has exactly that label, so
+the potential updates agree.  (In float mode a rounded reduced cost may
+fall just below 0, and the two rules may then part by a rounding error.)
 
 Warm start: a caller that reads only the answer at full mass (the value,
 the dual pair, the witness plan) asks for ``warm=True``.  The run then
@@ -58,15 +73,14 @@ u_i = min_j c_ij and v_j = min_i (c_ij - u_i) (pot X_i = -u_i,
 pot Y_j = v_j, pot source = -min u), so every cell and every unsaturated
 source arc has reduced cost >= 0.  It ships greedily, row-major, on the
 cells these potentials make tight, and the Dijkstra loop runs from that
-pseudoflow (Ahuja-Magnanti-Orlin, *Network Flows*, 1993, ch. 9) with the
-stop rule of Jonker and Volgenant (*Computing* 38, 1987): a search ends at
-the first settled column whose sink arc has room (cold runs search on to
-the sink).  A full-mass plan saturates every sink arc, so the sink arcs'
-costs change neither which plan is cheapest nor the shipped mass or the min
-cut; with each open sink arc priced tight, that column ends a shortest
-path.  The labels of the settled nodes keep every cell's reduced cost >= 0
-and make the path tight.  No warm search scans a sink arc, nor the reverse
-source and sink arcs the greedy opens.  At full mass every source and sink
+pseudoflow (Ahuja-Magnanti-Orlin, *Network Flows*, 1993, ch. 9).  The
+warm start leaves the sink arcs unpriced (the sink starts at 0, not at a
+column's v_j), and the stop rule is exact there for another reason: a
+full-mass plan saturates every sink arc, so the sink arcs' costs change
+neither which plan is cheapest nor the shipped mass or the min cut.  With
+each open sink arc priced tight, the first column with room ends a
+shortest path; the labels of the settled nodes keep every cell's reduced
+cost >= 0 and make the path tight.  At full mass every source and sink
 arc is saturated, so the final potentials certify the plan as above; a
 search that finds no column with room settles all the source reaches, so
 the shipped mass and the reachable rows and columns are those of any
@@ -76,7 +90,7 @@ mass, start warm too in exact mode when the masses are equal
 runs, whose greedy start ships a maximal matching before the first search.
 Float mode keeps them cold: a warm plan adds its mass up in another order,
 which can move the last bit of the printed value.  What a warm run does not
-have is a profile: the greedy shipments carry no slopes, the stop rule
+have is a profile: the greedy shipments carry no slopes, the warm start
 prices no sink arc, and below full mass a residual cycle through the source
 may have negative cost, so a short warm plan need not be the cheapest of
 its mass.  ``profile_from_run``, ``segment_potentials`` and
@@ -91,10 +105,9 @@ The first level is a warm run.  Raising the level only raises cell costs,
 so the potentials keep cost(i,j) - u_i - v_j >= 0 on every cell: they stay
 feasible.  A cell whose cost rose and that carries flow would break
 complementary slackness (its reverse arc gets a negative reduced cost), so
-its flow goes back to its source and sink arcs.  The source potential is
-then reset to max pot X_i, as the warm start sets it, so the reopened
-source arcs have reduced cost >= 0, and the Dijkstra loop runs unchanged to
-full mass (Ahuja-Magnanti-Orlin, ch. 9).  Only the unshipped mass is
+its flow goes back to its source and sink arcs, and the Dijkstra loop runs
+unchanged to full mass (Ahuja-Magnanti-Orlin, ch. 9); ``raise_costs`` says
+why the source potential needs no reset.  Only the unshipped mass is
 re-routed.  On the 20-level sweep over the finite-cost quantiles of a
 random 60x60 instance with 30% of its cells forbidden, this takes 189
 Dijkstra runs and unships 137 cells, where fresh warm runs per level take
@@ -103,9 +116,9 @@ Dijkstra runs and unships 137 cells, where fresh warm runs per level take
 Size: each augmentation is one Dijkstra (``SolverRun.searches`` counts
 them), so the time grows with the number of augmenting paths, not only with
 the number of cells.  ``random_instance(120, 120, 0.3, "random", 0)``
-(~10^4 finite cells) traces its profile in 285 searches and about 0.6 s
-exact, 0.5 s in float mode, on one core (CPython 3.11); a warm run of it
-takes 120 searches and about 0.2 s in either mode.
+(~10^4 finite cells) traces its profile in 285 searches and about 0.5 s
+in either mode, on one core (CPython 3.11); a warm run of it takes 120
+searches and about 0.2 s.
 """
 
 from __future__ import annotations
@@ -215,7 +228,9 @@ class SolverRun:
     that traced the profile from zero flow, and the marginals' mass on a
     warm-started run, which answers only there and has no segments.
     ``reachable_rows`` and ``reachable_cols`` are the source side of a min
-    cut, and None on a run stopped at its target.
+    cut, which a run without a target reads off its last search, the one
+    that finds no column with room; they are None on a run stopped at its
+    target.
     """
 
     nx: int
@@ -275,8 +290,8 @@ class _Network:
     arc and its reverse, so the flow on a forward arc a is res[a ^ 1].  The
     source arc of X_i is 2i, the sink arc of Y_j is 2(nx + j) (node u's is
     2(u - 1)), and the k-th cell's arc is first_cell + 2k.  ``row_arcs`` and
-    ``col_arcs`` are the bipartite lists a search scans (module docstring);
-    on a ``warm`` network it stops at the first settled column with room.
+    ``col_arcs`` are the bipartite lists a search scans, and every search
+    stops at the first settled column with room (module docstring).
     Flat lists keep the network free of reference cycles, so it is freed as
     soon as its run returns.
     """
@@ -299,7 +314,7 @@ class _Network:
         self.head, self.res, self.cost = head, res, cost
         self.potentials = [0] * (sink + 1)
         self.shipped = self.total_cost = self.searches = 0
-        self.tol, self.warm = modes.tolerance(), False
+        self.tol = modes.tolerance()
 
     def _push(self, a: int, delta) -> None:
         """Push delta along arc a; a cell whose flow crosses the tolerance
@@ -344,12 +359,12 @@ class _Network:
                 self._push(a, delta)
             shipped += delta
             total_cost += cij * delta
-        self.shipped, self.total_cost, self.warm = shipped, total_cost, True
+        self.shipped, self.total_cost = shipped, total_cost
 
     def augment(self, target=None, segments: Optional[list] = None):
         """Ship along shortest augmenting paths until the shipped mass
         reaches the (scaled) target or, without one, until a search finds
-        no path.
+        no column with room.
 
         With ``segments``, append (shipped, total cost, potentials) where
         each maximal run of equal slopes ends, still scaled.  Returns the
@@ -359,7 +374,7 @@ class _Network:
         n_nodes = len(potentials)
         source, sink = 0, n_nodes - 1
         sources = range(0, 2 * nx, 2)
-        tol, warm = self.tol, self.warm
+        tol = self.tol
         shipped, total_cost = self.shipped, self.total_cost
 
         def dijkstra():
@@ -374,16 +389,12 @@ class _Network:
                     continue
                 settled[u] = True
                 pu = potentials[u]
-                if u > nx:  # a column or the sink
-                    if u == sink:
+                if u > nx:  # a column
+                    a = 2 * (u - 1)  # its sink arc
+                    if res[a] > tol:  # the stop rule (module docstring)
+                        dist[sink], parent[sink], settled[sink] = d, a, True
                         break
-                    a = 2 * (u - 1)  # the column's sink arc
                     arcs = col_arcs[u - 1 - nx]
-                    if res[a] > tol:
-                        if warm:  # the stop rule (module docstring)
-                            dist[sink], parent[sink], settled[sink] = d, a, True
-                            break
-                        arcs = [a, *arcs]
                 elif u:
                     arcs = row_arcs[u - 1]
                 else:  # the source: the rows with room
@@ -439,10 +450,17 @@ class _Network:
         return settled
 
     def raise_costs(self, costs: list) -> int:
-        """Raise the cell arcs to ``costs`` (none may fall), unship every
-        cell whose cost rose and that carries flow, and reset the source
-        potential (module docstring).  Returns the cells unshipped."""
-        nx, res, cost, potentials = self.nx, self.res, self.cost, self.potentials
+        """Raise the cell arcs to ``costs`` (none may fall) and unship every
+        cell whose cost rose and that carries flow (module docstring).
+        Returns the cells unshipped.
+
+        The source potential is not reset, even if a reopened source arc
+        then has a negative reduced cost.  The source is settled first
+        in every search, and no scanned arc enters it.  So its potential
+        only shifts every seed label, every distance and every X/Y
+        potential update by one constant: no path, value or search count
+        changes."""
+        nx, res, cost = self.nx, self.res, self.cost
         shipped = total_cost = unshipped = 0
         a = self.first_cell
         for (i, j, _), x in zip(self.cells, costs):
@@ -459,7 +477,6 @@ class _Network:
             total_cost += x * f
             a += 2
         self.shipped, self.total_cost = shipped, total_cost
-        potentials[0] = max(potentials[1 : 1 + nx])
         return unshipped
 
 

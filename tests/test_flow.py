@@ -5,8 +5,8 @@ import pytest
 
 import kantgap as kg
 from kantgap import modes
-from kantgap.errors import InfeasibleMassError, InputError
-from kantgap.flow import _run_ssp, profile_from_run
+from kantgap.errors import InfeasibleMassError, InputError, PostconditionError
+from kantgap.flow import _Network, _run_ssp, profile_from_run
 from kantgap.modes import EXACT, FLOAT, arithmetic
 
 
@@ -240,6 +240,23 @@ def test_segments_are_the_profile_breakpoints(mode):
             )
             if run.segments:
                 assert run.segments[-1][:2] == (run.shipped, run.cost)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_a_path_without_room_raises(mode):
+    """A column list that holds a cell without flow gives a search a path
+    through a reverse arc with no residual: shipping nothing along it would
+    repeat forever, so ``augment`` raises instead."""
+    with arithmetic(mode):
+        one, zero = modes.coerce(1), modes.coerce(0)
+        # X_0 reaches only Y_0, which is full; Y_0's list wrongly offers the
+        # unshipped cell (1, 0) back to X_1, whose cell (1, 1) reaches Y_1
+        cells = [(0, 0, zero), (1, 0, zero), (1, 1, zero)]
+        net = _Network(2, 2, cells, [one, zero], [zero, one])
+        net.col_arcs[0].append(net.first_cell + 3)  # the reverse arc of cell (1, 0)
+        with pytest.raises(PostconditionError, match="an augmenting path has no room"):
+            net.augment()
+        assert net.shipped == 0
 
 
 def _run_numbers(run):

@@ -204,9 +204,9 @@ def _scannable_arcs_reduced_nonnegative(net):
 
 
 def test_raised_costs_keep_the_potentials_feasible():
-    """After each raise (unship, source and sink reset) the Dijkstra loop
-    runs again: no arc it scans may have negative reduced cost, and the
-    climb must end where a fresh warm run of the level ends."""
+    """After each raise (which unships the cells whose cost rose) the
+    Dijkstra loop runs again: no arc it scans may have negative reduced
+    cost, and the climb must end where a fresh warm run of the level ends."""
     rng = random.Random(7)
     for _ in range(200):
         nx, ny = rng.randint(1, 5), rng.randint(1, 5)
