@@ -219,9 +219,11 @@ class CostMatrix:
                 yield i, j, v
 
     def finite_cells(self) -> Iterator[Tuple[int, int, object]]:
-        for i, j, v in self.cells():
-            if v is not INF:
-                yield i, j, v
+        # a flat loop, not one over cells(): every engine run lists them
+        for i, row in enumerate(self.rows):
+            for j, v in enumerate(row):
+                if v is not INF:
+                    yield i, j, v
 
     def max_finite(self):
         """Largest finite entry, or 0 when every cell is infinite."""
@@ -319,20 +321,22 @@ class Coupling:
         return sorted(self.entries.items())
 
 
-def _common_denominator(values) -> int:
-    """The lcm of the denominators of exact numbers (1 for none)."""
+def _ints(values: list) -> Tuple[list, int]:
+    """The numbers ``values`` in the form the flow engine runs on, with
+    their scale.  In exact mode: each value times the lcm of their
+    denominators, as an int, and that lcm (1 for none).  In float mode: the
+    list itself and 1.  This is the one place where the two modes part on
+    the way in; ``_unscaled`` undoes it."""
+    if not modes.is_exact():
+        return values, 1
     try:
-        return math.lcm(*{v.denominator for v in values})
+        scale = math.lcm(*{v.denominator for v in values})
     except AttributeError:
         raise InputError(
             "a float reached the exact engine; objects built under one "
             "arithmetic mode cannot be solved under the other"
         ) from None
-
-
-def _scaled(x, scale: int) -> int:
-    """x * scale as an int; scale is a multiple of x's denominator."""
-    return x.numerator * (scale // x.denominator)
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 def _unscaled(x, scale: int):
@@ -347,9 +351,10 @@ def _unscaled(x, scale: int):
 def make_coupling(
     space_x: DiscreteSpace, space_y: DiscreteSpace, entries: Mapping
 ) -> Coupling:
-    """Validate and build a coupling.  In exact mode the row, column and
-    total sums run on ints over the entries' common denominator and are
-    divided by it once; float mode sums the floats in entry order."""
+    """Validate and build a coupling.  The row, column and total sums run
+    on the entries in engine form (``_ints``): in exact mode on ints over
+    their common denominator, divided by it once; in float mode on the
+    floats in entry order."""
     clean = {}
     for (i, j), m in entries.items():
         if not (0 <= i < space_x.size and 0 <= j < space_y.size):
@@ -360,11 +365,7 @@ def make_coupling(
         if v == 0:
             continue
         clean[(i, j)] = v
-    values = clean.values()
-    scale = 1
-    if modes.is_exact():
-        scale = _common_denominator(values)
-        values = [_scaled(v, scale) for v in values]
+    values, scale = _ints(list(clean.values()))
     return _coupling(space_x, space_y, clean, values, scale)
 
 
@@ -418,22 +419,18 @@ def cost_of(c: CostMatrix, pi: Coupling):
 
 
 def product_coupling(alpha: Marginal, beta: Marginal, scale=1) -> Coupling:
-    """The plan scale * alpha (x) beta; mass is scale*|alpha|*|beta|.  In
-    exact mode each entry is formed on the weights' integer numerators over
-    one common denominator, and divided by it once."""
+    """The plan scale * alpha (x) beta; mass is scale*|alpha|*|beta|.  Each
+    entry is formed on the weights in engine form (``_ints``): in exact
+    mode on integer numerators over one common denominator, divided by it
+    once."""
     s = modes.coerce(scale)
     if s < 0:
         raise NegativeWeightError(f"scale {s} is negative")
-    a_w, b_w, denom = alpha.weights, beta.weights, 1
-    if modes.is_exact():
-        da, db = _common_denominator(a_w), _common_denominator(b_w)
-        denom = s.denominator * da * db
-        a_w = [s.numerator * _scaled(a, da) for a in a_w]
-        b_w = [_scaled(b, db) for b in b_w]
-    else:
-        a_w = [s * a for a in a_w]
-        if max(a_w) * max(b_w) == math.inf:
-            raise InputError(f"the product coupling at scale {s} overflows a float")
+    a_w, da = _ints([s * a for a in alpha.weights])
+    b_w, db = _ints(list(beta.weights))
+    if max(a_w) * max(b_w) == math.inf:  # only floats overflow
+        raise InputError(f"the product coupling at scale {s} overflows a float")
+    denom = da * db
     values = {}
     for i, sa in enumerate(a_w):
         if sa == 0:

@@ -348,6 +348,7 @@ def attainment_check(
     grid = [modes.coerce(m) for m in m_grid]
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise InputError("truncation grid must be ascending")
+    ladder = truncation_ladder(c, mu, nu, grid)  # checks the levels, runs nothing
     rep = dual_value(c, mu, nu)
     relaxed = rep.value
     if is_inf(relaxed):
@@ -373,7 +374,7 @@ def attainment_check(
         raise PostconditionError("certified bound failed to reach the relaxed value")
     attaining = (
         step.level
-        for step in truncation_ladder(c, mu, nu, grid)
+        for step in ladder
         if modes.eq(step.value, relaxed)
     )
     level = next(attaining, None)

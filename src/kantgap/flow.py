@@ -32,16 +32,18 @@ dual certificates for the profile value there.
 
 Exact arithmetic: the engine runs on Python ints.  Costs are scaled by lc,
 the lcm of the finite costs' denominators, and masses (weights and the
-target) by lw, the lcm of theirs.  Scaling by a positive constant keeps
-every comparison and tie, so the ints take the same paths the rationals
-would.  The profile is recorded as the run goes: ``SolverRun.segments``
-holds, for each breakpoint after (0, 0), the running shipped mass and total
-cost with a snapshot of the potentials there.  The scaling is undone once,
-when the run is returned: the final potentials are divided by lc, masses
-and flows by lw, costs by lc*lw.  The snapshots stay scaled in the run,
-since only a full profile reads them; ``profile_from_run`` unscales them.
-Integral results come out as ``int``, the rest as ``Fraction``.  Float mode
-runs the same loop on the floats as given, unscaled.
+target) by lw, the lcm of theirs.  One helper, ``core._ints``, scales every
+network and every ladder, and it is the only place where the two modes
+part: float mode takes the floats as given, with lc = lw = 1, and runs the
+same code.  Scaling by a positive constant keeps every comparison and tie,
+so the ints take the same paths the rationals would.  The profile is
+recorded as the run goes: ``SolverRun.segments`` holds, for each breakpoint
+after (0, 0), the running shipped mass and total cost with a snapshot of
+the potentials there.  The scaling is undone once, when the run is
+returned: the final potentials are divided by lc, masses and flows by lw,
+costs by lc*lw.  The snapshots stay scaled in the run, since only a full
+profile reads them; ``profile_from_run`` unscales them.  Integral results
+come out as ``int``, the rest as ``Fraction``.
 
 Determinism: the search is bipartite.  The source pushes the rows with room
 in index order, a row scans its cell arcs row-major (uncapped, so always
@@ -85,22 +87,22 @@ arc is saturated, so the final potentials certify the plan as above; a
 search that finds no column with room settles all the source reaches, so
 the shipped mass and the reachable rows and columns are those of any
 maximum flow.  So runs read only for those two, which may end short of full
-mass, start warm too in exact mode when the masses are equal
-(``_warm_max_flow``): ``max_shippable_mass`` and ``kellerer``'s matching
-runs, whose greedy start ships a maximal matching before the first search.
-Float mode keeps them cold: a warm plan adds its mass up in another order,
-which can move the last bit of the printed value.  What a warm run does not
-have is a profile: the greedy shipments carry no slopes, the warm start
-prices no sink arc, and below full mass a residual cycle through the source
-may have negative cost, so a short warm plan need not be the cheapest of
-its mass.  ``profile_from_run``, ``segment_potentials`` and
-``value_from_run`` at any other mass therefore raise ``PreconditionError``
-on a warm run.
+mass, start warm too whenever the masses are equal: ``max_shippable_mass``
+and ``kellerer``'s matching runs, whose greedy start ships a maximal
+matching before the first search.  In float mode a warm plan adds its mass
+up in another order than a cold one, so the shipped mass may differ in its
+last bits.  What a warm run does not have is a profile: the greedy
+shipments carry no slopes, the warm start prices no sink arc, and below
+full mass a residual cycle through the source may have negative cost, so a
+short warm plan need not be the cheapest of its mass.  ``profile_from_run``,
+``segment_potentials`` and ``value_from_run`` at any other mass therefore
+raise ``PreconditionError`` on a warm run.
 
 Re-optimisation across truncation levels: ``truncation_ladder`` answers
 P(c /\\ level) for a nondecreasing sequence of finite levels from one
 network.  Every cell is finite under a finite level, so the network holds
-all of them, and in exact mode lc also covers the levels' denominators.
+all of them, and lc also covers the levels' denominators: one call of
+``core._ints`` scales the finite costs and every level value together.
 The first level is a warm run.  Raising the level only raises cell costs,
 so the potentials keep cost(i,j) - u_i - v_j >= 0 on every cell: they stay
 feasible.  A cell whose cost rose and that carries flow would break
@@ -127,6 +129,7 @@ import heapq
 import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from . import modes
@@ -135,8 +138,7 @@ from .core import (
     CostMatrix,
     Coupling,
     Marginal,
-    _common_denominator,
-    _scaled,
+    _ints,
     _unscaled,
     is_inf,
     make_coupling,
@@ -485,19 +487,14 @@ def _run_ssp(
 ) -> SolverRun:
     _require_instance(c, mu, nu, warm)
     nx, ny = c.nx, c.ny
+    # costs times lc and masses times lw, in engine form (module docstring)
     cells = list(c.finite_cells())
-    mu_w, nu_w = list(mu.weights), list(nu.weights)
-    # exact mode: ints, costs times lc and masses times lw (module docstring)
-    if modes.is_exact():
-        lc = _common_denominator(cij for _, _, cij in cells)
-        lw = _common_denominator(mu_w + nu_w + ([] if target is None else [target]))
-        cells = [(i, j, _scaled(cij, lc)) for i, j, cij in cells]
-        mu_w = [_scaled(w, lw) for w in mu_w]
-        nu_w = [_scaled(w, lw) for w in nu_w]
-        if target is not None:
-            target = _scaled(target, lw)
-    else:
-        lc = lw = 1
+    costs, lc = _ints([cij for _, _, cij in cells])
+    if lc != 1:
+        cells = [(i, j, x) for (i, j, _), x in zip(cells, costs)]
+    masses, lw = _ints([*mu.weights, *nu.weights, 0 if target is None else target])
+    mu_w, nu_w = masses[:nx], masses[nx:-1]
+    target = None if target is None else masses[-1]
 
     net = _Network(nx, ny, cells, mu_w, nu_w)
     segments = None if warm else []
@@ -589,27 +586,23 @@ def _climb(
     if not checked:
         return
     base = [v for row in c.rows for v in row]
-    mu_w, nu_w = list(mu.weights), list(nu.weights)
-    exact = modes.is_exact()
-    if exact:
-        finite = [v for v in base if v is not INF]
-        for _, vals in checked:
-            finite += vals if isinstance(vals, list) else [vals]
-        lc = _common_denominator(finite)
-        lw = _common_denominator(mu_w + nu_w)
-        base = [v if v is INF else _scaled(v, lc) for v in base]
-        mu_w = [_scaled(w, lw) for w in mu_w]
-        nu_w = [_scaled(w, lw) for w in nu_w]
-    else:
-        lc = lw = 1
+    # one lc over the finite costs and every level value (module docstring)
+    finite = [v for v in base if v is not INF]
+    for _, vals in checked:
+        finite += vals if isinstance(vals, list) else [vals]
+    scaled, lc = _ints(finite)
+    scaled = iter(scaled)  # the finite costs, then each level's values
+    base = [v if v is INF else next(scaled) for v in base]
+    masses, lw = _ints([*mu.weights, *nu.weights])
+    mu_w, nu_w = masses[: c.nx], masses[c.nx :]
     full = min(sum(mu_w), sum(nu_w))
     net = None
     for level, vals in checked:
         # min(c, level) per cell, scaled; a cell where c is INF takes the level
-        if not isinstance(vals, list):
-            vals = [_scaled(vals, lc) if exact else vals] * len(base)
-        elif exact:
-            vals = [_scaled(v, lc) for v in vals]
+        if isinstance(vals, list):
+            vals = list(islice(scaled, len(vals)))
+        else:
+            vals = [next(scaled)] * len(base)
         costs = [m if v is INF or v > m else v for v, m in zip(base, vals)]
         if net is None:
             cells = [(*divmod(n, c.ny), x) for n, x in enumerate(costs)]
@@ -671,12 +664,8 @@ def optimal_coupling_at(c: CostMatrix, mu: Marginal, nu: Marginal, m) -> Couplin
     return make_coupling(mu.space, nu.space, run.flows)
 
 
-def _warm_max_flow(mu: Marginal, nu: Marginal) -> bool:
-    """Whether a run read only for its shipped mass and min cut starts
-    warm (module docstring)."""
-    return modes.is_exact() and mu.mass == nu.mass
-
-
 def max_shippable_mass(c: CostMatrix, mu: Marginal, nu: Marginal):
-    """Largest mass a partial coupling on finite cells can carry."""
-    return _run_ssp(c, mu, nu, warm=_warm_max_flow(mu, nu)).shipped
+    """Largest mass a partial coupling on finite cells can carry; a run
+    read only for it starts warm when the masses are equal (module
+    docstring)."""
+    return _run_ssp(c, mu, nu, warm=modes.eq(mu.mass, nu.mass)).shipped

@@ -46,7 +46,7 @@ from .errors import (
     NotSquareError,
     PostconditionError,
 )
-from .flow import SolverRun, _run_ssp, _warm_max_flow
+from .flow import SolverRun, _run_ssp
 from .primal import _require_unit_masses
 
 
@@ -127,11 +127,12 @@ class CoverCertificate:
 def matching_run(L: CellSet, mu: Marginal, nu: Marginal) -> SolverRun:
     """One engine run on the indicator cost of L: the run that the cover,
     the matching mass and the zero-mass dichotomy of L all read.  They need
-    only its shipped mass and min cut, so it starts warm in exact mode with
-    equal masses (``flow._warm_max_flow``), and its plan may differ from a
-    cold run's."""
+    only its shipped mass and min cut, so it starts warm whenever the masses
+    are equal, in either mode (``flow`` module docstring).  Its plan may
+    differ from a cold run's, and in float mode its shipped mass may differ
+    in the last bits, since a warm plan adds its mass up in another order."""
     _check_shape(L, mu, nu)
-    return _run_ssp(_indicator_cost(L), mu, nu, warm=_warm_max_flow(mu, nu))
+    return _run_ssp(_indicator_cost(L), mu, nu, warm=modes.eq(mu.mass, nu.mass))
 
 
 def max_mass_on(L: CellSet, mu: Marginal, nu: Marginal) -> Tuple[object, Coupling]:
@@ -194,9 +195,8 @@ def null_for_all_couplings(L: CellSet, mu: Marginal, nu: Marginal) -> bool:
     partial coupling that charges L puts mass on a cell whose row and column
     both carry weight, and the product coupling mu x nu, a full coupling,
     charges every such cell."""
-    run = matching_run(L, mu, nu)
     _require_unit_masses(mu, nu)
-    return not modes.is_positive(run.shipped)
+    return not modes.is_positive(matching_run(L, mu, nu).shipped)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import pytest
 
 import kantgap as kg
 from kantgap import modes
+from kantgap.core import _ints
 from kantgap.errors import (
     DimensionMismatchError,
     InputError,
@@ -284,3 +285,22 @@ def test_float_overflow_says_too_large(value):
     assert len(str(err.value)) < 60
     with modes.arithmetic(modes.EXACT):
         assert modes.coerce(value) == F(value)
+
+
+def test_ints_scales_exact_numbers_by_their_lcm():
+    got, scale = _ints([F(1, 6), 2, F(3, 4), 0])
+    assert (got, scale) == ([2, 24, 9, 0], 12)
+    assert all(type(x) is int for x in got)
+    assert _ints([]) == ([], 1)
+
+
+def test_ints_keeps_floats_as_given():
+    with modes.arithmetic(modes.FLOAT):
+        values = [0.1, 2.0, 0.75]
+        got, scale = _ints(values)
+    assert got is values and scale == 1
+
+
+def test_ints_rejects_a_float_in_exact_mode():
+    with pytest.raises(InputError, match="a float reached the exact engine"):
+        _ints([F(1, 2), 0.5])

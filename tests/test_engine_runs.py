@@ -10,6 +10,7 @@ import pytest
 import kantgap as kg
 from kantgap import flow, problem_io
 from kantgap.cli import main
+from kantgap.errors import NegativeWeightError, PreconditionError
 
 
 @pytest.fixture
@@ -97,7 +98,7 @@ def test_only_full_mass_answers_start_warm(tmp_path, engine_runs, capsys):
         (["profile", feasible], [False]),
         (["covers", feasible, "--cells", str(cells)], [True]),  # 6x7: no capacity run
         (["covers", square, "--cells", str(cells)], [True, True]),  # and the capacity run
-        (["--float", "covers", square, "--cells", str(cells)], [False, False]),
+        (["--float", "covers", square, "--cells", str(cells)], [True, True]),
     ]
     for argv, warm in expected:
         del engine_runs[:]
@@ -124,6 +125,17 @@ def test_full_mass_library_answers_run_warm_once(engine_runs):
     kg.attainment_check(*inst, [1, 2, 4])
     args, kwargs = engine_runs[0]
     assert args[0] is inst[0] and kwargs.get("warm") is True
+
+
+def test_bad_input_is_rejected_before_any_engine_run(engine_runs):
+    c, mu, nu = kg.example_diagonal(3)
+    with pytest.raises(NegativeWeightError, match="^truncation level -1 is negative$"):
+        kg.attainment_check(c, mu, nu, [-1, 2])
+    half = kg.make_marginal(mu.space, [F(1, 6)] * 3)
+    L = kg.cellset_from_pairs(3, 3, [(0, 0), (1, 2)])
+    with pytest.raises(PreconditionError, match="^probability marginals required$"):
+        kg.null_for_all_couplings(L, half, half)
+    assert engine_runs == []
 
 
 def test_solve_witness_is_the_targeted_optimal_coupling(tmp_path, capsys):

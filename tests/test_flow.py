@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 import kantgap as kg
-from kantgap import modes
+from kantgap import flow, modes
 from kantgap.errors import InfeasibleMassError, InputError, PostconditionError
 from kantgap.flow import _Network, _run_ssp, profile_from_run
 from kantgap.modes import EXACT, FLOAT, arithmetic
@@ -293,3 +294,11 @@ def test_objects_from_float_mode_rejected_in_exact_mode():
         c, mu, nu = kg.example_diagonal(3)
     with pytest.raises(InputError):
         kg.solve_profile(c, mu, nu)
+
+
+def test_the_solvers_never_branch_on_the_mode():
+    # numbers take engine form in one helper, core._ints; the engine and
+    # its callers leave every other mode decision to modes
+    src = Path(flow.__file__).parent
+    for name in ("flow.py", "primal.py", "dual.py", "kellerer.py"):
+        assert "is_exact" not in (src / name).read_text(), name

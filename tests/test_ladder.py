@@ -11,7 +11,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import kantgap as kg
 from kantgap import modes
@@ -80,6 +80,12 @@ def _close(a, b):
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
 @_settings
 @given(raw=raw_instances(), levels=constant_levels())
+# level denominators 7 and 11 share no factor with the costs' 2, 3 and 5, so
+# one lc scales both; the cost 50/3 lies above every level
+@example(
+    raw=([[(5, 2), (1, 3), None], [(50, 3), (7, 5), (0, 1)]], [1, 2], [1, 1, 1]),
+    levels=[(3, 7), (9, 11), (20, 7), (40, 11)],
+)
 def test_constant_ladder_matches_per_level_solves(mode, raw, levels):
     with arithmetic(mode):
         c, mu, nu = _build(raw)

@@ -3,9 +3,9 @@
 The cover, the matching mass and the zero-mass dichotomy of a cell set L
 read one engine run on L's indicator cost, and only its shipped mass and its
 min cut.  Every maximum flow ships the same mass and leaves the same source
-side of the residual graph, so in exact mode with equal masses that run
-starts warm (``flow._warm_max_flow``), and it must report what a cold run
-does.  Unequal masses and float mode run cold.
+side of the residual graph, so with equal masses that run starts warm in
+either mode, and it must report what a cold run does (in float mode the
+shipped mass within the tolerance).  Unequal masses run cold.
 """
 
 import random
@@ -80,7 +80,7 @@ def test_only_exact_equal_masses_start_warm(mode):
         for nu_scale in (1, F(1, 2)):
             L, mu, nu = _case(7, nu_scale)
             warm = matching_run(L, *_marginals(mu, nu)).full_mass is not None
-            assert warm == (mode == EXACT and nu_scale == 1)
+            assert warm == (nu_scale == 1)
 
 
 def test_unequal_masses_run_cold_and_agree_with_brute_cover():
