@@ -38,61 +38,38 @@ from .errors import (
 
 
 class _Infinity:
-    """Symbolic +oo.  Compares above every number, equals only itself."""
+    """Symbolic +oo (sign 1) or -oo (sign -1): above, or below, every
+    number, and equal only to itself."""
 
-    __slots__ = ()
+    __slots__ = ("_sign",)
+
+    def __init__(self, sign: int):
+        self._sign = sign
 
     def __repr__(self) -> str:
-        return "inf"
+        return "inf" if self._sign > 0 else "-inf"
 
     def __eq__(self, other) -> bool:
         return other is self
 
     def __hash__(self) -> int:
-        return hash(float("inf"))
+        return hash(self._sign * math.inf)
 
     def __lt__(self, other) -> bool:
-        return False
+        return self._sign < 0 and other is not self
 
     def __le__(self, other) -> bool:
-        return other is self
+        return self._sign < 0 or other is self
 
     def __gt__(self, other) -> bool:
-        return other is not self
+        return self._sign > 0 and other is not self
 
     def __ge__(self, other) -> bool:
-        return True
+        return self._sign > 0 or other is self
 
 
-class _NegInfinity:
-    """Symbolic -oo for dual potentials.  Compares below every number."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "-inf"
-
-    def __eq__(self, other) -> bool:
-        return other is self
-
-    def __hash__(self) -> int:
-        return hash(float("-inf"))
-
-    def __lt__(self, other) -> bool:
-        return other is not self
-
-    def __le__(self, other) -> bool:
-        return True
-
-    def __gt__(self, other) -> bool:
-        return False
-
-    def __ge__(self, other) -> bool:
-        return other is self
-
-
-INF = _Infinity()
-NEG_INF = _NegInfinity()
+INF = _Infinity(1)
+NEG_INF = _Infinity(-1)
 
 
 def is_inf(x) -> bool:

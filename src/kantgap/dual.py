@@ -141,23 +141,23 @@ def _finalize_pair(
     Mirrors modifying potentials on null sets: objectives cannot change, but
     the pair must stay feasible on every cell, not only charged ones.
     """
-    for i in range(mu.space.size):
-        if mu.weights[i] == 0:
-            slack = [
-                v - psi[j]
-                for j, v in enumerate(c.rows[i])
-                if v is not INF and not is_neg_inf(psi[j])
-            ]
-            phi[i] = min([0] + slack)
-    for j in range(nu.space.size):
-        if nu.weights[j] == 0:
-            slack = [
-                c.rows[i][j] - phi[i]
-                for i in range(mu.space.size)
-                if c.rows[i][j] is not INF and not is_neg_inf(phi[i])
-            ]
-            psi[j] = min([0] + slack)
+    _lower_weightless(phi, mu.weights, psi, lambda i: c.rows[i])
+    _lower_weightless(psi, nu.weights, phi, lambda j: [row[j] for row in c.rows])
     return make_dual_pair(phi, psi, mu, nu)
+
+
+def _lower_weightless(pots: list, weights, other: list, line) -> None:
+    """Set pots[k] for each weightless atom k to min(0, c - other) over its
+    finite cells, where ``line(k)`` lists the costs of its cells against
+    the atoms of ``other``."""
+    for k, w in enumerate(weights):
+        if w == 0:
+            slack = [
+                v - other[n]
+                for n, v in enumerate(line(k))
+                if v is not INF and not is_neg_inf(other[n])
+            ]
+            pots[k] = min([0] + slack)
 
 
 def dual_value(c: CostMatrix, mu: Marginal, nu: Marginal) -> DualReport:
@@ -336,8 +336,10 @@ def attainment_check(
     levels whose truncated value already equals the relaxed value.
 
     Truncated values are nondecreasing in the level and never exceed the
-    relaxed value, so the levels that attain form a tail of the grid; one
-    truncation ladder climbs the grid and stops at its first one.  When the
+    relaxed value, so the levels that attain form a tail of the grid.  One
+    truncation ladder checks and climbs the whole grid, before the relaxed
+    value is solved for, and the first attaining level is read off its
+    steps.  When the
     relaxed value is finite, the optimal pair yields the finite ladder
     h = (phi_i + psi_j)_+ with truncated value equal to the relaxed value,
     so truncation at max(h) is a certified sufficient level; both facts are
@@ -345,10 +347,7 @@ def attainment_check(
     trusted.
     """
     _require_probability(mu, nu)
-    grid = [modes.coerce(m) for m in m_grid]
-    if any(b < a for a, b in zip(grid, grid[1:])):
-        raise InputError("truncation grid must be ascending")
-    ladder = truncation_ladder(c, mu, nu, grid)  # checks the levels, runs nothing
+    ladder = truncation_ladder(c, mu, nu, m_grid)
     rep = dual_value(c, mu, nu)
     relaxed = rep.value
     if is_inf(relaxed):
@@ -372,12 +371,7 @@ def attainment_check(
         raise PostconditionError("attainment ladder failed to reach the relaxed value")
     if not modes.eq(primal_value(truncate_at(c, bound), mu, nu), relaxed):
         raise PostconditionError("certified bound failed to reach the relaxed value")
-    attaining = (
-        step.level
-        for step in ladder
-        if modes.eq(step.value, relaxed)
-    )
-    level = next(attaining, None)
+    level = next((s.level for s in ladder if modes.eq(s.value, relaxed)), None)
     return AttainmentReport(
         attained=level is not None,
         level=level,

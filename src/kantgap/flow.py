@@ -103,14 +103,16 @@ P(c /\\ level) for a nondecreasing sequence of finite levels from one
 network.  Every cell is finite under a finite level, so the network holds
 all of them, and lc also covers the levels' denominators: one call of
 ``core._ints`` scales the finite costs and every level value together.
-The first level is a warm run.  Raising the level only raises cell costs,
-so the potentials keep cost(i,j) - u_i - v_j >= 0 on every cell: they stay
-feasible.  A cell whose cost rose and that carries flow would break
-complementary slackness (its reverse arc gets a negative reduced cost), so
-its flow goes back to its source and sink arcs, and the Dijkstra loop runs
-unchanged to full mass (Ahuja-Magnanti-Orlin, ch. 9); ``raise_costs`` says
-why the source potential needs no reset.  Only the unshipped mass is
-re-routed.  On the 20-level sweep over the finite-cost quantiles of a
+The ladder is eager: it checks every level, collecting the values for
+that call as it goes, before it solves the first, and then returns the
+steps of all of them as a list.  The first level is a warm run.  Raising
+the level only raises cell costs, so the potentials keep
+cost(i,j) - u_i - v_j >= 0 on every cell: they stay feasible.  A cell
+whose cost rose and that carries flow would break complementary slackness
+(its reverse arc gets a negative reduced cost), so its flow goes back to
+its source and sink arcs, and the Dijkstra loop runs unchanged to full
+mass (Ahuja-Magnanti-Orlin, ch. 9); ``raise_costs`` says why the source
+potential needs no reset.  Only the unshipped mass is re-routed.  On the 20-level sweep over the finite-cost quantiles of a
 random 60x60 instance with 30% of its cells forbidden, this takes 189
 Dijkstra runs and unships 137 cells, where fresh warm runs per level take
 1,291.
@@ -130,7 +132,7 @@ import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import modes
 from .core import (
@@ -369,7 +371,9 @@ class _Network:
         no column with room.
 
         With ``segments``, append (shipped, total cost, potentials) where
-        each maximal run of equal slopes ends, still scaled.  Returns the
+        each maximal run of equal slopes ends, still scaled; a slope within
+        the tolerance of the one that opened the run counts as equal.
+        Returns the
         settled flags of the last search (None when none ran)."""
         nx, head, res, cost = self.nx, self.head, self.res, self.cost
         row_arcs, col_arcs, potentials = self.row_arcs, self.col_arcs, self.potentials
@@ -442,7 +446,7 @@ class _Network:
             total_cost += sigma * delta
             if segments is not None:
                 point = (shipped, total_cost, tuple(potentials))
-                if sigma == last_sigma:
+                if last_sigma is not None and abs(sigma - last_sigma) <= tol:
                     segments[-1] = point
                 else:
                     segments.append(point)
@@ -507,9 +511,8 @@ def _run_ssp(
         cols = frozenset(j for j in range(ny) if settled[1 + nx + j])
     else:
         rows = cols = None
-    tol = modes.tolerance()
     cell_flows = zip(cells, net.res[net.first_cell + 1 :: 2])  # reverse arcs' residuals
-    flows = {(i, j): _unscaled(f, lw) for (i, j, _), f in cell_flows if f > tol}
+    flows = {(i, j): _unscaled(f, lw) for (i, j, _), f in cell_flows if f > net.tol}
     return SolverRun(
         nx=nx,
         ny=ny,
@@ -542,21 +545,24 @@ class LadderStep:
 
 def truncation_ladder(
     c: CostMatrix, mu: Marginal, nu: Marginal, levels: Sequence
-) -> Iterator[LadderStep]:
+) -> List[LadderStep]:
     """P(c /\\ level) for each of a nondecreasing sequence of finite
     levels, each a number M >= 0 or a ``CostMatrix`` h, from one network
     (module docstring).
 
-    The levels are checked when called, nondecreasing cell by cell; each is
-    solved when its step is asked for, so a caller may stop early.
+    Every level is checked, nondecreasing cell by cell, before the first
+    is solved; then the ladder climbs them all and returns their steps.
     """
     _require_instance(c, mu, nu, warm=True)
-    ny = c.ny
-    checked = []  # (level, its cell values row-major, or the number)
-    prev = prev_max = None
+    nx, ny = c.nx, c.ny
+    base = [v for row in c.rows for v in row]
+    # one lc over the finite costs and every level value (module docstring)
+    finite = [v for v in base if v is not INF]
+    checked = []  # the levels, each number coerced
+    prev = None  # the last level's values row-major, or its number
     for k, level in enumerate(levels):
         if isinstance(level, CostMatrix):
-            if (level.nx, level.ny) != (c.nx, ny):
+            if (level.nx, level.ny) != (nx, ny):
                 raise DimensionMismatchError("cost matrices have different shapes")
             vals = [v for row in level.rows for v in row]
             for n, v in enumerate(vals):
@@ -566,60 +572,50 @@ def truncation_ladder(
                     raise InputError(
                         f"levels decrease at {divmod(n, ny)} between {k - 1} and {k}"
                     )
-            prev_max = max(vals)
+            finite += vals
         else:
             level = vals = modes.coerce(level)
-            if prev_max is not None and level < prev_max:
+            if prev is not None and level < (max(prev) if isinstance(prev, list) else prev):
                 raise InputError("constant levels must be nondecreasing")
             if level < 0:
                 raise NegativeWeightError(f"truncation level {level} is negative")
-            prev_max = level
-        checked.append((level, vals))
+            finite.append(level)
+        checked.append(level)
         prev = vals
-    return _climb(c, mu, nu, checked)
-
-
-def _climb(
-    c: CostMatrix, mu: Marginal, nu: Marginal, checked: list
-) -> Iterator[LadderStep]:
-    """The steps of ``truncation_ladder`` over its checked levels."""
     if not checked:
-        return
-    base = [v for row in c.rows for v in row]
-    # one lc over the finite costs and every level value (module docstring)
-    finite = [v for v in base if v is not INF]
-    for _, vals in checked:
-        finite += vals if isinstance(vals, list) else [vals]
+        return []
     scaled, lc = _ints(finite)
     scaled = iter(scaled)  # the finite costs, then each level's values
     base = [v if v is INF else next(scaled) for v in base]
     masses, lw = _ints([*mu.weights, *nu.weights])
-    mu_w, nu_w = masses[: c.nx], masses[c.nx :]
+    mu_w, nu_w = masses[:nx], masses[nx:]
     full = min(sum(mu_w), sum(nu_w))
     net = None
-    for level, vals in checked:
+    steps = []
+    for level in checked:
         # min(c, level) per cell, scaled; a cell where c is INF takes the level
-        if isinstance(vals, list):
-            vals = list(islice(scaled, len(vals)))
+        if isinstance(level, CostMatrix):
+            vals = list(islice(scaled, len(base)))
         else:
             vals = [next(scaled)] * len(base)
         costs = [m if v is INF or v > m else v for v, m in zip(base, vals)]
         if net is None:
-            cells = [(*divmod(n, c.ny), x) for n, x in enumerate(costs)]
-            net = _Network(c.nx, c.ny, cells, mu_w, nu_w)
+            cells = [(*divmod(n, ny), x) for n, x in enumerate(costs)]
+            net = _Network(nx, ny, cells, mu_w, nu_w)
             net.warm_start()
             unshipped = 0
         else:
             unshipped = net.raise_costs(costs)
         before = net.searches
         net.augment(full)
-        if full - net.shipped > modes.tolerance():
+        if full - net.shipped > net.tol:
             raise PostconditionError(
                 f"a truncated network shipped {_unscaled(net.shipped, lw)} "
                 f"of {_unscaled(full, lw)}"
             )
         value = _unscaled(net.total_cost, lc * lw)
-        yield LadderStep(level, value, net.searches - before, unshipped)
+        steps.append(LadderStep(level, value, net.searches - before, unshipped))
+    return steps
 
 
 def profile_from_run(run: SolverRun) -> TransportProfile:

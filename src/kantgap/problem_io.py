@@ -134,40 +134,28 @@ def dual_certificate(pair, value, feasible: bool) -> dict:
     }
 
 
-def profile_csv(profile) -> str:
-    lines = ["mass,cost"]
-    for m, v in profile.breakpoints:
-        lines.append(f"{format_number(m)},{format_number(v)}")
+def _csv(header: str, rows) -> str:
+    """The header line, then one line of numbers per row."""
+    lines = [header] + [",".join(map(format_number, row)) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def profile_csv(profile) -> str:
+    return _csv("mass,cost", profile.breakpoints)
 
 
 def sweep_csv(rows: Sequence[Tuple[object, object]]) -> str:
-    lines = ["M,P_trunc"]
-    for m, v in rows:
-        lines.append(f"{format_number(m)},{format_number(v)}")
-    return "\n".join(lines) + "\n"
+    return _csv("M,P_trunc", rows)
 
 
 STUDY_HEADER = "n,epsilon,M,P,P_eps,P_trunc,D"
 
 
 def study_csv(rows) -> str:
-    lines = [STUDY_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(r.n),
-                    format_number(r.eps),
-                    format_number(r.level),
-                    format_number(r.value),
-                    format_number(r.partial),
-                    format_number(r.truncated),
-                    format_number(r.dual),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(
+        STUDY_HEADER,
+        ((r.n, r.eps, r.level, r.value, r.partial, r.truncated, r.dual) for r in rows),
+    )
 
 
 def coupling_entries(pi) -> List[List]:

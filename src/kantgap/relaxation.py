@@ -53,6 +53,30 @@ def _check(cond: bool, msg: str) -> None:
         raise PostconditionError(msg)
 
 
+def _densities(sums: Marginal, ref: Marginal, side: str, name: str) -> list:
+    """The density of each plan marginal ``sums`` against ``ref``, atom by
+    atom: 1 on an atom ``ref`` does not weigh, which the plan must not
+    charge."""
+    out = []
+    for i, w in enumerate(ref.weights):
+        if w == 0:
+            if modes.is_positive(sums.weights[i]):
+                raise DensityUndefinedError(
+                    f"plan charges atom {i} of {side} but {name} gives it weight 0"
+                )
+            out.append(1)
+        else:
+            out.append(modes.div(sums.weights[i], w))
+    return out
+
+
+def _deficit(ref: Marginal, sums: Marginal) -> Marginal:
+    """What ``ref`` has left over ``sums``, atom by atom, floored at 0."""
+    return make_marginal(
+        ref.space, tuple(max(w - s, 0) for w, s in zip(ref.weights, sums.weights))
+    )
+
+
 def shrink_to_partial(pi: Coupling, mu: Marginal, nu: Marginal) -> Coupling:
     """Jensen shrink of a plan whose marginals are (f mu, g nu).
 
@@ -62,26 +86,8 @@ def shrink_to_partial(pi: Coupling, mu: Marginal, nu: Marginal) -> Coupling:
     above; all three are asserted.
     """
     rows, cols = coupling_marginals(pi)
-    f = []
-    for i in range(mu.space.size):
-        if mu.weights[i] == 0:
-            if modes.is_positive(rows.weights[i]):
-                raise DensityUndefinedError(
-                    f"plan charges atom {i} of X but mu gives it weight 0"
-                )
-            f.append(1)
-        else:
-            f.append(modes.div(rows.weights[i], mu.weights[i]))
-    g = []
-    for j in range(nu.space.size):
-        if nu.weights[j] == 0:
-            if modes.is_positive(cols.weights[j]):
-                raise DensityUndefinedError(
-                    f"plan charges atom {j} of Y but nu gives it weight 0"
-                )
-            g.append(1)
-        else:
-            g.append(modes.div(cols.weights[j], nu.weights[j]))
+    f = _densities(rows, mu, "X", "mu")
+    g = _densities(cols, nu, "Y", "nu")
 
     row_factor = [modes.div(1, 1 + abs(fi - 1)) for fi in f]
     col_factor = [modes.div(1, 1 + abs(gj - 1)) for gj in g]
@@ -141,12 +147,7 @@ def complete_partial(
     rows, cols = coupling_marginals(pi_eps)
     if not dominates(mu, rows) or not dominates(nu, cols):
         raise InputError("plan is not a partial coupling of (mu, nu)")
-    d_mu = make_marginal(
-        mu.space, tuple(max(w - r, 0) for w, r in zip(mu.weights, rows.weights))
-    )
-    d_nu = make_marginal(
-        nu.space, tuple(max(w - s, 0) for w, s in zip(nu.weights, cols.weights))
-    )
+    d_mu, d_nu = _deficit(mu, rows), _deficit(nu, cols)
     if not modes.eq(d_mu.mass, d_nu.mass):
         raise DeficitMismatchError(
             f"row deficit {d_mu.mass} differs from column deficit {d_nu.mass}"

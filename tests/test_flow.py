@@ -6,8 +6,13 @@ import pytest
 
 import kantgap as kg
 from kantgap import flow, modes
-from kantgap.errors import InfeasibleMassError, InputError, PostconditionError
-from kantgap.flow import _Network, _run_ssp, profile_from_run
+from kantgap.errors import (
+    DimensionMismatchError,
+    InfeasibleMassError,
+    InputError,
+    PostconditionError,
+)
+from kantgap.flow import PotentialPair, TransportProfile, _Network, _run_ssp, profile_from_run
 from kantgap.modes import EXACT, FLOAT, arithmetic
 
 
@@ -241,6 +246,37 @@ def test_segments_are_the_profile_breakpoints(mode):
             )
             if run.segments:
                 assert run.segments[-1][:2] == (run.shipped, run.cost)
+
+
+def test_float_rounding_does_not_split_a_segment():
+    """Two paths whose float unit costs differ by a rounding error extend
+    one segment, as their exact costs do."""
+    inst = kg.random_instance(7, 8, 0.3, "random", 26)
+    assert len(kg.solve_profile(*inst).breakpoints) == 10
+    with arithmetic(FLOAT):
+        bps = kg.solve_profile(*kg.random_instance(7, 8, 0.3, "random", 26)).breakpoints
+    assert len(bps) == 10
+    slopes = [(c1 - c0) / (m1 - m0) for (m0, c0), (m1, c1) in zip(bps, bps[1:])]
+    assert all(b - a > 1e-9 for a, b in zip(slopes, slopes[1:]))
+
+
+_PAIR = PotentialPair(u=(0,), v=(0,))
+
+
+@pytest.mark.parametrize(
+    "breakpoints,n_pairs,error,message",
+    [
+        (((F(1, 2), 0), (1, 1)), 2, InputError, "profile must start at"),
+        (((0, 0), (1, 1)), 1, DimensionMismatchError, "one potential pair per breakpoint"),
+        (((0, 0), (1, 1), (1, 2)), 3, InputError, "masses must strictly increase"),
+        (((0, 0), (F(1, 2), 2), (1, 1)), 3, InputError, "costs must be nondecreasing"),
+        (((0, 0), (F(1, 2), 2), (1, 3)), 3, InputError, "slopes must be nondecreasing"),
+    ],
+    ids=["origin", "pairs", "masses", "costs", "slopes"],
+)
+def test_a_malformed_profile_is_rejected(breakpoints, n_pairs, error, message):
+    with pytest.raises(error, match=message):
+        TransportProfile(breakpoints=breakpoints, potentials=(_PAIR,) * n_pairs)
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])

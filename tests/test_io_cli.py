@@ -336,12 +336,15 @@ def test_cli_malformed_input_exit1_without_traceback(kind, data, diag3_file, tmp
     assert "Traceback" not in err
 
 
-# files json cannot read: nested too deeply, not UTF-8, an integer beyond
-# the digit limit
+# files that are no document of the expected shape: json cannot read the
+# first three (nested too deeply, not UTF-8, an integer beyond the digit
+# limit); the last two parse, but their root is not an object or lacks a key
 _RAW_FILES = {
     "deep": b"[" * 100000,
     "latin-1": b'{"nx": 1, "ny": 1, "mu": ["\xe9"]}',
     "long-int": b'{"nx": ' + b"7" * 5000 + b"}",
+    "list-root": b"[1, 2]",
+    "missing-key": b'{"nx": 1, "ny": 1}',
 }
 
 
