@@ -11,10 +11,14 @@ Subcommands:
 * ``study``    refinement study table (CSV)
 * ``oracle``   brute-force reference values (debugging aid)
 
+``--float`` (before the subcommand) switches to float arithmetic.  Only
+``solve`` and ``dual`` take ``--format {text,json}``: ``solve`` prints
+either form, and ``dual`` prints its exit-2 report in either.
+
 Exit codes: 0 on success (an infinite transport value is a legitimate
-answer, reported as data), 1 on validation errors, 2 when a *requested*
-evaluation is infeasible (for example a mass beyond what the finite cells
-carry).  Outputs are deterministic for fixed inputs and seeds.
+answer, reported as data), 1 on validation errors, 2 when ``dual
+--relaxed`` finds no finite-cost full coupling, so that the relaxed dual is
+undefined.  Outputs are deterministic for fixed inputs and seeds.
 """
 
 from __future__ import annotations
@@ -58,8 +62,6 @@ def _write(text: str, path):
 
 
 def _parse_grid(tokens):
-    if not tokens:
-        return []
     return [t for t in tokens.split(",") if t]
 
 
@@ -128,18 +130,12 @@ def _cmd_profile(args) -> int:
 
 def _cmd_dual(args) -> int:
     c, mu, nu = problem_io.load_problem_file(args.problem)
+    rep = (relaxed_dual_value if args.relaxed else dual_value)(c, mu, nu)
+    doc = problem_io.dual_certificate(rep.pair, rep.value, verify_feasible(rep.pair, c).ok)
     if args.relaxed:
-        rep = relaxed_dual_value(c, mu, nu)
-        doc = problem_io.dual_certificate(
-            rep.pair, rep.value, verify_feasible(rep.pair, c).ok
-        )
         doc["chargeable"] = sorted([i, j] for i, j in rep.chargeable)
-    else:
-        rep = dual_value(c, mu, nu)
-        feasible = verify_feasible(rep.pair, c).ok
-        doc = problem_io.dual_certificate(rep.pair, rep.value, feasible)
-        if rep.ray is not None:
-            doc["improving_ray"] = problem_io.improving_ray(rep.ray)
+    elif rep.ray is not None:
+        doc["improving_ray"] = problem_io.improving_ray(rep.ray)
     _write(json.dumps(doc) + "\n", args.output)
     return EXIT_OK
 
@@ -219,16 +215,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="kantgap",
         description="Exact finite-instance transport duality laboratory.",
     )
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--exact", dest="mode", action="store_const", const="exact", default="exact"
+    parser.add_argument(
+        "--float", dest="mode", action="store_const", const="float", default="exact"
     )
-    mode.add_argument("--float", dest="mode", action="store_const", const="float")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, formats=False):
         p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        if formats:
+            p.add_argument("--format", choices=("text", "json"), default="text")
 
     g = sub.add_parser("gen", help="generate a problem JSON")
     g.add_argument("--scenario", required=True,
@@ -247,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("problem")
     s.add_argument("--eps-grid", default="",
                    help="also report partial values at these dropped masses")
-    common(s)
+    common(s, formats=True)
     s.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("profile", help="mass/cost breakpoints as CSV")
@@ -260,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("problem")
     d.add_argument("--relaxed", action="store_true",
                    help="constraints only on chargeable cells")
-    common(d)
+    common(d, formats=True)
     d.set_defaults(func=_cmd_dual)
 
     w = sub.add_parser("sweep", help="truncated values over constant levels")

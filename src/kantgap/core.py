@@ -67,6 +67,10 @@ class _Infinity:
     def __ge__(self, other) -> bool:
         return self._sign > 0 or other is self
 
+    def __reduce__(self) -> str:
+        # the global's name: pickle and copy hand back the singleton itself
+        return "INF" if self._sign > 0 else "NEG_INF"
+
 
 INF = _Infinity(1)
 NEG_INF = _Infinity(-1)
@@ -78,15 +82,6 @@ def is_inf(x) -> bool:
 
 def is_neg_inf(x) -> bool:
     return x is NEG_INF
-
-
-def ext_min(a, b):
-    """Cellwise minimum under the extended order (min(v, oo) = v)."""
-    if a is INF:
-        return b
-    if b is INF:
-        return a
-    return a if a <= b else b
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +238,13 @@ def constant_matrix(nx: int, ny: int, value) -> CostMatrix:
 
 
 def truncate_cost(c: CostMatrix, h: CostMatrix) -> CostMatrix:
-    """Cellwise minimum c /\\ h under the extended order."""
+    """Cellwise minimum c /\\ h under the extended order: builtin ``min``,
+    since ``INF`` sorts above every number (and a tie keeps c's entry)."""
     if (c.nx, c.ny) != (h.nx, h.ny):
         raise DimensionMismatchError("cost matrices have different shapes")
     return CostMatrix(
         rows=tuple(
-            tuple(ext_min(a, b) for a, b in zip(crow, hrow))
+            tuple(min(a, b) for a, b in zip(crow, hrow))
             for crow, hrow in zip(c.rows, h.rows)
         )
     )

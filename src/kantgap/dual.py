@@ -18,8 +18,8 @@ chargeable cells, those carried by some finite-cost full coupling.  The
 chargeable set is read from one optimal full plan and its residual graph:
 full couplings on finite cells differ by circulations, so a cell can carry
 mass exactly when the plan charges it or a residual cycle runs through it,
-which is one strongly-connected-components pass (Tarjan, SIAM J. Comput.
-1972).
+which is one strongly-connected-components computation (two graph
+searches; Sharir, Comput. Math. Appl. 1981).
 
 No restricted instance is solved for the relaxed dual: D = D_rel = P on a
 finite instance.  Every finite-cost full coupling lives on the chargeable
@@ -247,50 +247,45 @@ def chargeable_from_run(run: SolverRun, c: CostMatrix) -> FrozenSet:
 
 
 def _strong_components(succ) -> list:
-    """Component label per node of the digraph ``succ`` (adjacency lists):
-    Tarjan's algorithm with an explicit stack instead of recursion."""
+    """Component label per node of the digraph ``succ`` (adjacency lists),
+    by two passes with explicit stacks (Sharir, *Comput. Math. Appl.* 7(1),
+    1981).  The first lists the nodes in the order a depth-first search of
+    the graph finishes them.  The second takes them in reverse finishing
+    order: a node still unlabelled there is a new component's root, and
+    its index labels it and every unlabelled node that reaches it."""
     n = len(succ)
-    index = [None] * n
-    low = [0] * n
-    label = [None] * n
-    on_stack = [False] * n
-    stack = []
-    counter = 0
-    n_comps = 0
+    seen = [False] * n
+    finished = []
     for root in range(n):
-        if index[root] is not None:
+        if seen[root]:
             continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
+        seen[root] = True
         work = [(root, iter(succ[root]))]
         while work:
             v, arcs = work[-1]
             for w in arcs:
-                if index[w] is None:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
+                if not seen[w]:
+                    seen[w] = True
                     work.append((w, iter(succ[w])))
                     break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
             else:
                 work.pop()
-                if work:
-                    u = work[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                if low[v] == index[v]:
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        label[w] = n_comps
-                        if w == v:
-                            break
-                    n_comps += 1
+                finished.append(v)
+    pred = [[] for _ in range(n)]
+    for v, ws in enumerate(succ):
+        for w in ws:
+            pred[w].append(v)
+    label = [None] * n
+    for root in reversed(finished):
+        if label[root] is not None:
+            continue
+        label[root] = root
+        stack = [root]
+        while stack:
+            for w in pred[stack.pop()]:
+                if label[w] is None:
+                    label[w] = root
+                    stack.append(w)
     return label
 
 

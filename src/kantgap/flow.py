@@ -69,7 +69,9 @@ the potential updates agree.  (In float mode a rounded reduced cost may
 fall just below 0, and the two rules may then part by a rounding error.)
 
 Warm start: a caller that reads only the answer at full mass (the value,
-the dual pair, the witness plan) asks for ``warm=True``.  The run then
+the dual pair, the witness plan) passes ``warm=True``, and the engine
+chooses the start.  It starts warm when the masses are equal and a target,
+if one is given, equals both; any other run starts cold.  A warm run
 starts from Jonker-Volgenant reduction potentials on the scaled costs,
 u_i = min_j c_ij and v_j = min_i (c_ij - u_i) (pot X_i = -u_i,
 pot Y_j = v_j, pot source = -min u), so every cell and every unsaturated
@@ -87,16 +89,16 @@ arc is saturated, so the final potentials certify the plan as above; a
 search that finds no column with room settles all the source reaches, so
 the shipped mass and the reachable rows and columns are those of any
 maximum flow.  So runs read only for those two, which may end short of full
-mass, start warm too whenever the masses are equal: ``max_shippable_mass``
-and ``kellerer``'s matching runs, whose greedy start ships a maximal
-matching before the first search.  In float mode a warm plan adds its mass
-up in another order than a cold one, so the shipped mass may differ in its
-last bits.  What a warm run does not have is a profile: the greedy
-shipments carry no slopes, the warm start prices no sink arc, and below
-full mass a residual cycle through the source may have negative cost, so a
-short warm plan need not be the cheapest of its mass.  ``profile_from_run``,
-``segment_potentials`` and ``value_from_run`` at any other mass therefore
-raise ``PreconditionError`` on a warm run.
+mass, pass ``warm=True`` too and start warm whenever the masses are equal:
+``max_shippable_mass`` and ``kellerer``'s matching runs, whose greedy
+start ships a maximal matching before the first search.  In float mode a
+warm plan adds its mass up in another order than a cold one, so the
+shipped mass may differ in its last bits.  What a warm run does not have
+is a profile: the greedy shipments carry no slopes, the warm start prices
+no sink arc, and below full mass a residual cycle through the source may
+have negative cost, so a short warm plan need not be the cheapest of its
+mass.  ``profile_from_run``, ``segment_potentials`` and ``value_from_run``
+at any other mass therefore raise ``PreconditionError`` on a warm run.
 
 Re-optimisation across truncation levels: ``truncation_ladder`` answers
 P(c /\\ level) for a nondecreasing sequence of finite levels from one
@@ -105,17 +107,18 @@ all of them, and lc also covers the levels' denominators: one call of
 ``core._ints`` scales the finite costs and every level value together.
 The ladder is eager: it checks every level, collecting the values for
 that call as it goes, before it solves the first, and then returns the
-steps of all of them as a list.  The first level is a warm run.  Raising
-the level only raises cell costs, so the potentials keep
-cost(i,j) - u_i - v_j >= 0 on every cell: they stay feasible.  A cell
-whose cost rose and that carries flow would break complementary slackness
-(its reverse arc gets a negative reduced cost), so its flow goes back to
-its source and sink arcs, and the Dijkstra loop runs unchanged to full
-mass (Ahuja-Magnanti-Orlin, ch. 9); ``raise_costs`` says why the source
-potential needs no reset.  Only the unshipped mass is re-routed.  On the 20-level sweep over the finite-cost quantiles of a
-random 60x60 instance with 30% of its cells forbidden, this takes 189
-Dijkstra runs and unships 137 cells, where fresh warm runs per level take
-1,291.
+steps of all of them as a list.  The first level is always a warm run,
+so a ladder needs marginals of equal mass.  Raising the level only raises
+cell costs, so the potentials keep cost(i,j) - u_i - v_j >= 0 on every
+cell: they stay feasible.  A cell whose cost rose and that carries flow
+would break complementary slackness (its reverse arc gets a negative
+reduced cost), so its flow goes back to its source and sink arcs, and the
+Dijkstra loop runs unchanged to full mass (Ahuja-Magnanti-Orlin, ch. 9);
+``raise_costs`` says why the source potential needs no reset.  Only the
+unshipped mass is re-routed.  On the 20-level sweep over the finite-cost
+quantiles of a random 60x60 instance with 30% of its cells forbidden, this
+takes 189 Dijkstra runs and unships 137 cells, where fresh warm runs per
+level take 1,291.
 
 Size: each augmentation is one Dijkstra (``SolverRun.searches`` counts
 them), so the time grows with the number of augmenting paths, not only with
@@ -278,11 +281,9 @@ def _potential_pair(pots, nx: int, ny: int, scale: int) -> PotentialPair:
     )
 
 
-def _require_instance(c: CostMatrix, mu: Marginal, nu: Marginal, warm: bool) -> None:
+def _require_instance(c: CostMatrix, mu: Marginal, nu: Marginal) -> None:
     if c.nx != mu.space.size or c.ny != nu.space.size:
-        raise DimensionMismatchError("cost matrix does not match the marginals")
-    if warm and not modes.eq(mu.mass, nu.mass):
-        raise PreconditionError("a warm start needs marginals of equal mass")
+        raise DimensionMismatchError("grid does not match the marginals")
 
 
 class _Network:
@@ -489,7 +490,20 @@ class _Network:
 def _run_ssp(
     c: CostMatrix, mu: Marginal, nu: Marginal, target=None, warm: bool = False
 ) -> SolverRun:
-    _require_instance(c, mu, nu, warm)
+    """One engine run on (c, mu, nu): to the target mass if one is given,
+    else until no augmenting path is left (module docstring).
+
+    ``warm=True`` says that the caller reads only the full-mass answer.
+    The engine then starts warm (module docstring) when the masses are
+    equal and the target, if there is one, equals both of them; otherwise
+    it runs cold, from zero flow, and traces the profile.  A warm run
+    answers only at a full mass that both marginals share, and its greedy
+    start may ship past a smaller target.
+    """
+    _require_instance(c, mu, nu)
+    warm = warm and modes.eq(mu.mass, nu.mass) and (
+        target is None or modes.eq(target, mu.mass) and modes.eq(target, nu.mass)
+    )
     nx, ny = c.nx, c.ny
     # costs times lc and masses times lw, in engine form (module docstring)
     cells = list(c.finite_cells())
@@ -553,7 +567,9 @@ def truncation_ladder(
     Every level is checked, nondecreasing cell by cell, before the first
     is solved; then the ladder climbs them all and returns their steps.
     """
-    _require_instance(c, mu, nu, warm=True)
+    _require_instance(c, mu, nu)
+    if not modes.eq(mu.mass, nu.mass):  # the ladder always starts warm
+        raise PreconditionError("a warm start needs marginals of equal mass")
     nx, ny = c.nx, c.ny
     base = [v for row in c.rows for v in row]
     # one lc over the finite costs and every level value (module docstring)
@@ -651,8 +667,7 @@ def optimal_coupling_at(c: CostMatrix, mu: Marginal, nu: Marginal, m) -> Couplin
     m = modes.coerce(m)
     if m < 0:
         raise InputError(f"mass {m} is negative")
-    full = modes.eq(m, mu.mass) and modes.eq(m, nu.mass)
-    run = _run_ssp(c, mu, nu, target=m, warm=full)
+    run = _run_ssp(c, mu, nu, target=m, warm=True)
     if not modes.eq(run.shipped, m):
         raise InfeasibleMassError(
             f"requested mass {m} exceeds the largest shippable mass {run.shipped}"
@@ -664,4 +679,4 @@ def max_shippable_mass(c: CostMatrix, mu: Marginal, nu: Marginal):
     """Largest mass a partial coupling on finite cells can carry; a run
     read only for it starts warm when the masses are equal (module
     docstring)."""
-    return _run_ssp(c, mu, nu, warm=modes.eq(mu.mass, nu.mass)).shipped
+    return _run_ssp(c, mu, nu, warm=True).shipped

@@ -104,11 +104,6 @@ def cellset_from_matrix(rows: Sequence[Sequence]) -> CellSet:
     return CellSet(rows=tuple(out))
 
 
-def _check_shape(L: CellSet, mu: Marginal, nu: Marginal) -> None:
-    if L.nx != mu.space.size or L.ny != nu.space.size:
-        raise DimensionMismatchError("cell set does not match the marginals")
-
-
 def _indicator_cost(L: CellSet) -> CostMatrix:
     """Zero on L, forbidden elsewhere: plans under this cost live inside L."""
     zero = modes.coerce(0)
@@ -127,12 +122,12 @@ class CoverCertificate:
 def matching_run(L: CellSet, mu: Marginal, nu: Marginal) -> SolverRun:
     """One engine run on the indicator cost of L: the run that the cover,
     the matching mass and the zero-mass dichotomy of L all read.  They need
-    only its shipped mass and min cut, so it starts warm whenever the masses
-    are equal, in either mode (``flow`` module docstring).  Its plan may
-    differ from a cold run's, and in float mode its shipped mass may differ
-    in the last bits, since a warm plan adds its mass up in another order."""
-    _check_shape(L, mu, nu)
-    return _run_ssp(_indicator_cost(L), mu, nu, warm=modes.eq(mu.mass, nu.mass))
+    only its shipped mass and min cut, so it asks for a warm start, which
+    the engine takes whenever the masses are equal, in either mode (``flow``
+    module docstring).  Its plan may differ from a cold run's, and in float
+    mode its shipped mass may differ in the last bits, since a warm plan
+    adds its mass up in another order."""
+    return _run_ssp(_indicator_cost(L), mu, nu, warm=True)
 
 
 def max_mass_on(L: CellSet, mu: Marginal, nu: Marginal) -> Tuple[object, Coupling]:

@@ -304,3 +304,16 @@ def test_ints_keeps_floats_as_given():
 def test_ints_rejects_a_float_in_exact_mode():
     with pytest.raises(InputError, match="a float reached the exact engine"):
         _ints([F(1, 2), 0.5])
+
+
+def test_infinities_survive_pickle_and_copy():
+    # the solvers test ``v is INF``, so a copied matrix must keep the singletons
+    import copy
+    import pickle
+
+    assert pickle.loads(pickle.dumps(kg.INF)) is kg.INF
+    assert copy.deepcopy(kg.NEG_INF) is kg.NEG_INF
+    assert copy.copy(kg.INF) is kg.INF
+    c, mu, nu = kg.random_instance(3, 3, 0.5, "random", 1)
+    value = kg.primal_value(c, mu, nu)
+    assert kg.primal_value(pickle.loads(pickle.dumps(c)), mu, nu) == value

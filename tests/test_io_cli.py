@@ -436,6 +436,36 @@ def test_cli_relaxed_dual_infeasible_exit2(tmp_path, capsys):
     assert "infeasible" in doc
 
 
+def test_cli_relaxed_dual_exit2_report_in_both_formats(tmp_path, capsys):
+    # --format picks where the report goes: text on stderr, json on stdout
+    path = tmp_path / "allinf.json"
+    path.write_text(json.dumps({"nx": 1, "ny": 1, "mu": [1], "nu": [1], "cost": [["inf"]]}))
+    assert main(["dual", str(path), "--relaxed"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("infeasible: no finite-cost full coupling")
+    assert main(["dual", str(path), "--relaxed", "--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert list(json.loads(out)) == ["infeasible"] and err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--exact", "gen", "--scenario", "diagonal"],
+        ["gen", "--scenario", "diagonal", "--format", "json"],
+        ["study", "--n-list", "2", "--eps-grid", "0", "--m-grid", "1", "--format", "text"],
+        ["solve", "p.json", "--format", "csv"],
+        ["dual", "p.json", "--format", "csv"],
+    ],
+)
+def test_cli_removed_options_exit2(argv, capsys):
+    # --exact only restated the default; --format is gone where no output reads it
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_cli_parser_reuse_matches_fresh_processes(tmp_path, capsys):
     # main builds its parser once per process; interleaved calls, one of
     # them rejected by argparse, must print what fresh processes print

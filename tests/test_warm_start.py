@@ -17,7 +17,7 @@ from kantgap import modes
 from kantgap.core import INF, scale_marginal
 from kantgap.dual import dual_from_run
 from kantgap.errors import PreconditionError
-from kantgap.flow import _run_ssp, profile_from_run, value_from_run
+from kantgap.flow import _run_ssp, profile_from_run, truncation_ladder, value_from_run
 from kantgap.modes import EXACT, FLOAT, arithmetic
 
 SEEDS = range(600)
@@ -141,10 +141,14 @@ def test_warm_run_is_not_a_profile(mode):
 
 
 def test_warm_start_needs_marginals_of_equal_mass():
+    """The engine starts warm only on equal masses: asked for a warm start
+    on unequal ones, it runs cold.  The ladder, which always starts warm,
+    refuses them."""
     c, mu, nu = kg.example_diagonal(3)
     half = scale_marginal(nu, [F(1, 2)] * 3)
+    assert _run_ssp(c, mu, half, warm=True).full_mass is None
     with pytest.raises(PreconditionError):
-        _run_ssp(c, mu, half, warm=True)
+        truncation_ladder(c, mu, half, [1])
     assert kg.optimal_coupling_at(c, mu, half, F(1, 2)).mass == F(1, 2)
 
 
@@ -179,3 +183,24 @@ def test_targeted_run_at_full_mass_is_the_warm_run():
             continue
         pi = kg.optimal_coupling_at(c, mu, nu, 1)
         assert dict(pi.items()) == warm.flows
+
+
+def test_a_warm_request_below_full_mass_runs_cold():
+    # a greedy start could ship past a smaller target, so the engine runs cold
+    c, mu, nu = kg.example_diagonal(3)
+    run = _run_ssp(c, mu, nu, target=F(1, 3), warm=True)
+    assert run.full_mass is None and run.shipped == F(1, 3)
+    assert run.cost == kg.partial_value(c, mu, nu, F(2, 3))
+
+
+def test_float_coupling_at_a_mass_both_marginals_round_to():
+    # m is within the tolerance of both masses, which are not within it of
+    # each other: the engine runs cold and the plan has mass m
+    with arithmetic(FLOAT):
+        c = kg.make_cost_matrix([[0, 1], [1, 0]])
+        mu = kg.make_marginal(kg.DiscreteSpace(2), [0.5, 0.5])
+        nu = kg.make_marginal(kg.DiscreteSpace(2), [0.5, 0.5 + 1.5e-9])
+        m = 1 + 0.75e-9
+        assert not modes.eq(mu.mass, nu.mass)
+        pi = kg.optimal_coupling_at(c, mu, nu, m)
+        assert modes.eq(pi.mass, m)
