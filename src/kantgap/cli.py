@@ -30,7 +30,7 @@ import sys
 
 from . import modes, problem_io, scenarios
 from .dual import dual_from_run, dual_value, relaxed_dual_value, verify_feasible
-from .errors import InfeasibleMassError, InputError, NotApplicableError, TransportError
+from .errors import InputError, NotApplicableError, TransportError
 from .flow import _run_ssp, evaluate_profile, solve_profile
 from .kellerer import (
     capacity_value,
@@ -296,7 +296,7 @@ def main(argv=None) -> int:
     try:
         with modes.arithmetic(args.mode):
             return args.func(args)
-    except (InfeasibleMassError, NotApplicableError) as exc:
+    except NotApplicableError as exc:
         if getattr(args, "format", "text") == "json":
             sys.stdout.write(json.dumps({"infeasible": str(exc)}) + "\n")
         else:

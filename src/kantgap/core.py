@@ -19,7 +19,12 @@ Conventions fixed here and relied on everywhere else:
 * ``make_cost_matrix`` and ``make_marginal`` read each distinct string token
   once per call: the same text gives the same value, so a matrix of a few
   distinct tokens costs a few reads.  Non-string entries are read one by
-  one, and nothing is remembered between calls.
+  one, and nothing is remembered between calls.  A cost row whose entries
+  are all string tokens read before is mapped in one pass of dict lookups;
+  any other row (a new token, a non-string or an unhashable entry) is read
+  entry by entry in order, so the first bad entry in row-major order still
+  raises first.  A marginal's mass is summed on its weights in engine form
+  (``_ints``), so an exact mass is an ``int`` when it is integral.
 """
 
 from __future__ import annotations
@@ -113,15 +118,14 @@ class Marginal:
         return modes.eq(self.mass, 1)
 
 
-def _read_once(read):
-    """``read`` with a memo of the string tokens it has read.
+def _read_once(read, memo: dict):
+    """``read`` with ``memo``, the string tokens it has read and their values.
 
-    The constructors make one per call, so a memo lives for one call in the
-    caller's mode and nothing is shared.  Only ``str`` entries are keys:
-    ``1 == 1.0 == True`` and ``0.0 == -0.0`` hash alike but read
+    The constructors make one memo per call, so it lives for one call in
+    the caller's mode and nothing is shared.  Only ``str`` entries are
+    keys: ``1 == 1.0 == True`` and ``0.0 == -0.0`` hash alike but read
     differently.  A bad token raises on its first occurrence.
     """
-    memo = {}
 
     def once(v):
         if type(v) is not str:
@@ -140,11 +144,12 @@ def make_marginal(space: DiscreteSpace, weights: Sequence) -> Marginal:
         raise DimensionMismatchError(
             f"{len(weights)} weights for a space of size {space.size}"
         )
-    ws = tuple(map(_read_once(modes.coerce), weights))
+    ws = tuple(map(_read_once(modes.coerce, {}), weights))
     for i, w in enumerate(ws):
         if w < 0:
             raise NegativeWeightError(f"weight {w} at atom {i} is negative")
-    return Marginal(space=space, weights=ws, mass=sum(ws, 0))
+    values, scale = _ints(ws)
+    return Marginal(space=space, weights=ws, mass=_unscaled(sum(values), scale))
 
 
 def uniform_marginal(n: int) -> Marginal:
@@ -223,12 +228,16 @@ def make_cost_matrix(rows: Sequence[Sequence]) -> CostMatrix:
     width = len(rows[0])
     if width == 0:
         raise InputError("cost matrix needs at least one column")
-    read = _read_once(_coerce_cost)
+    memo = {}
+    read, known = _read_once(_coerce_cost, memo), memo.__getitem__
     out = []
     for row in rows:
         if len(row) != width:
             raise DimensionMismatchError("ragged cost matrix")
-        out.append(tuple(map(read, row)))
+        try:  # a row of tokens read before: one pass of lookups
+            out.append(tuple(map(known, row)))
+        except (KeyError, TypeError):  # a new token, a non-string, a list
+            out.append(tuple(map(read, row)))
     return CostMatrix(rows=tuple(out))
 
 
@@ -299,7 +308,7 @@ def _ints(values: list) -> Tuple[list, int]:
     their scale.  In exact mode: each value times the lcm of their
     denominators, as an int, and that lcm (1 for none).  In float mode: the
     list itself and 1.  This is the one place where the two modes part on
-    the way in; ``_unscaled`` undoes it."""
+    the way in; ``_unscaled`` and ``_from_ints`` undo it."""
     if not modes.is_exact():
         return values, 1
     try:
@@ -310,6 +319,16 @@ def _ints(values: list) -> Tuple[list, int]:
             "arithmetic mode cannot be solved under the other"
         ) from None
     return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def _from_ints(values, scale: int) -> list:
+    """``values`` in engine form, each divided by ``scale`` and in the form
+    ``modes.coerce`` gives a number: ``_unscaled`` in exact mode, a float
+    in float mode, where ``_unscaled`` would keep an engine int such as the
+    0 of a potential that no search raised."""
+    if not modes.is_exact():
+        return list(map(float, values))
+    return [_unscaled(v, scale) for v in values]
 
 
 def _unscaled(x, scale: int):
@@ -346,9 +365,12 @@ def _coupling(
     space_x: DiscreteSpace, space_y: DiscreteSpace, entries: dict, values, scale: int
 ) -> Coupling:
     """The coupling of the checked positive ``entries``; ``values`` are the
-    same masses in entry order times ``scale`` (ints in exact mode)."""
-    rows = [0] * space_x.size
-    cols = [0] * space_y.size
+    same masses in entry order times ``scale`` (ints in exact mode).  The
+    row and column sums are built as ``Marginal``s here, on the scaled
+    sums: they are sums of positive masses, so they need no second read."""
+    zero = modes.coerce(0)  # an empty float row sums to 0.0, as a read weight
+    rows = [zero] * space_x.size
+    cols = [zero] * space_y.size
     total = 0
     for (i, j), v in zip(entries, values):
         rows[i] += v
@@ -358,9 +380,19 @@ def _coupling(
         space_x=space_x,
         space_y=space_y,
         entries=entries,
-        row_sums=make_marginal(space_x, [_unscaled(r, scale) for r in rows]),
-        col_sums=make_marginal(space_y, [_unscaled(c, scale) for c in cols]),
+        row_sums=_sum_marginal(space_x, rows, scale),
+        col_sums=_sum_marginal(space_y, cols, scale),
         mass=_unscaled(total, scale),
+    )
+
+
+def _sum_marginal(space: DiscreteSpace, sums: list, scale: int) -> Marginal:
+    """The marginal of nonnegative scaled ``sums``: each divided by
+    ``scale``, and the mass summed as ``make_marginal`` sums it."""
+    return Marginal(
+        space=space,
+        weights=tuple(_unscaled(x, scale) for x in sums),
+        mass=_unscaled(sum(sums), scale),
     )
 
 

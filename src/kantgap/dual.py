@@ -50,6 +50,8 @@ from .core import (
     CostMatrix,
     Coupling,
     Marginal,
+    _from_ints,
+    _unscaled,
     cost_of,
     is_inf,
     is_neg_inf,
@@ -133,23 +135,38 @@ class DualReport:
     ray: Optional[ImprovingRay]  # present exactly when value is INF
 
 
-def _finalize_pair(
-    phi: list, psi: list, c: CostMatrix, mu: Marginal, nu: Marginal
-) -> DualPair:
-    """Zero-weight atoms get potential 0 when feasible, lowered otherwise.
+def _pair_from_run(run: SolverRun, c: CostMatrix, mu: Marginal, nu: Marginal) -> DualPair:
+    """The optimal pair of a run at full mass, read off its final potentials
+    in engine form (``flow`` module docstring).
 
-    Mirrors modifying potentials on null sets: objectives cannot change, but
-    the pair must stay feasible on every cell, not only charged ones.
+    The objective is one running sum of scaled potential times scaled
+    weight over phi, then psi, skipping weightless atoms, divided once by
+    lc*lw; in float mode (lc = lw = 1) it is ``make_dual_pair``'s sum in
+    its order.  Each potential is divided by lc, and in float mode a
+    potential no search raised, the engine's int 0, becomes 0.0, as
+    ``modes.coerce`` makes it.  Zero-weight atoms get potential 0 when
+    feasible, lowered otherwise (``_lower_weightless``).
     """
+    nx, lc, pots = run.nx, run.lc, run.potentials
+    scaled = [-p for p in pots[1 : 1 + nx]] + pots[1 + nx : -1]  # u, then v
+    total = 0
+    for p, w in zip(scaled, run.weights):
+        if w:  # (-oo) * 0 = 0
+            total += p * w
+    pair = _from_ints(scaled, lc)
+    phi, psi = pair[:nx], pair[nx:]
     _lower_weightless(phi, mu.weights, psi, lambda i: c.rows[i])
     _lower_weightless(psi, nu.weights, phi, lambda j: [row[j] for row in c.rows])
-    return make_dual_pair(phi, psi, mu, nu)
+    return DualPair(phi=tuple(phi), psi=tuple(psi), objective=_unscaled(total, lc * run.lw))
 
 
 def _lower_weightless(pots: list, weights, other: list, line) -> None:
     """Set pots[k] for each weightless atom k to min(0, c - other) over its
     finite cells, where ``line(k)`` lists the costs of its cells against
-    the atoms of ``other``."""
+    the atoms of ``other``.
+
+    Mirrors modifying potentials on null sets: objectives cannot change, but
+    the pair must stay feasible on every cell, not only charged ones."""
     for k, w in enumerate(weights):
         if w == 0:
             slack = [
@@ -157,7 +174,7 @@ def _lower_weightless(pots: list, weights, other: list, line) -> None:
                 for n, v in enumerate(line(k))
                 if v is not INF and not is_neg_inf(other[n])
             ]
-            pots[k] = min([0] + slack)
+            pots[k] = modes.coerce(min([0] + slack))
 
 
 def dual_value(c: CostMatrix, mu: Marginal, nu: Marginal) -> DualReport:
@@ -177,8 +194,7 @@ def dual_from_run(run: SolverRun, c: CostMatrix, mu: Marginal, nu: Marginal) -> 
     warm: both end with the same shipped mass and reachable sets, and at
     full mass with potentials that certify the plan."""
     if modes.eq(run.shipped, 1):
-        pots = run.final_potentials
-        pair = _finalize_pair(list(pots.u), list(pots.v), c, mu, nu)
+        pair = _pair_from_run(run, c, mu, nu)
         return DualReport(value=pair.objective, pair=pair, ray=None)
     # full transport infeasible: dual unbounded along the cut direction
     d_phi = tuple(1 if i in run.reachable_rows else 0 for i in range(c.nx))
@@ -238,7 +254,7 @@ def chargeable_from_run(run: SolverRun, c: CostMatrix) -> FrozenSet:
     succ = [[] for _ in range(nx + c.ny)]
     for i, j, _v in c.finite_cells():
         succ[i].append(nx + j)
-    for i, j in run.flows:
+    for i, j in run.scaled_flows:
         succ[nx + j].append(i)
     comp = _strong_components(succ)
     return frozenset(

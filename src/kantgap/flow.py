@@ -39,11 +39,14 @@ same code.  Scaling by a positive constant keeps every comparison and tie,
 so the ints take the same paths the rationals would.  The profile is
 recorded as the run goes: ``SolverRun.segments`` holds, for each breakpoint
 after (0, 0), the running shipped mass and total cost with a snapshot of
-the potentials there.  The scaling is undone once, when the run is
-returned: the final potentials are divided by lc, masses and flows by lw,
-costs by lc*lw.  The snapshots stay scaled in the run, since only a full
-profile reads them; ``profile_from_run`` unscales them.  Integral results
-come out as ``int``, the rest as ``Fraction``.
+the potentials there.  The run returns its shipped mass and cost, and
+each segment's mass and cost, unscaled: masses divided by lw, costs by
+lc*lw.  Everything else stays in engine form, and each reader divides once
+what it reads: the snapshots and the final potentials (times lc), the
+flows and the weights (times lw).  ``SolverRun.plan`` builds the witness
+plan from the scaled flows, and ``dual.dual_from_run`` sums the objective
+over the scaled potentials and weights.  Integral results come out as
+``int``, the rest as ``Fraction``.
 
 Determinism: the search is bipartite.  The source pushes the rows with room
 in index order, a row scans its cell arcs row-major (uncapped, so always
@@ -142,11 +145,12 @@ from .core import (
     INF,
     CostMatrix,
     Coupling,
+    DiscreteSpace,
     Marginal,
+    _coupling,
     _ints,
     _unscaled,
     is_inf,
-    make_coupling,
 )
 from .errors import (
     DimensionMismatchError,
@@ -226,11 +230,19 @@ def _interpolate(bps, m):
 class SolverRun:
     """Full record of one parametric solve.
 
+    ``shipped`` and ``cost`` are unscaled.  The rest is kept in engine
+    form (module docstring), with its scales: ``lc`` over costs and
+    potentials, ``lw`` over masses.  ``potentials`` holds the final raw
+    node potentials times lc (source, X, Y, sink), ``scaled_flows`` maps
+    each cell that carries flow to its flow times lw, and ``weights`` holds
+    mu's weights, then nu's, times lw.  In float mode both scales are 1 and
+    the numbers are the engine's own (a potential no search raised stays
+    the int 0).  ``flows`` and ``final_potentials`` unscale on demand, and
+    ``plan`` builds the coupling.
     ``segments`` holds (mass, cost, snapshot) at each breakpoint of the
     profile after (0, 0), one per maximal run of equal slopes.  Mass and
     cost are unscaled; a snapshot is the engine's raw node potentials, still
-    scaled by ``potential_scale``, and ``segment_potentials`` unscales it on
-    demand.
+    scaled by ``lc``, and ``segment_potentials`` unscales it on demand.
     ``searches`` counts the Dijkstra runs.  ``full_mass`` is None on a run
     that traced the profile from zero flow, and the marginals' mass on a
     warm-started run, which answers only there and has no segments.
@@ -245,11 +257,13 @@ class SolverRun:
     shipped: object
     cost: object
     segments: List[Tuple[object, object, tuple]]
-    final_potentials: PotentialPair
-    flows: dict  # (i, j) -> positive mass
+    potentials: list
+    scaled_flows: dict  # (i, j) -> positive flow times lw
+    weights: list
+    lc: int
+    lw: int
     reachable_rows: Optional[frozenset]
     reachable_cols: Optional[frozenset]
-    potential_scale: int
     searches: int
     full_mass: object = None
 
@@ -258,10 +272,25 @@ class SolverRun:
         """(0, 0) followed by each segment's (mass, cost)."""
         return ((0, 0),) + tuple((mass, cost) for mass, cost, _ in self.segments)
 
+    @property
+    def final_potentials(self) -> PotentialPair:
+        """The final potentials, unscaled."""
+        return _potential_pair(self.potentials, self.nx, self.ny, self.lc)
+
+    @property
+    def flows(self) -> dict:
+        """(i, j) -> positive mass, unscaled."""
+        return {ij: _unscaled(f, self.lw) for ij, f in self.scaled_flows.items()}
+
+    def plan(self, space_x: DiscreteSpace, space_y: DiscreteSpace) -> Coupling:
+        """The run's plan as a coupling, its sums taken on the scaled flows
+        and divided once by lw; no entry is read again."""
+        return _coupling(space_x, space_y, self.flows, self.scaled_flows.values(), self.lw)
+
     def segment_potentials(self, k: int) -> PotentialPair:
         """The potentials certifying the profile at the end of segment k."""
         _require_profile(self)
-        return _potential_pair(self.segments[k][2], self.nx, self.ny, self.potential_scale)
+        return _potential_pair(self.segments[k][2], self.nx, self.ny, self.lc)
 
 
 def _require_profile(run: SolverRun) -> None:
@@ -526,7 +555,6 @@ def _run_ssp(
     else:
         rows = cols = None
     cell_flows = zip(cells, net.res[net.first_cell + 1 :: 2])  # reverse arcs' residuals
-    flows = {(i, j): _unscaled(f, lw) for (i, j, _), f in cell_flows if f > net.tol}
     return SolverRun(
         nx=nx,
         ny=ny,
@@ -535,11 +563,13 @@ def _run_ssp(
         segments=[
             (_unscaled(m, lw), _unscaled(x, lc * lw), p) for m, x, p in segments or ()
         ],
-        final_potentials=_potential_pair(net.potentials, nx, ny, lc),
-        flows=flows,
+        potentials=net.potentials,
+        scaled_flows={(i, j): f for (i, j, _), f in cell_flows if f > net.tol},
+        weights=masses[:-1],
+        lc=lc,
+        lw=lw,
         reachable_rows=rows,
         reachable_cols=cols,
-        potential_scale=lc,
         searches=net.searches,
         full_mass=_unscaled(sum(mu_w), lw) if warm else None,
     )
@@ -672,7 +702,7 @@ def optimal_coupling_at(c: CostMatrix, mu: Marginal, nu: Marginal, m) -> Couplin
         raise InfeasibleMassError(
             f"requested mass {m} exceeds the largest shippable mass {run.shipped}"
         )
-    return make_coupling(mu.space, nu.space, run.flows)
+    return run.plan(mu.space, nu.space)
 
 
 def max_shippable_mass(c: CostMatrix, mu: Marginal, nu: Marginal):

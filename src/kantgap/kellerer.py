@@ -36,7 +36,6 @@ from .core import (
     CostMatrix,
     Coupling,
     Marginal,
-    make_coupling,
     product_coupling,
 )
 from .errors import (
@@ -133,7 +132,7 @@ def matching_run(L: CellSet, mu: Marginal, nu: Marginal) -> SolverRun:
 def max_mass_on(L: CellSet, mu: Marginal, nu: Marginal) -> Tuple[object, Coupling]:
     """Largest mass of a partial coupling supported inside L, with witness."""
     run = matching_run(L, mu, nu)
-    return run.shipped, make_coupling(mu.space, nu.space, run.flows)
+    return run.shipped, run.plan(mu.space, nu.space)
 
 
 def cover_value(L: CellSet, mu: Marginal, nu: Marginal) -> Tuple[object, CoverCertificate]:

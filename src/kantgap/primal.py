@@ -24,7 +24,6 @@ from .core import (
     Coupling,
     Marginal,
     is_inf,
-    make_coupling,
     scale_marginal,
 )
 from .errors import InputError, MassMismatchError, PreconditionError
@@ -135,7 +134,7 @@ def primal_from_run(
         (eps, value_from_run(run, 1 - eps))
         for eps in sorted(check_eps(e) for e in eps_grid)
     )
-    witness = None if is_inf(value) else make_coupling(mu.space, nu.space, run.flows)
+    witness = None if is_inf(value) else run.plan(mu.space, nu.space)
     return PrimalReport(
         value=value,
         partials=partials,

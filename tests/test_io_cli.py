@@ -112,7 +112,7 @@ def test_cli_profile_csv(diag3_file, capsys):
     assert capsys.readouterr().out == "mass,cost\n0,0\n2/3,0\n1,1\n"
 
 
-def test_cli_profile_at_infeasible_mass_exit2(diag3_file, capsys):
+def test_cli_profile_beyond_max_mass_prints_inf_exit0(diag3_file, capsys):
     code = main(["profile", diag3_file, "--at", "3/2"])
     assert code == 0  # beyond max mass is data: the value is inf
     assert capsys.readouterr().out.strip() == "inf"

@@ -147,6 +147,51 @@ def test_one_read_per_distinct_string(mode, monkeypatch):
         assert len(seen) == 6
 
 
+def _per_entry_matrix(rows, monkeypatch):
+    """``make_cost_matrix`` with every entry read on its own: with an empty
+    memo no row takes the one-pass lookup, and its checks stay."""
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "_read_once", lambda read, memo: read)
+        return _outcome(lambda: tuple(_shape(r) for r in kg.make_cost_matrix(rows).rows))
+
+
+@pytest.mark.parametrize("mode", BOTH)
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # a malformed non-string before a bad token in a row of known tokens
+        [["1", "7/3", "2"], ["7/3", None, "x"]],
+        [["1", "2", "3"], ["1", True, "x"], ["x", "1", "2"]],
+        # a bad token after a ragged row: the shape check comes first
+        [["1", "2"], ["1", "2", "x"], ["x", "1"]],
+        [["1", "2"], ["2"], ["1", "x"]],
+        # a list (unhashable) entry after known tokens
+        [["1", "2", "inf"], ["2", "1", [3]]],
+        [["1", "2"], ["2", "1"], ["1", ["2"]], ["x", "1"]],
+    ],
+)
+def test_rows_past_the_lookup_fail_as_per_entry(mode, rows, monkeypatch):
+    with modes.arithmetic(mode):
+        got = _outcome(lambda: _memo_cost(rows))
+        assert got[0] != "ok"
+        assert got == _per_entry_matrix(rows, monkeypatch)
+
+
+@pytest.mark.parametrize("mode", BOTH)
+def test_marginal_mass_is_summed_in_engine_form(mode):
+    cases = ([F(1, 2), F(1, 2)], ["1/3", "1/6", "1/2"], [F(1, 3), F(1, 4)], [0, 0],
+             ["0.1", "0.2", "0.3", "0.4"], [0.1] * 10, [1, 2, F(3, 7)])
+    with modes.arithmetic(mode):
+        for ws in cases:
+            mu = kg.make_marginal(kg.DiscreteSpace(len(ws)), ws)
+            if mode == modes.EXACT:
+                integral = F(mu.mass).denominator == 1
+                assert type(mu.mass) is (int if integral else F)
+                assert mu.mass == sum(mu.weights, 0)
+            else:
+                assert repr(mu.mass) == repr(sum(mu.weights, 0))
+
+
 # ---------------------------------------------------------------------------
 # property: memo reading == per-entry reading
 # ---------------------------------------------------------------------------
@@ -219,8 +264,9 @@ def test_cli_bytes_match_per_entry_reading(seed, tmp_path, capsys, monkeypatch):
     ]
     argvs = [flag + cmd for cmd in commands for flag in ([], ["--float"])]
     memo = [_run(argv, capsys) for argv in argvs]
-    # the reference reads every entry through modes.coerce on its own
-    monkeypatch.setattr(core, "_read_once", lambda read: read)
+    # the reference reads every entry through modes.coerce on its own; its
+    # memo stays empty, so no cost row takes the one-pass lookup either
+    monkeypatch.setattr(core, "_read_once", lambda read, memo: read)
     per_entry = [_run(argv, capsys) for argv in argvs]
     assert memo == per_entry
     assert all(code == 0 for code, _, _ in memo)
