@@ -19,11 +19,11 @@ Conventions fixed here and relied on everywhere else:
 * ``make_cost_matrix`` and ``make_marginal`` read each distinct string token
   once per call: the same text gives the same value, so a matrix of a few
   distinct tokens costs a few reads.  Non-string entries are read one by
-  one, and nothing is remembered between calls.  A cost row whose entries
-  are all string tokens read before is mapped in one pass of dict lookups;
-  any other row (a new token, a non-string or an unhashable entry) is read
-  entry by entry in order, so the first bad entry in row-major order still
-  raises first.  A marginal's mass is summed on its weights in engine form
+  one, and nothing is remembered between calls.  Entries are read in
+  row-major order, so the first bad entry raises first.  A token's first
+  read goes through ``modes.coerce``, whose fast branch reads the plain
+  ``"p/q"`` and digit tokens of a problem file on ints; a repeat is one
+  dict lookup.  A marginal's mass is summed on its weights in engine form
   (``_ints``), so an exact mass is an ``int`` when it is integral.
 """
 
@@ -228,16 +228,12 @@ def make_cost_matrix(rows: Sequence[Sequence]) -> CostMatrix:
     width = len(rows[0])
     if width == 0:
         raise InputError("cost matrix needs at least one column")
-    memo = {}
-    read, known = _read_once(_coerce_cost, memo), memo.__getitem__
+    read = _read_once(_coerce_cost, {})
     out = []
     for row in rows:
         if len(row) != width:
             raise DimensionMismatchError("ragged cost matrix")
-        try:  # a row of tokens read before: one pass of lookups
-            out.append(tuple(map(known, row)))
-        except (KeyError, TypeError):  # a new token, a non-string, a list
-            out.append(tuple(map(read, row)))
+        out.append(tuple(map(read, row)))
     return CostMatrix(rows=tuple(out))
 
 

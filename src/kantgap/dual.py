@@ -135,46 +135,61 @@ class DualReport:
     ray: Optional[ImprovingRay]  # present exactly when value is INF
 
 
-def _pair_from_run(run: SolverRun, c: CostMatrix, mu: Marginal, nu: Marginal) -> DualPair:
+def _pair_from_run(run: SolverRun) -> DualPair:
     """The optimal pair of a run at full mass, read off its final potentials
     in engine form (``flow`` module docstring).
 
+    Weightless atoms are lowered on the scaled costs and potentials
+    (``_lower_weightless``); scaling by lc > 0 keeps every minimum and the
+    sign of 0, so the lowered values are those of the unscaled numbers.
     The objective is one running sum of scaled potential times scaled
     weight over phi, then psi, skipping weightless atoms, divided once by
     lc*lw; in float mode (lc = lw = 1) it is ``make_dual_pair``'s sum in
     its order.  Each potential is divided by lc, and in float mode a
     potential no search raised, the engine's int 0, becomes 0.0, as
-    ``modes.coerce`` makes it.  Zero-weight atoms get potential 0 when
-    feasible, lowered otherwise (``_lower_weightless``).
+    ``modes.coerce`` makes it.
     """
-    nx, lc, pots = run.nx, run.lc, run.potentials
-    scaled = [-p for p in pots[1 : 1 + nx]] + pots[1 + nx : -1]  # u, then v
+    nx, weights = run.nx, run.weights
+    u, v = [-p for p in run.potentials[1 : 1 + nx]], run.potentials[1 + nx : -1]
+    _lower_weightless(u, v, weights, run.cells)
+    scaled = u + v
     total = 0
-    for p, w in zip(scaled, run.weights):
+    for p, w in zip(scaled, weights):
         if w:  # (-oo) * 0 = 0
             total += p * w
-    pair = _from_ints(scaled, lc)
-    phi, psi = pair[:nx], pair[nx:]
-    _lower_weightless(phi, mu.weights, psi, lambda i: c.rows[i])
-    _lower_weightless(psi, nu.weights, phi, lambda j: [row[j] for row in c.rows])
-    return DualPair(phi=tuple(phi), psi=tuple(psi), objective=_unscaled(total, lc * run.lw))
+    pair = _from_ints(scaled, run.lc)
+    return DualPair(
+        phi=tuple(pair[:nx]), psi=tuple(pair[nx:]), objective=_unscaled(total, run.lc * run.lw)
+    )
 
 
-def _lower_weightless(pots: list, weights, other: list, line) -> None:
-    """Set pots[k] for each weightless atom k to min(0, c - other) over its
-    finite cells, where ``line(k)`` lists the costs of its cells against
-    the atoms of ``other``.
+def _lower_weightless(u: list, v: list, weights, cells) -> None:
+    """Set the potential of each weightless atom to min(0, c - other) over
+    its finite cells: rows against v, then columns against the lowered u.
+    ``weights`` holds the rows' weights, then the columns', and ``cells``
+    lists (i, j, c) per finite cell.  Both sides take one pass over the
+    cells, since a weightless row lowers no column: its lowered potential
+    is at most 0 and every cost at least 0, so its slack is at least 0.  A
+    slack of 0 (of either sign in float mode) keeps the int 0, as ``min``
+    with 0 first would.
 
     Mirrors modifying potentials on null sets: objectives cannot change, but
     the pair must stay feasible on every cell, not only charged ones."""
-    for k, w in enumerate(weights):
-        if w == 0:
-            slack = [
-                v - other[n]
-                for n, v in enumerate(line(k))
-                if v is not INF and not is_neg_inf(other[n])
-            ]
-            pots[k] = modes.coerce(min([0] + slack))
+    nx = len(u)
+    rows = {i: 0 for i, w in enumerate(weights[:nx]) if w == 0}
+    cols = {j: 0 for j, w in enumerate(weights[nx:]) if w == 0}
+    if not (rows or cols):
+        return
+    for i, j, x in cells:
+        if i in rows:
+            if x - v[j] < rows[i]:
+                rows[i] = x - v[j]
+        elif j in cols and x - u[i] < cols[j]:
+            cols[j] = x - u[i]
+    for i, x in rows.items():
+        u[i] = x
+    for j, x in cols.items():
+        v[j] = x
 
 
 def dual_value(c: CostMatrix, mu: Marginal, nu: Marginal) -> DualReport:
@@ -194,7 +209,7 @@ def dual_from_run(run: SolverRun, c: CostMatrix, mu: Marginal, nu: Marginal) -> 
     warm: both end with the same shipped mass and reachable sets, and at
     full mass with potentials that certify the plan."""
     if modes.eq(run.shipped, 1):
-        pair = _pair_from_run(run, c, mu, nu)
+        pair = _pair_from_run(run)
         return DualReport(value=pair.objective, pair=pair, ray=None)
     # full transport infeasible: dual unbounded along the cut direction
     d_phi = tuple(1 if i in run.reachable_rows else 0 for i in range(c.nx))

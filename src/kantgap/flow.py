@@ -42,11 +42,12 @@ after (0, 0), the running shipped mass and total cost with a snapshot of
 the potentials there.  The run returns its shipped mass and cost, and
 each segment's mass and cost, unscaled: masses divided by lw, costs by
 lc*lw.  Everything else stays in engine form, and each reader divides once
-what it reads: the snapshots and the final potentials (times lc), the
-flows and the weights (times lw).  ``SolverRun.plan`` builds the witness
-plan from the scaled flows, and ``dual.dual_from_run`` sums the objective
-over the scaled potentials and weights.  Integral results come out as
-``int``, the rest as ``Fraction``.
+what it reads: the snapshots, the final potentials and the finite cells'
+costs (times lc), the flows and the weights (times lw).
+``SolverRun.plan`` builds the witness plan from the scaled flows, and
+``dual.dual_from_run`` lowers the weightless atoms' potentials on the
+scaled cells and sums the objective over the scaled potentials and
+weights.  Integral results come out as ``int``, the rest as ``Fraction``.
 
 Determinism: the search is bipartite.  The source pushes the rows with room
 in index order, a row scans its cell arcs row-major (uncapped, so always
@@ -237,8 +238,9 @@ class SolverRun:
     each cell that carries flow to its flow times lw, and ``weights`` holds
     mu's weights, then nu's, times lw.  In float mode both scales are 1 and
     the numbers are the engine's own (a potential no search raised stays
-    the int 0).  ``flows`` and ``final_potentials`` unscale on demand, and
-    ``plan`` builds the coupling.
+    the int 0).  ``cells`` lists the network's finite cells as
+    (i, j, cost times lc), row-major.  ``flows`` and ``final_potentials``
+    unscale on demand, and ``plan`` builds the coupling.
     ``segments`` holds (mass, cost, snapshot) at each breakpoint of the
     profile after (0, 0), one per maximal run of equal slopes.  Mass and
     cost are unscaled; a snapshot is the engine's raw node potentials, still
@@ -258,6 +260,7 @@ class SolverRun:
     cost: object
     segments: List[Tuple[object, object, tuple]]
     potentials: list
+    cells: list  # (i, j, cost times lc) on every finite cell
     scaled_flows: dict  # (i, j) -> positive flow times lw
     weights: list
     lc: int
@@ -564,6 +567,7 @@ def _run_ssp(
             (_unscaled(m, lw), _unscaled(x, lc * lw), p) for m, x, p in segments or ()
         ],
         potentials=net.potentials,
+        cells=cells,
         scaled_flows={(i, j): f for (i, j, _), f in cell_flows if f > net.tol},
         weights=masses[:-1],
         lc=lc,

@@ -128,3 +128,25 @@ def test_engine_form_readers_match_the_constructors(mode):
     assert (scaled > 20) == (mode == EXACT)
     assert infeasible > 5 and zero_atoms > 5
 
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_weightless_row_then_column_sharing_a_cell(mode):
+    """Row 0 and column 1 are weightless and share the finite cell (0, 1).
+    The cold run leaves row 0 unreached, its potential pushed down by
+    every search, and its lowering on cell (0, 0) goes negative.
+    ``_lowered_pair`` then lowers column 1 against the lowered row, rows
+    first; the reader's one pass leaves the weightless row out of the
+    column's minimum, and the two must agree."""
+    with arithmetic(mode):
+        c = kg.make_cost_matrix([["1/3", "2"], ["5/2", "7/4"]])
+        mu = kg.make_marginal(kg.DiscreteSpace(2), ["0", "1"])
+        nu = kg.make_marginal(kg.DiscreteSpace(2), ["1", "0"])
+        cold, warm = _runs(c, mu, nu)
+        for run in (cold, warm):
+            assert not _check_pair(run, c, mu, nu)
+        pair = dual_from_run(cold, c, mu, nu).pair
+        engine = cold.final_potentials
+        phi0 = modes.coerce("1/3") - engine.v[0]  # the row's least slack
+        assert pair.phi[0] == phi0 < 0 and phi0 != engine.u[0]
+        assert pair.psi[1] == 0 != engine.v[1]
+        assert modes.eq(pair.objective, modes.coerce("5/2"))

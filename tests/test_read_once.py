@@ -148,8 +148,8 @@ def test_one_read_per_distinct_string(mode, monkeypatch):
 
 
 def _per_entry_matrix(rows, monkeypatch):
-    """``make_cost_matrix`` with every entry read on its own: with an empty
-    memo no row takes the one-pass lookup, and its checks stay."""
+    """``make_cost_matrix`` with every entry read on its own, through an
+    empty memo; its shape checks stay."""
     with monkeypatch.context() as patch:
         patch.setattr(core, "_read_once", lambda read, memo: read)
         return _outcome(lambda: tuple(_shape(r) for r in kg.make_cost_matrix(rows).rows))
@@ -264,8 +264,8 @@ def test_cli_bytes_match_per_entry_reading(seed, tmp_path, capsys, monkeypatch):
     ]
     argvs = [flag + cmd for cmd in commands for flag in ([], ["--float"])]
     memo = [_run(argv, capsys) for argv in argvs]
-    # the reference reads every entry through modes.coerce on its own; its
-    # memo stays empty, so no cost row takes the one-pass lookup either
+    # the reference reads every entry through modes.coerce on its own, so
+    # its memo stays empty
     monkeypatch.setattr(core, "_read_once", lambda read, memo: read)
     per_entry = [_run(argv, capsys) for argv in argvs]
     assert memo == per_entry
