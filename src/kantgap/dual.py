@@ -28,11 +28,12 @@ D_rel <= P.  A plain feasible pair is feasible on the chargeable cells too,
 so D <= D_rel, and D = P closes the chain; the plain optimal pair is a
 relaxed optimum.
 
-Every answer here has a ``*_from_run`` form that reads an existing
-``SolverRun``, so one warm-started engine run serves the primal value, the
-dual pair, the witness plan and the chargeable set of an instance; the
-public functions are thin wrappers that run the engine once and read from
-it.
+Every answer here has a ``*_from_run`` form that takes an existing
+``SolverRun`` and nothing else, since the run carries the marginals it
+solved and the finite cells of its cost.  So one warm-started engine run
+serves the primal value, the dual pair, the witness plan and the
+chargeable set of an instance; the public functions are thin wrappers that
+run the engine once and read from it.
 
 A genuinely smaller relaxed dual needs continuum structure and is out of
 reach at desk scale by design.
@@ -201,23 +202,23 @@ def dual_value(c: CostMatrix, mu: Marginal, nu: Marginal) -> DualReport:
     improving ray from the residual cut.
     """
     _require_probability(mu, nu)
-    return dual_from_run(_run_ssp(c, mu, nu, warm=True), c, mu, nu)
+    return dual_from_run(_run_ssp(c, mu, nu, warm=True))
 
 
-def dual_from_run(run: SolverRun, c: CostMatrix, mu: Marginal, nu: Marginal) -> DualReport:
-    """``dual_value`` read from an untargeted run of (c, mu, nu), cold or
-    warm: both end with the same shipped mass and reachable sets, and at
-    full mass with potentials that certify the plan."""
+def dual_from_run(run: SolverRun) -> DualReport:
+    """``dual_value`` read from an untargeted run, cold or warm: both end
+    with the same shipped mass and reachable sets, and at full mass with
+    potentials that certify the plan."""
     if modes.eq(run.shipped, 1):
         pair = _pair_from_run(run)
         return DualReport(value=pair.objective, pair=pair, ray=None)
     # full transport infeasible: dual unbounded along the cut direction
-    d_phi = tuple(1 if i in run.reachable_rows else 0 for i in range(c.nx))
-    d_psi = tuple(-1 if j in run.reachable_cols else 0 for j in range(c.ny))
-    slope = sum(
-        (mu.weights[i] for i in run.reachable_rows), 0
-    ) - sum((nu.weights[j] for j in run.reachable_cols), 0)
-    base = make_dual_pair((0,) * c.nx, (0,) * c.ny, mu, nu)
+    d_phi = tuple(1 if i in run.reachable_rows else 0 for i in range(run.nx))
+    d_psi = tuple(-1 if j in run.reachable_cols else 0 for j in range(run.ny))
+    slope = sum((run.mu.weights[i] for i in run.reachable_rows), 0) - sum(
+        (run.nu.weights[j] for j in run.reachable_cols), 0
+    )
+    base = make_dual_pair((0,) * run.nx, (0,) * run.ny, run.mu, run.nu)
     return DualReport(
         value=INF, pair=base, ray=ImprovingRay(d_phi=d_phi, d_psi=d_psi, slope=slope)
     )
@@ -249,11 +250,12 @@ def chargeable_cells(c: CostMatrix, mu: Marginal, nu: Marginal) -> FrozenSet:
     """Cells that some finite-cost full coupling charges (none when no
     finite-cost full coupling exists)."""
     _require_probability(mu, nu)
-    return chargeable_from_run(_run_ssp(c, mu, nu, warm=True), c)
+    return chargeable_from_run(_run_ssp(c, mu, nu, warm=True))
 
 
-def chargeable_from_run(run: SolverRun, c: CostMatrix) -> FrozenSet:
-    """``chargeable_cells`` read from an untargeted run of (c, mu, nu).
+def chargeable_from_run(run: SolverRun) -> FrozenSet:
+    """``chargeable_cells`` read from an untargeted run, on its finite
+    cells.
 
     The run's plan is a finite-cost full coupling whenever one exists, and
     any other one differs from it by a circulation in the residual graph
@@ -265,16 +267,14 @@ def chargeable_from_run(run: SolverRun, c: CostMatrix) -> FrozenSet:
     """
     if not modes.eq(run.shipped, 1):
         return frozenset()
-    nx = c.nx
-    succ = [[] for _ in range(nx + c.ny)]
-    for i, j, _v in c.finite_cells():
+    nx = run.nx
+    succ = [[] for _ in range(nx + run.ny)]
+    for i, j, _v in run.cells:
         succ[i].append(nx + j)
     for i, j in run.scaled_flows:
         succ[nx + j].append(i)
     comp = _strong_components(succ)
-    return frozenset(
-        (i, j) for i, j, _v in c.finite_cells() if comp[i] == comp[nx + j]
-    )
+    return frozenset((i, j) for i, j, _v in run.cells if comp[i] == comp[nx + j])
 
 
 def _strong_components(succ) -> list:
@@ -339,10 +339,8 @@ def relaxed_dual_value(c: CostMatrix, mu: Marginal, nu: Marginal) -> RelaxedDual
         raise NotApplicableError(
             "no finite-cost full coupling exists; the relaxed dual is undefined"
         )
-    rep = dual_from_run(run, c, mu, nu)
-    return RelaxedDualReport(
-        value=rep.value, pair=rep.pair, chargeable=chargeable_from_run(run, c)
-    )
+    rep = dual_from_run(run)
+    return RelaxedDualReport(value=rep.value, pair=rep.pair, chargeable=chargeable_from_run(run))
 
 
 @dataclass(frozen=True)

@@ -43,11 +43,13 @@ the potentials there.  The run returns its shipped mass and cost, and
 each segment's mass and cost, unscaled: masses divided by lw, costs by
 lc*lw.  Everything else stays in engine form, and each reader divides once
 what it reads: the snapshots, the final potentials and the finite cells'
-costs (times lc), the flows and the weights (times lw).
-``SolverRun.plan`` builds the witness plan from the scaled flows, and
-``dual.dual_from_run`` lowers the weightless atoms' potentials on the
-scaled cells and sums the objective over the scaled potentials and
-weights.  Integral results come out as ``int``, the rest as ``Fraction``.
+costs (times lc), the flows and the weights (times lw).  The run also
+keeps the marginals it was given, so a reader takes the run and its own
+question, never the instance: ``SolverRun.plan`` builds the witness plan
+from the scaled flows on the marginals' spaces, and ``dual.dual_from_run``
+lowers the weightless atoms' potentials on the scaled cells and sums the
+objective over the scaled potentials and weights.  Integral results come
+out as ``int``, the rest as ``Fraction``.
 
 Determinism: the search is bipartite.  The source pushes the rows with room
 in index order, a row scans its cell arcs row-major (uncapped, so always
@@ -146,7 +148,6 @@ from .core import (
     INF,
     CostMatrix,
     Coupling,
-    DiscreteSpace,
     Marginal,
     _coupling,
     _ints,
@@ -231,16 +232,18 @@ def _interpolate(bps, m):
 class SolverRun:
     """Full record of one parametric solve.
 
-    ``shipped`` and ``cost`` are unscaled.  The rest is kept in engine
-    form (module docstring), with its scales: ``lc`` over costs and
-    potentials, ``lw`` over masses.  ``potentials`` holds the final raw
+    ``mu`` and ``nu`` are the marginals the run was given, so every reader
+    takes the run alone.  ``shipped`` and ``cost`` are unscaled.  The rest
+    is kept in engine form (module docstring), with its scales: ``lc`` over
+    costs and potentials, ``lw`` over masses.  ``potentials`` holds the final raw
     node potentials times lc (source, X, Y, sink), ``scaled_flows`` maps
     each cell that carries flow to its flow times lw, and ``weights`` holds
     mu's weights, then nu's, times lw.  In float mode both scales are 1 and
     the numbers are the engine's own (a potential no search raised stays
     the int 0).  ``cells`` lists the network's finite cells as
     (i, j, cost times lc), row-major.  ``flows`` and ``final_potentials``
-    unscale on demand, and ``plan`` builds the coupling.
+    unscale on demand, and ``plan`` builds the coupling on the marginals'
+    spaces.
     ``segments`` holds (mass, cost, snapshot) at each breakpoint of the
     profile after (0, 0), one per maximal run of equal slopes.  Mass and
     cost are unscaled; a snapshot is the engine's raw node potentials, still
@@ -256,6 +259,8 @@ class SolverRun:
 
     nx: int
     ny: int
+    mu: Marginal
+    nu: Marginal
     shipped: object
     cost: object
     segments: List[Tuple[object, object, tuple]]
@@ -285,10 +290,12 @@ class SolverRun:
         """(i, j) -> positive mass, unscaled."""
         return {ij: _unscaled(f, self.lw) for ij, f in self.scaled_flows.items()}
 
-    def plan(self, space_x: DiscreteSpace, space_y: DiscreteSpace) -> Coupling:
+    def plan(self) -> Coupling:
         """The run's plan as a coupling, its sums taken on the scaled flows
         and divided once by lw; no entry is read again."""
-        return _coupling(space_x, space_y, self.flows, self.scaled_flows.values(), self.lw)
+        return _coupling(
+            self.mu.space, self.nu.space, self.flows, self.scaled_flows.values(), self.lw
+        )
 
     def segment_potentials(self, k: int) -> PotentialPair:
         """The potentials certifying the profile at the end of segment k."""
@@ -320,7 +327,10 @@ def _require_instance(c: CostMatrix, mu: Marginal, nu: Marginal) -> None:
 
 class _Network:
     """The network source -> X -> Y -> sink on cells (i, j, cost), with the
-    state of a run on it; costs and weights come scaled.
+    state of a run on it.  Costs and ``weights`` come scaled, the weights
+    as one list, mu's then nu's, as ``core._ints`` returns them; the source
+    and sink arcs are laid out from it, and one pass over the cells adds
+    their arcs.
 
     Arc a runs from head[a ^ 1] to head[a] with residual capacity res[a]
     (math.inf = uncapped) and cost cost[a]; arcs 2k and 2k + 1 are a forward
@@ -333,20 +343,20 @@ class _Network:
     soon as its run returns.
     """
 
-    def __init__(self, nx: int, ny: int, cells: list, mu_w: list, nu_w: list):
-        source, sink = 0, nx + ny + 1
-        head, res, cost = [], [], []
-        arcs = [(source, 1 + i, w, 0) for i, w in enumerate(mu_w)]
-        arcs += [(1 + nx + j, sink, w, 0) for j, w in enumerate(nu_w)]
-        arcs += [(1 + i, 1 + nx + j, math.inf, cij) for i, j, cij in cells]
-        for u, v, res_uv, cost_uv in arcs:
-            head += (v, u)
-            res += (res_uv, 0)
-            cost += (cost_uv, -cost_uv)
-        self.nx, self.ny, self.cells, self.first_cell = nx, ny, cells, 2 * (nx + ny)
+    def __init__(self, nx: int, ny: int, cells: list, weights: list):
+        sink = nx + ny + 1
+        # the source arcs of the rows, then the sink arcs of the columns
+        head = [v for i in range(1, 1 + nx) for v in (i, 0)]
+        head += [v for j in range(1 + nx, sink) for v in (sink, j)]
+        res = [r for w in weights for r in (w, 0)]
+        cost = [0] * len(res)
+        self.nx, self.ny, self.cells, self.first_cell = nx, ny, cells, len(res)
         self.row_arcs: List[List[int]] = [[] for _ in range(nx)]
-        for k, (i, _j, _c) in enumerate(cells):
-            self.row_arcs[i].append(self.first_cell + 2 * k)
+        for i, j, cij in cells:
+            self.row_arcs[i].append(len(res))
+            head += (1 + nx + j, 1 + i)
+            res += (math.inf, 0)
+            cost += (cij, -cij)
         self.col_arcs: List[List[int]] = [[] for _ in range(ny)]
         self.head, self.res, self.cost = head, res, cost
         self.potentials = [0] * (sink + 1)
@@ -543,10 +553,10 @@ def _run_ssp(
     if lc != 1:
         cells = [(i, j, x) for (i, j, _), x in zip(cells, costs)]
     masses, lw = _ints([*mu.weights, *nu.weights, 0 if target is None else target])
-    mu_w, nu_w = masses[:nx], masses[nx:-1]
+    weights = masses[:-1]
     target = None if target is None else masses[-1]
 
-    net = _Network(nx, ny, cells, mu_w, nu_w)
+    net = _Network(nx, ny, cells, weights)
     segments = None if warm else []
     if warm:
         net.warm_start()
@@ -561,6 +571,8 @@ def _run_ssp(
     return SolverRun(
         nx=nx,
         ny=ny,
+        mu=mu,
+        nu=nu,
         shipped=_unscaled(net.shipped, lw),
         cost=_unscaled(net.total_cost, lc * lw),
         segments=[
@@ -569,13 +581,13 @@ def _run_ssp(
         potentials=net.potentials,
         cells=cells,
         scaled_flows={(i, j): f for (i, j, _), f in cell_flows if f > net.tol},
-        weights=masses[:-1],
+        weights=weights,
         lc=lc,
         lw=lw,
         reachable_rows=rows,
         reachable_cols=cols,
         searches=net.searches,
-        full_mass=_unscaled(sum(mu_w), lw) if warm else None,
+        full_mass=_unscaled(sum(weights[:nx]), lw) if warm else None,
     )
 
 
@@ -637,9 +649,8 @@ def truncation_ladder(
     scaled, lc = _ints(finite)
     scaled = iter(scaled)  # the finite costs, then each level's values
     base = [v if v is INF else next(scaled) for v in base]
-    masses, lw = _ints([*mu.weights, *nu.weights])
-    mu_w, nu_w = masses[:nx], masses[nx:]
-    full = min(sum(mu_w), sum(nu_w))
+    weights, lw = _ints([*mu.weights, *nu.weights])
+    full = min(sum(weights[:nx]), sum(weights[nx:]))
     net = None
     steps = []
     for level in checked:
@@ -651,7 +662,7 @@ def truncation_ladder(
         costs = [m if v is INF or v > m else v for v, m in zip(base, vals)]
         if net is None:
             cells = [(*divmod(n, ny), x) for n, x in enumerate(costs)]
-            net = _Network(nx, ny, cells, mu_w, nu_w)
+            net = _Network(nx, ny, cells, weights)
             net.warm_start()
             unshipped = 0
         else:
@@ -706,7 +717,7 @@ def optimal_coupling_at(c: CostMatrix, mu: Marginal, nu: Marginal, m) -> Couplin
         raise InfeasibleMassError(
             f"requested mass {m} exceeds the largest shippable mass {run.shipped}"
         )
-    return run.plan(mu.space, nu.space)
+    return run.plan()
 
 
 def max_shippable_mass(c: CostMatrix, mu: Marginal, nu: Marginal):

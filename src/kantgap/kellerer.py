@@ -13,9 +13,10 @@ Cover and matching mass agree exactly on every instance (max-flow min-cut),
 so both are read from one run of the flow engine on the indicator cost of
 L: the shipped mass is the value, the residual cut is the cover, and the
 same run settles the zero-mass questions below.  Each such answer has a
-``*_from_run`` form that reads that run (the null question is whether it
-shipped any mass, as in the decomposition); the public functions run the
-engine once and read from it.  The capacity is half the cover value of the symmetrised set
+``*_from_run`` form that takes that run and L, since the run carries the
+marginals it was given (the null question is whether it shipped any mass,
+as in the decomposition); the public functions run the engine once and
+read from it.  The capacity is half the cover value of the symmetrised set
 (Nemhauser-Trotter half-integrality), and it sandwiches the cover within a
 factor of 4: gamma <= m <= 4 gamma, via the threshold set {f >= 1/2} on one
 side and indicator functions on the other.
@@ -132,7 +133,7 @@ def matching_run(L: CellSet, mu: Marginal, nu: Marginal) -> SolverRun:
 def max_mass_on(L: CellSet, mu: Marginal, nu: Marginal) -> Tuple[object, Coupling]:
     """Largest mass of a partial coupling supported inside L, with witness."""
     run = matching_run(L, mu, nu)
-    return run.shipped, run.plan(mu.space, nu.space)
+    return run.shipped, run.plan()
 
 
 def cover_value(L: CellSet, mu: Marginal, nu: Marginal) -> Tuple[object, CoverCertificate]:
@@ -143,17 +144,15 @@ def cover_value(L: CellSet, mu: Marginal, nu: Marginal) -> Tuple[object, CoverCe
     L.  The residual cut of that matching flow is a cover of the same
     weight: rows the source can no longer reach, plus columns it can.
     """
-    return cover_from_run(matching_run(L, mu, nu), L, mu, nu)
+    return cover_from_run(matching_run(L, mu, nu), L)
 
 
-def cover_from_run(
-    run: SolverRun, L: CellSet, mu: Marginal, nu: Marginal
-) -> Tuple[object, CoverCertificate]:
+def cover_from_run(run: SolverRun, L: CellSet) -> Tuple[object, CoverCertificate]:
     """``cover_value`` read from ``matching_run(L, mu, nu)``."""
     rows = frozenset(i for i in range(L.nx) if i not in run.reachable_rows)
     cols = frozenset(run.reachable_cols)
-    value = sum((mu.weights[i] for i in rows), 0) + sum(
-        (nu.weights[j] for j in cols), 0
+    value = sum((run.mu.weights[i] for i in rows), 0) + sum(
+        (run.nu.weights[j] for j in cols), 0
     )
     if not all(i in rows or j in cols for i, j in L.cells()):
         raise PostconditionError("cover certificate does not cover the cell set")
@@ -214,13 +213,12 @@ def kellerer_decompose(L: CellSet, mu: Marginal, nu: Marginal) -> Decomposition:
     weightless columns meeting L elsewhere, form the null cover.  Otherwise
     some cell of L has positive weights on both sides and the product
     coupling already charges it."""
-    return decompose_from_run(matching_run(L, mu, nu), L, mu, nu)
+    return decompose_from_run(matching_run(L, mu, nu), L)
 
 
-def decompose_from_run(
-    run: SolverRun, L: CellSet, mu: Marginal, nu: Marginal
-) -> Decomposition:
+def decompose_from_run(run: SolverRun, L: CellSet) -> Decomposition:
     """``kellerer_decompose`` read from ``matching_run(L, mu, nu)``."""
+    mu, nu = run.mu, run.nu
     if not modes.is_positive(run.shipped):
         null_rows = frozenset(
             i

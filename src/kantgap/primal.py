@@ -121,20 +121,18 @@ def primal_report(
     """P, the partial values at ``eps_grid`` and a witness from one engine
     run, warm-started unless partial values are asked for."""
     _require_probability(mu, nu)
-    return primal_from_run(_run_ssp(c, mu, nu, warm=not eps_grid), mu, nu, eps_grid)
+    return primal_from_run(_run_ssp(c, mu, nu, warm=not eps_grid), eps_grid)
 
 
-def primal_from_run(
-    run: SolverRun, mu: Marginal, nu: Marginal, eps_grid: Sequence = ()
-) -> PrimalReport:
-    """``primal_report`` read from an untargeted run of (c, mu, nu); only a
-    cold run answers partial values."""
+def primal_from_run(run: SolverRun, eps_grid: Sequence = ()) -> PrimalReport:
+    """``primal_report`` read from an untargeted run; only a cold run
+    answers partial values."""
     value = value_from_run(run, 1)
     partials = tuple(
         (eps, value_from_run(run, 1 - eps))
         for eps in sorted(check_eps(e) for e in eps_grid)
     )
-    witness = None if is_inf(value) else run.plan(mu.space, nu.space)
+    witness = None if is_inf(value) else run.plan()
     return PrimalReport(
         value=value,
         partials=partials,
@@ -183,13 +181,14 @@ def refinement_study(
 
     rows: List[StudyRow] = []
     for n in n_list:
+        # the family checks n, and builds without solving, before n scales the grid
+        c, mu, nu = family(n)
         eps_values = [check_eps(resolve_eps(e, n)) for e in eps_list]
         m_values = [modes.coerce(m) for m in m_list]
-        c, mu, nu = family(n)
         _require_probability(mu, nu)
         run = _run_ssp(c, mu, nu)
         p = value_from_run(run, 1)
-        d = dual_from_run(run, c, mu, nu).value
+        d = dual_from_run(run).value
         ladder = truncation_ladder(c, mu, nu, sorted(set(m_values)))
         truncated = {step.level: step.value for step in ladder}
         for eps, m in _cartesian(eps_values, m_values):

@@ -97,6 +97,8 @@ def closed_inf_band(n: int, bandwidth: int) -> Instance:
     larger values strangle feasibility row by row (the forbidden set is a
     single contiguous block in every row, the finite analog of a closed
     forbidden region)."""
+    if n < 1:
+        raise InputError("n must be >= 1")
     if bandwidth < 0:
         raise InputError("bandwidth must be >= 0")
     if bandwidth >= n:

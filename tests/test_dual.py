@@ -75,6 +75,15 @@ def test_verify_feasible_neg_inf_row(diag3):
     assert kg.verify_feasible(pair, c).ok
 
 
+def test_verify_feasible_neg_inf_column(diag3):
+    c, mu, nu = diag3
+    # column 0 at -oo waives its cells, where row 1's potential would break
+    # phi_1 + psi_0 <= c(1, 0) = 0
+    assert not kg.verify_feasible(kg.make_dual_pair([0, 1, 0], [0, 0, 0], mu, nu), c).ok
+    pair = kg.make_dual_pair([0, 1, 0], [kg.NEG_INF, 0, 0], mu, nu)
+    assert kg.verify_feasible(pair, c).ok
+
+
 def test_objective_neg_inf_convention(diag3):
     _, mu, nu = diag3
     weightless = kg.make_marginal(mu.space, [F(1, 2), F(1, 2), 0])

@@ -62,7 +62,7 @@ def _plain_sums(space, entries, axis):
 
 
 def _check_plan(run, mu, nu):
-    plan = run.plan(mu.space, nu.space)
+    plan = run.plan()
     ref = kg.make_coupling(mu.space, nu.space, run.flows)
     assert plan == ref
     assert _shape(k for kv in plan.items() for k in kv) == _shape(
@@ -99,7 +99,7 @@ def _lowered_pair(run, c, mu, nu):
 def _check_pair(run, c, mu, nu):
     """The optimal pair against ``_lowered_pair``; True on an infeasible
     instance, whose base pair is ``make_dual_pair``'s own."""
-    rep = dual_from_run(run, c, mu, nu)
+    rep = dual_from_run(run)
     if kg.is_inf(rep.value):
         assert rep.pair == kg.make_dual_pair((0,) * c.nx, (0,) * c.ny, mu, nu)
         return True
@@ -144,7 +144,7 @@ def test_weightless_row_then_column_sharing_a_cell(mode):
         cold, warm = _runs(c, mu, nu)
         for run in (cold, warm):
             assert not _check_pair(run, c, mu, nu)
-        pair = dual_from_run(cold, c, mu, nu).pair
+        pair = dual_from_run(cold).pair
         engine = cold.final_potentials
         phi0 = modes.coerce("1/3") - engine.v[0]  # the row's least slack
         assert pair.phi[0] == phi0 < 0 and phi0 != engine.u[0]

@@ -289,7 +289,7 @@ def test_a_path_without_room_raises(mode):
         # X_0 reaches only Y_0, which is full; Y_0's list wrongly offers the
         # unshipped cell (1, 0) back to X_1, whose cell (1, 1) reaches Y_1
         cells = [(0, 0, zero), (1, 0, zero), (1, 1, zero)]
-        net = _Network(2, 2, cells, [one, zero], [zero, one])
+        net = _Network(2, 2, cells, [one, zero, zero, one])
         net.col_arcs[0].append(net.first_cell + 3)  # the reverse arc of cell (1, 0)
         with pytest.raises(PostconditionError, match="an augmenting path has no room"):
             net.augment()

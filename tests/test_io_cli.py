@@ -372,6 +372,42 @@ def test_cli_out_of_range_parameter_named(argv, message, diag3_file, capsys):
     assert capsys.readouterr().err == message
 
 
+@pytest.mark.parametrize("scenario", ["diagonal", "band"])
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_cli_study_reports_a_bad_size(scenario, n, capsys):
+    argv = ["study", "--scenario", scenario, "--n-list", n, "--eps-grid", "1/n", "--m-grid", "1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: n must be >= 1\n"
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_cli_gen_band_reports_a_bad_size(n, capsys):
+    assert main(["gen", "--scenario", "band", "--n", n]) == 1
+    assert capsys.readouterr().err == "error: n must be >= 1\n"
+
+
+# P sums the plan's cost and D the potentials' objective, in other orders:
+# under --float these instances' two sums part in the last bits
+_FLOAT_GAP = [
+    {"nx": 2, "ny": 2, "mu": ["3/7", "4/7"], "nu": ["5/13", "8/13"],
+     "cost": [["0", "2/5"], ["3", "2/7"]]},
+    {"nx": 2, "ny": 2, "mu": ["6/7", "1/7"], "nu": ["4/7", "3/7"],
+     "cost": [["11/4", "4/5"], ["5/4", "10/7"]]},
+]
+
+
+@pytest.mark.parametrize("doc", _FLOAT_GAP, ids=["P-below-D", "P-above-D"])
+def test_cli_float_solve_prints_zero_gap_when_p_equals_d(doc, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--float", "solve", str(path), "--format", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["P"] != out["D"] and out["gap"] == "0.0"
+    assert main(["--float", "solve", str(path)]) == 0
+    text = capsys.readouterr().out.splitlines()
+    assert text[0] == f"P={out['P']} D={out['D']} gap=0.0"
+
+
 def test_cli_float_run_leaves_the_mode_exact(diag3_file, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**_ONE, "mu": ["abc"]}))

@@ -229,7 +229,7 @@ def test_raised_costs_keep_the_potentials_feasible():
 
         levels = sorted(rng.randint(0, 12) for _ in range(5))
         cells = [(*divmod(n, ny), x) for n, x in enumerate(costs(levels[0]))]
-        net = _Network(nx, ny, cells, mu_w, nu_w)
+        net = _Network(nx, ny, cells, mu_w + nu_w)
         net.warm_start()
         net.augment(sum(mu_w))
         for m in levels[1:]:
@@ -273,7 +273,7 @@ def test_column_lists_follow_every_shipment(mode):
             levels = sorted(rng.randint(0, 12) for _ in range(4))
             cells = [(*divmod(n, ny), x) for n, x in enumerate(costs(levels[0]))]
             for warm in (False, True):
-                net = _Network(nx, ny, cells, mu_w, nu_w)
+                net = _Network(nx, ny, cells, mu_w + nu_w)
                 if warm:
                     net.warm_start()
                     assert _column_lists_hold_the_flows(net)

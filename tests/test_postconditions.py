@@ -29,7 +29,7 @@ def test_a_cut_that_misses_a_cell_is_no_cover():
         run, reachable_rows=frozenset(range(3)), reachable_cols=frozenset()
     )
     with pytest.raises(PostconditionError, match="does not cover the cell set"):
-        cover_from_run(run, L, mu, nu)
+        cover_from_run(run, L)
 
 
 def test_a_cover_must_weigh_the_matching_mass():
@@ -37,14 +37,14 @@ def test_a_cover_must_weigh_the_matching_mass():
     run = matching_run(L, mu, nu)
     run = dataclasses.replace(run, shipped=run.shipped + F(1, 3))
     with pytest.raises(PostconditionError, match="does not match the matching mass"):
-        cover_from_run(run, L, mu, nu)
+        cover_from_run(run, L)
 
 
 def test_zero_matching_mass_needs_a_weightless_cover():
     L, mu, nu = _diag3_cells([(0, 0)])
     run = dataclasses.replace(matching_run(L, mu, nu), shipped=0)
     with pytest.raises(PostconditionError, match="weightless band cover"):
-        decompose_from_run(run, L, mu, nu)
+        decompose_from_run(run, L)
 
 
 def test_a_charging_witness_must_charge_the_cell_set():
@@ -54,7 +54,7 @@ def test_a_charging_witness_must_charge_the_cell_set():
     L = kg.cellset_from_pairs(2, 2, [(1, 0)])
     run = dataclasses.replace(matching_run(L, mu, nu), shipped=F(1, 2))
     with pytest.raises(PostconditionError, match="failed to charge the cell set"):
-        decompose_from_run(run, L, mu, nu)
+        decompose_from_run(run, L)
 
 
 def test_a_ladder_step_must_ship_full_mass(monkeypatch):

@@ -196,6 +196,21 @@ def test_refinement_study_rows_cross_product():
     assert [r.n for r in rows[:4]] == [2, 2, 2, 2]
 
 
+@pytest.mark.parametrize("family", [kg.example_diagonal, kg.scenarios.family("band")],
+                         ids=["diagonal", "band"])
+@pytest.mark.parametrize("n", [0, -2])
+def test_refinement_study_reports_a_bad_size(family, n):
+    # the family checks n before n scales the eps grid
+    with pytest.raises(InputError, match=r"^n must be >= 1$"):
+        kg.refinement_study(family, [n], ["1/n"], [1])
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_band_checks_n_before_the_bandwidth(n):
+    with pytest.raises(InputError, match=r"^n must be >= 1$"):
+        kg.closed_inf_band(n, 0)
+
+
 def test_refinement_study_checks_eps_before_solving(monkeypatch):
     # an empty level list used to skip the eps check and return []
     with pytest.raises(InputError, match="eps 2 outside"):

@@ -100,8 +100,8 @@ def test_warm_run_matches_cold_run(mode):
             assert modes.eq(warm.shipped, cold.shipped)
             assert warm.full_mass is not None and cold.full_mass is None
             p = value_from_run(warm, 1)
-            d = dual_from_run(warm, c, mu, nu)
-            cold_d = dual_from_run(cold, c, mu, nu)
+            d = dual_from_run(warm)
+            cold_d = dual_from_run(cold)
             if not modes.eq(cold.shipped, 1):
                 infeasible += 1
                 assert kg.is_inf(p) and kg.is_inf(d.value)
