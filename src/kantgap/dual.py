@@ -66,7 +66,7 @@ from .errors import (
     PostconditionError,
     PreconditionError,
 )
-from .flow import SolverRun, _run_ssp, truncation_ladder
+from .flow import SolverRun, _require_cut, _run_ssp, truncation_ladder
 from .primal import _require_probability, primal_value
 
 
@@ -208,11 +208,13 @@ def dual_value(c: CostMatrix, mu: Marginal, nu: Marginal) -> DualReport:
 def dual_from_run(run: SolverRun) -> DualReport:
     """``dual_value`` read from an untargeted run, cold or warm: both end
     with the same shipped mass and reachable sets, and at full mass with
-    potentials that certify the plan."""
+    potentials that certify the plan.  Short of full mass the answer is the
+    cut's ray, so a targeted run raises ``PreconditionError`` there."""
     if modes.eq(run.shipped, 1):
         pair = _pair_from_run(run)
         return DualReport(value=pair.objective, pair=pair, ray=None)
     # full transport infeasible: dual unbounded along the cut direction
+    _require_cut(run)
     d_phi = tuple(1 if i in run.reachable_rows else 0 for i in range(run.nx))
     d_psi = tuple(-1 if j in run.reachable_cols else 0 for j in range(run.ny))
     slope = sum((run.mu.weights[i] for i in run.reachable_rows), 0) - sum(

@@ -18,16 +18,21 @@ therefore parametrizes by exact shipped mass.
 
 Infinite cells are never added to the network.  Zero-weight atoms keep their
 nodes (with zero-capacity source/sink arcs) so indices line up with inputs.
-Every arc keeps only its residual capacity (``math.inf`` on a cell arc); a
-cell's flow is its reverse arc's residual.  A run without a target ends with
-a search that finds no column with room, which settles exactly what the
-source reaches in the residual graph: the source side of a minimum cut,
-``reachable_rows`` and ``reachable_cols``.  A targeted run has no cut.
+The network is indexed by cell, with no arc list: each finite cell keeps its
+cost and its flow, each row and column what is left on its source or sink
+arc (``_Network``).  A search steps forward through any cell of a row,
+uncapped at the cell's cost, and backward through a cell that carries flow
+into a column, with that flow as its room, at minus the cost.  A run
+without a target ends with a search that finds no column with room, which
+settles exactly what the source reaches in the residual graph: the source
+side of a minimum cut, ``reachable_rows`` and ``reachable_cols``.  A
+targeted run has no cut, and a reader of the cut raises
+``PreconditionError`` on it.
 
-Certificates: cell arcs are uncapped, hence always residual, so the running
+Certificates: forward steps are uncapped, hence always open, so the running
 potentials satisfy cost(i,j) - u_i - v_j >= 0 on *every* finite cell at every
-stage, and cells carrying flow satisfy equality (their reverse arcs are
-residual too).  The potentials recorded at each breakpoint are thus exact
+stage, and cells carrying flow satisfy equality (their backward steps are
+open too).  The potentials recorded at each breakpoint are thus exact
 dual certificates for the profile value there.
 
 Exact arithmetic: the engine runs on Python ints.  Costs are scaled by lc,
@@ -52,15 +57,17 @@ objective over the scaled potentials and weights.  Integral results come
 out as ``int``, the rest as ``Fraction``.
 
 Determinism: the search is bipartite.  The source pushes the rows with room
-in index order, a row scans its cell arcs row-major (uncapped, so always
-residual), and a column a sorted list of the reverse arcs of its cells that
-carry flow, which every shipment keeps current.  No search scans a sink arc
-or the reverse arc of a source or sink arc.  A search ends at the first
-settled column whose sink arc has room, the stop rule of Jonker and
-Volgenant (*Computing* 38, 1987), which takes the sink's label and parent
-from that column.  Dijkstra breaks distance ties by node index with
-strict-improvement relaxation, so profiles, couplings and potentials are
-reproducible byte for byte.
+in index order, a row scans its cells in cell order (row-major, each step
+open), and a column the sorted list of its cells that carry flow, which
+every shipment keeps current.  No search scans a sink arc or steps back to
+the source or the sink.  A search ends at the first settled column whose
+sink arc has room, the stop rule of Jonker and Volgenant (*Computing* 38,
+1987), which takes the sink's label from that column.  A path's room is the
+least of that column's room, the flows of the cells it crosses backward and
+its row's room; its unit cost is summed from the sink back, plus each
+forward cell's cost and minus each backward one's.  Dijkstra breaks
+distance ties by node index with strict-improvement relaxation, so
+profiles, couplings and potentials are reproducible byte for byte.
 
 A cold run (zero flow, zero potentials) takes the paths and sets the
 potentials that a search on to the sink would.  A column whose sink arc has
@@ -117,7 +124,7 @@ steps of all of them as a list.  The first level is always a warm run,
 so a ladder needs marginals of equal mass.  Raising the level only raises
 cell costs, so the potentials keep cost(i,j) - u_i - v_j >= 0 on every
 cell: they stay feasible.  A cell whose cost rose and that carries flow
-would break complementary slackness (its reverse arc gets a negative
+would break complementary slackness (its backward step gets a negative
 reduced cost), so its flow goes back to its source and sink arcs, and the
 Dijkstra loop runs unchanged to full mass (Ahuja-Magnanti-Orlin, ch. 9);
 ``raise_costs`` says why the source potential needs no reset.  Only the
@@ -129,16 +136,16 @@ level take 1,291.
 Size: each augmentation is one Dijkstra (``SolverRun.searches`` counts
 them), so the time grows with the number of augmenting paths, not only with
 the number of cells.  ``random_instance(120, 120, 0.3, "random", 0)``
-(~10^4 finite cells) traces its profile in 285 searches and about 0.5 s
-in either mode, on one core (CPython 3.11); a warm run of it takes 120
-searches and about 0.2 s.
+(~10^4 finite cells) traces its profile in 285 searches, in about 0.50 s
+in exact mode and 0.47 s in float mode, on one core of a shared machine
+(CPython 3.11); a warm run of it takes 120 searches and about 0.20 s.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import islice
 from typing import List, Optional, Sequence, Tuple
@@ -236,14 +243,15 @@ class SolverRun:
     takes the run alone.  ``shipped`` and ``cost`` are unscaled.  The rest
     is kept in engine form (module docstring), with its scales: ``lc`` over
     costs and potentials, ``lw`` over masses.  ``potentials`` holds the final raw
-    node potentials times lc (source, X, Y, sink), ``scaled_flows`` maps
-    each cell that carries flow to its flow times lw, and ``weights`` holds
-    mu's weights, then nu's, times lw.  In float mode both scales are 1 and
-    the numbers are the engine's own (a potential no search raised stays
-    the int 0).  ``cells`` lists the network's finite cells as
-    (i, j, cost times lc), row-major.  ``flows`` and ``final_potentials``
-    unscale on demand, and ``plan`` builds the coupling on the marginals'
-    spaces.
+    node potentials times lc (source, X, Y, sink), and ``weights`` holds
+    mu's weights, then nu's, times lw.  ``cells`` lists the network's finite
+    cells as (i, j, cost times lc), row-major, so that entry k is the
+    network's cell k; ``scaled_flows`` maps (i, j) of each cell whose flow
+    is above the tolerance, in that order, to its flow times lw.  In float
+    mode both scales are 1 and the numbers are the engine's own (a
+    potential no search raised stays the int 0).  ``flows`` and
+    ``final_potentials`` unscale on demand, and ``plan`` builds the
+    coupling on the marginals' spaces.
     ``segments`` holds (mass, cost, snapshot) at each breakpoint of the
     profile after (0, 0), one per maximal run of equal slopes.  Mass and
     cost are unscaled; a snapshot is the engine's raw node potentials, still
@@ -311,6 +319,13 @@ def _require_profile(run: SolverRun) -> None:
         )
 
 
+def _require_cut(run: SolverRun) -> None:
+    if run.reachable_rows is None:
+        raise PreconditionError(
+            f"a targeted run has no min cut; it stopped at mass {run.shipped}"
+        )
+
+
 def _potential_pair(pots, nx: int, ny: int, scale: int) -> PotentialPair:
     """(u, v) from raw node potentials: u_i = -pot(X_i), v_j = pot(Y_j),
     both divided by scale."""
@@ -327,85 +342,69 @@ def _require_instance(c: CostMatrix, mu: Marginal, nu: Marginal) -> None:
 
 class _Network:
     """The network source -> X -> Y -> sink on cells (i, j, cost), with the
-    state of a run on it.  Costs and ``weights`` come scaled, the weights
-    as one list, mu's then nu's, as ``core._ints`` returns them; the source
-    and sink arcs are laid out from it, and one pass over the cells adds
-    their arcs.
+    state of a run on it, indexed by cell.  Costs and ``weights`` come
+    scaled, the weights as one list, mu's then nu's, as ``core._ints``
+    returns them.  The cells come row-major, so a row's cells are
+    contiguous.
 
-    Arc a runs from head[a ^ 1] to head[a] with residual capacity res[a]
-    (math.inf = uncapped) and cost cost[a]; arcs 2k and 2k + 1 are a forward
-    arc and its reverse, so the flow on a forward arc a is res[a ^ 1].  The
-    source arc of X_i is 2i, the sink arc of Y_j is 2(nx + j) (node u's is
-    2(u - 1)), and the k-th cell's arc is first_cell + 2k.  ``row_arcs`` and
-    ``col_arcs`` are the bipartite lists a search scans, and every search
-    stops at the first settled column with room (module docstring).
-    Flat lists keep the network free of reference cycles, so it is freed as
-    soon as its run returns.
+    Nodes are numbered source 0, X_i 1 + i, Y_j 1 + nx + j and sink
+    nx + ny + 1.  Cell k has ``cost[k]``, ``flow[k]`` and its nodes
+    ``row_node[k]`` and ``col_node[k]``.  ``row_cells[i]`` is the range of
+    row i's cells, and ``col_cells[j]`` the sorted list of column j's cells
+    whose flow is above the tolerance, which every shipment keeps current.
+    ``row_room`` and ``col_room`` hold what is left on each source arc and
+    each sink arc.  A forward step through cell k is uncapped and costs
+    ``cost[k]``; a backward one costs ``-cost[k]`` and has room ``flow[k]``.
+    Every search stops at the first settled column with room (module
+    docstring).  Flat lists keep the network free of reference cycles, so
+    it is freed as soon as its run returns.
     """
 
     def __init__(self, nx: int, ny: int, cells: list, weights: list):
-        sink = nx + ny + 1
-        # the source arcs of the rows, then the sink arcs of the columns
-        head = [v for i in range(1, 1 + nx) for v in (i, 0)]
-        head += [v for j in range(1 + nx, sink) for v in (sink, j)]
-        res = [r for w in weights for r in (w, 0)]
-        cost = [0] * len(res)
-        self.nx, self.ny, self.cells, self.first_cell = nx, ny, cells, len(res)
-        self.row_arcs: List[List[int]] = [[] for _ in range(nx)]
-        for i, j, cij in cells:
-            self.row_arcs[i].append(len(res))
-            head += (1 + nx + j, 1 + i)
-            res += (math.inf, 0)
-            cost += (cij, -cij)
-        self.col_arcs: List[List[int]] = [[] for _ in range(ny)]
-        self.head, self.res, self.cost = head, res, cost
-        self.potentials = [0] * (sink + 1)
+        self.nx, self.ny = nx, ny
+        self.cost = [cij for _, _, cij in cells]
+        self.flow = [0] * len(cells)
+        self.row_node = [1 + i for i, _, _ in cells]
+        self.col_node = [1 + nx + j for _, j, _ in cells]
+        starts = [bisect_left(self.row_node, 1 + i) for i in range(nx + 1)]
+        self.row_cells = [range(a, b) for a, b in zip(starts, starts[1:])]
+        self.col_cells: List[List[int]] = [[] for _ in range(ny)]
+        self.row_room, self.col_room = weights[:nx], weights[nx:]
+        self.potentials = [0] * (nx + ny + 2)
         self.shipped = self.total_cost = self.searches = 0
         self.tol = modes.tolerance()
-
-    def _push(self, a: int, delta) -> None:
-        """Push delta along arc a; a cell whose flow crosses the tolerance
-        enters or leaves its column's list."""
-        res, rev = self.res, a | 1
-        listed = a >= self.first_cell and res[rev] > self.tol
-        res[a] -= delta
-        res[a ^ 1] += delta
-        if a >= self.first_cell and listed != (res[rev] > self.tol):
-            col = self.col_arcs[self.head[rev ^ 1] - 1 - self.nx]
-            if listed:
-                col.remove(rev)
-            else:
-                insort(col, rev)
 
     def warm_start(self) -> None:
         """Reduction potentials and greedy shipments on the fresh network
         (module docstring); a row or column without cells keeps 0."""
-        nx, cells, res, potentials = self.nx, self.cells, self.res, self.potentials
-        row_min: list = [None] * nx  # u
-        for i, _j, cij in cells:
-            if row_min[i] is None or cij < row_min[i]:
-                row_min[i] = cij
-        row_min = [0 if x is None else x for x in row_min]
+        nx, cost, flow, potentials = self.nx, self.cost, self.flow, self.potentials
+        row_room, col_room, col_node = self.row_room, self.col_room, self.col_node
+        row_min = [min(cost[ks.start : ks.stop], default=0) for ks in self.row_cells]  # u
         col_min: list = [None] * self.ny  # v
-        for i, j, cij in cells:
-            if col_min[j] is None or cij - row_min[i] < col_min[j]:
-                col_min[j] = cij - row_min[i]
+        for ks, u in zip(self.row_cells, row_min):
+            for k in ks:
+                j = col_node[k] - 1 - nx
+                if col_min[j] is None or cost[k] - u < col_min[j]:
+                    col_min[j] = cost[k] - u
         col_min = [0 if x is None else x for x in col_min]
         potentials[1 : 1 + nx] = [-x for x in row_min]
         potentials[1 + nx : -1] = col_min
         potentials[0] = -min(row_min)
         shipped = total_cost = 0
-        for k, (i, j, cij) in enumerate(cells):
-            if cij - row_min[i] != col_min[j]:
-                continue
-            row, col = 2 * i, 2 * (nx + j)  # the source arc of X_i, the sink arc of Y_j
-            delta = min(res[row], res[col])
-            if not delta > self.tol:
-                continue
-            for a in (row, self.first_cell + 2 * k, col):
-                self._push(a, delta)
-            shipped += delta
-            total_cost += cij * delta
+        for i, (ks, u) in enumerate(zip(self.row_cells, row_min)):
+            for k in ks:
+                j = col_node[k] - 1 - nx
+                if cost[k] - u != col_min[j]:
+                    continue
+                delta = min(row_room[i], col_room[j])
+                if not delta > self.tol:
+                    continue
+                row_room[i] -= delta
+                flow[k] += delta
+                col_room[j] -= delta
+                self.col_cells[j].append(k)  # cells come in order, each once
+                shipped += delta
+                total_cost += cost[k] * delta
         self.shipped, self.total_cost = shipped, total_cost
 
     def augment(self, target=None, segments: Optional[list] = None):
@@ -416,21 +415,23 @@ class _Network:
         With ``segments``, append (shipped, total cost, potentials) where
         each maximal run of equal slopes ends, still scaled; a slope within
         the tolerance of the one that opened the run counts as equal.
-        Returns the
-        settled flags of the last search (None when none ran)."""
-        nx, head, res, cost = self.nx, self.head, self.res, self.cost
-        row_arcs, col_arcs, potentials = self.row_arcs, self.col_arcs, self.potentials
+        Returns the settled flags of the last search (None when none ran)."""
+        nx, cost, flow, tol = self.nx, self.cost, self.flow, self.tol
+        row_node, col_node, row_cells, col_cells = (
+            self.row_node, self.col_node, self.row_cells, self.col_cells
+        )
+        row_room, col_room, potentials = self.row_room, self.col_room, self.potentials
         n_nodes = len(potentials)
-        source, sink = 0, n_nodes - 1
-        sources = range(0, 2 * nx, 2)
-        tol = self.tol
         shipped, total_cost = self.shipped, self.total_cost
 
         def dijkstra():
+            """Labels, the cell each node was reached through (-1: the
+            source), settled flags and the column that stopped the search
+            (None: none did), whose label the sink takes."""
             dist = [math.inf] * n_nodes
-            parent: List[Optional[int]] = [None] * n_nodes  # arc into the node
-            dist[source] = 0
-            heap = [(0, source)]
+            parent = [-1] * n_nodes
+            dist[0] = 0
+            heap = [(0, 0)]
             settled = [False] * n_nodes
             while heap:
                 d, u = heapq.heappop(heap)
@@ -438,53 +439,78 @@ class _Network:
                     continue
                 settled[u] = True
                 pu = potentials[u]
-                if u > nx:  # a column
-                    a = 2 * (u - 1)  # its sink arc
-                    if res[a] > tol:  # the stop rule (module docstring)
-                        dist[sink], parent[sink], settled[sink] = d, a, True
-                        break
-                    arcs = col_arcs[u - 1 - nx]
-                elif u:
-                    arcs = row_arcs[u - 1]
+                if u > nx:  # a column: back through its cells with flow
+                    if col_room[u - 1 - nx] > tol:  # the stop rule (module docstring)
+                        return dist, parent, settled, u
+                    for k in col_cells[u - 1 - nx]:
+                        v = row_node[k]
+                        if settled[v]:
+                            continue
+                        nd = d + (pu - cost[k] - potentials[v])
+                        if nd < dist[v]:
+                            dist[v] = nd
+                            parent[v] = k
+                            heapq.heappush(heap, (nd, v))
+                elif u:  # a row: on through its cells
+                    for k in row_cells[u - 1]:
+                        v = col_node[k]
+                        if settled[v]:
+                            continue
+                        nd = d + (cost[k] + pu - potentials[v])
+                        if nd < dist[v]:
+                            dist[v] = nd
+                            parent[v] = k
+                            heapq.heappush(heap, (nd, v))
                 else:  # the source: the rows with room
-                    arcs = [a for a in sources if res[a] > tol]
-                for a in arcs:
-                    v = head[a]
-                    if settled[v]:
-                        continue
-                    nd = d + (cost[a] + pu - potentials[v])
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        parent[v] = a
-                        heapq.heappush(heap, (nd, v))
-            return dist, parent, settled
+                    for v in range(1, 1 + nx):
+                        if row_room[v - 1] > tol:
+                            dist[v] = nd = d + (pu - potentials[v])
+                            heapq.heappush(heap, (nd, v))
+            return dist, parent, settled, None
 
         last_sigma = settled = None
         searches = 0
         while target is None or target - shipped > tol:
-            dist, parent, settled = dijkstra()
+            dist, parent, settled, last = dijkstra()
             searches += 1
-            if not settled[sink]:
+            if last is None:
                 break
-            d_sink = dist[sink]
+            d_sink = dist[last]
             for v in range(n_nodes):
                 potentials[v] += dist[v] if settled[v] and dist[v] < d_sink else d_sink
 
-            # trace the path and its true (unreduced) unit cost
-            path: List[int] = []
-            sigma, v = 0, sink
-            while v != source:
-                a = parent[v]
-                path.append(a)
-                sigma += cost[a]
-                v = head[a ^ 1]
-            delta = min(res[a] for a in path)  # finite: the source arc is capped
+            # trace the path back from its last column: its true (unreduced)
+            # unit cost, its room and the cells it crosses each way
+            forward: List[int] = []
+            backward: List[int] = []
+            sigma, delta, v = 0, col_room[last - 1 - nx], last
+            while True:
+                k = parent[v]
+                forward.append(k)
+                sigma += cost[k]
+                v = row_node[k]
+                k = parent[v]
+                if k < 0:  # reached from the source
+                    break
+                backward.append(k)
+                sigma -= cost[k]
+                delta = min(delta, flow[k])
+                v = col_node[k]
+            delta = min(delta, row_room[v - 1])  # v is the path's first row
             if target is not None:
                 delta = min(delta, target - shipped)
-            if not delta > tol:  # a listed arc without room would ship nothing, forever
+            if not delta > tol:  # a listed cell without flow would ship nothing, forever
                 raise PostconditionError("an augmenting path has no room")
-            for a in path:
-                self._push(a, delta)
+            row_room[v - 1] -= delta
+            col_room[last - 1 - nx] -= delta
+            for k in forward:  # no flow is negative, so each ends above tol
+                if not flow[k] > tol:
+                    insort(col_cells[col_node[k] - 1 - nx], k)
+                flow[k] += delta
+            for k in backward:
+                flow[k] -= delta
+                if not flow[k] > tol:
+                    col_cells[col_node[k] - 1 - nx].remove(k)
             shipped += delta
             total_cost += sigma * delta
             if segments is not None:
@@ -499,32 +525,33 @@ class _Network:
         return settled
 
     def raise_costs(self, costs: list) -> int:
-        """Raise the cell arcs to ``costs`` (none may fall) and unship every
+        """Raise the cells to ``costs`` (none may fall) and unship every
         cell whose cost rose and that carries flow (module docstring).
         Returns the cells unshipped.
 
         The source potential is not reset, even if a reopened source arc
         then has a negative reduced cost.  The source is settled first
-        in every search, and no scanned arc enters it.  So its potential
+        in every search, and no scanned step enters it.  So its potential
         only shifts every seed label, every distance and every X/Y
         potential update by one constant: no path, value or search count
         changes."""
-        nx, res, cost = self.nx, self.res, self.cost
+        nx, cost, flow = self.nx, self.cost, self.flow
         shipped = total_cost = unshipped = 0
-        a = self.first_cell
-        for (i, j, _), x in zip(self.cells, costs):
-            f = res[a + 1]
-            if x != cost[a]:
-                cost[a], cost[a + 1] = x, -x
+        for k, x in enumerate(costs):
+            f = flow[k]
+            if x != cost[k]:
+                cost[k] = x
                 if f > self.tol:
                     # back through the cell and the source and sink arcs
-                    for b in (2 * i + 1, a + 1, 2 * (nx + j) + 1):
-                        self._push(b, f)
+                    i, j = self.row_node[k] - 1, self.col_node[k] - 1 - nx
+                    self.row_room[i] += f
+                    flow[k] -= f
+                    self.col_room[j] += f
+                    self.col_cells[j].remove(k)
                     unshipped += 1
                     f = 0
             shipped += f
             total_cost += x * f
-            a += 2
         self.shipped, self.total_cost = shipped, total_cost
         return unshipped
 
@@ -567,7 +594,6 @@ def _run_ssp(
         cols = frozenset(j for j in range(ny) if settled[1 + nx + j])
     else:
         rows = cols = None
-    cell_flows = zip(cells, net.res[net.first_cell + 1 :: 2])  # reverse arcs' residuals
     return SolverRun(
         nx=nx,
         ny=ny,
@@ -580,7 +606,7 @@ def _run_ssp(
         ],
         potentials=net.potentials,
         cells=cells,
-        scaled_flows={(i, j): f for (i, j, _), f in cell_flows if f > net.tol},
+        scaled_flows={(i, j): f for (i, j, _), f in zip(cells, net.flow) if f > net.tol},
         weights=weights,
         lc=lc,
         lw=lw,

@@ -46,7 +46,7 @@ from .errors import (
     NotSquareError,
     PostconditionError,
 )
-from .flow import SolverRun, _run_ssp
+from .flow import SolverRun, _require_cut, _run_ssp
 from .primal import _require_unit_masses
 
 
@@ -148,7 +148,9 @@ def cover_value(L: CellSet, mu: Marginal, nu: Marginal) -> Tuple[object, CoverCe
 
 
 def cover_from_run(run: SolverRun, L: CellSet) -> Tuple[object, CoverCertificate]:
-    """``cover_value`` read from ``matching_run(L, mu, nu)``."""
+    """``cover_value`` read from ``matching_run(L, mu, nu)``, or from any
+    untargeted run on L's indicator cost: a targeted run has no min cut."""
+    _require_cut(run)
     rows = frozenset(i for i in range(L.nx) if i not in run.reachable_rows)
     cols = frozenset(run.reachable_cols)
     value = sum((run.mu.weights[i] for i in rows), 0) + sum(

@@ -282,7 +282,7 @@ def test_a_malformed_profile_is_rejected(breakpoints, n_pairs, error, message):
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
 def test_a_path_without_room_raises(mode):
     """A column list that holds a cell without flow gives a search a path
-    through a reverse arc with no residual: shipping nothing along it would
+    back through that cell with no room: shipping nothing along it would
     repeat forever, so ``augment`` raises instead."""
     with arithmetic(mode):
         one, zero = modes.coerce(1), modes.coerce(0)
@@ -290,7 +290,7 @@ def test_a_path_without_room_raises(mode):
         # unshipped cell (1, 0) back to X_1, whose cell (1, 1) reaches Y_1
         cells = [(0, 0, zero), (1, 0, zero), (1, 1, zero)]
         net = _Network(2, 2, cells, [one, zero, zero, one])
-        net.col_arcs[0].append(net.first_cell + 3)  # the reverse arc of cell (1, 0)
+        net.col_cells[0].append(1)  # cell (1, 0)
         with pytest.raises(PostconditionError, match="an augmenting path has no room"):
             net.augment()
         assert net.shipped == 0

@@ -197,16 +197,16 @@ def test_float_marginals_of_different_masses_are_rejected():
             kg.constant_truncation_sweep(c, mu, nu, [1])
 
 
-def _scannable_arcs_reduced_nonnegative(net):
-    """Every arc a search of the warm network scans has reduced cost >= 0:
-    the source arcs of the rows with room, the rows' cell arcs and the
-    reverse arcs in the columns' lists (no sink arc: its searches stop at a
-    column with room)."""
-    pots, head = net.potentials, net.head
-    arcs = [2 * i for i in range(net.nx) if net.res[2 * i] > 0]
-    arcs += [a for row in net.row_arcs for a in row]
-    arcs += [a for col in net.col_arcs for a in col]
-    return all(net.cost[a] + pots[head[a ^ 1]] - pots[head[a]] >= 0 for a in arcs)
+def _scannable_steps_reduced_nonnegative(net):
+    """Every step a search of the warm network scans has reduced cost >= 0:
+    source -> row for the rows with room, row -> column over each row's
+    cells and column -> row at -cost over the cells in the columns' lists
+    (no sink arc: its searches stop at a column with room)."""
+    pots = net.potentials
+    steps = [(0, 0, 1 + i) for i in range(net.nx) if net.row_room[i] > 0]
+    steps += [(net.cost[k], net.row_node[k], net.col_node[k]) for ks in net.row_cells for k in ks]
+    steps += [(-net.cost[k], net.col_node[k], net.row_node[k]) for ks in net.col_cells for k in ks]
+    return all(c + pots[u] - pots[v] >= 0 for c, u, v in steps)
 
 
 def test_raised_costs_keep_the_potentials_feasible():
@@ -234,7 +234,7 @@ def test_raised_costs_keep_the_potentials_feasible():
         net.augment(sum(mu_w))
         for m in levels[1:]:
             net.raise_costs(costs(m))
-            assert _scannable_arcs_reduced_nonnegative(net)
+            assert _scannable_steps_reduced_nonnegative(net)
             net.augment(sum(mu_w))
             assert net.shipped == sum(mu_w)
             rows = [costs(m)[i * ny : (i + 1) * ny] for i in range(nx)]
@@ -242,20 +242,19 @@ def test_raised_costs_keep_the_potentials_feasible():
             assert net.total_cost == fresh.cost
 
 
-def _column_lists_hold_the_flows(net):
-    """Each column's list is exactly the reverse arcs of its cells that carry
-    flow (residual above the tolerance), in arc order."""
+def _column_lists_hold_the_flows(net, cells):
+    """Each column's list is exactly its cells that carry flow (above the
+    tolerance), in cell order."""
     expected = [[] for _ in range(net.ny)]
-    for k, (_i, j, _c) in enumerate(net.cells):
-        rev = net.first_cell + 2 * k + 1
-        if net.res[rev] > net.tol:
-            expected[j].append(rev)
-    return net.col_arcs == expected
+    for k, (_i, j, _c) in enumerate(cells):
+        if net.flow[k] > net.tol:
+            expected[j].append(k)
+    return net.col_cells == expected
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])
 def test_column_lists_follow_every_shipment(mode):
-    """The lists a search scans for a column's reverse arcs stay equal to
+    """The lists a search scans for a column's backward steps stay equal to
     the cells carrying flow after the warm start, after each augmentation
     (cold and warm, stopped at partial targets) and after each raise."""
     rng = random.Random(13)
@@ -276,12 +275,12 @@ def test_column_lists_follow_every_shipment(mode):
                 net = _Network(nx, ny, cells, mu_w + nu_w)
                 if warm:
                     net.warm_start()
-                    assert _column_lists_hold_the_flows(net)
+                    assert _column_lists_hold_the_flows(net, cells)
                 for part in (modes.div(1, 3), modes.div(2, 3), 1):
                     net.augment(total * part)
-                    assert _column_lists_hold_the_flows(net)
+                    assert _column_lists_hold_the_flows(net, cells)
             for m in levels[1:]:  # the warm network climbs the levels
                 net.raise_costs(costs(m))
-                assert _column_lists_hold_the_flows(net)
+                assert _column_lists_hold_the_flows(net, cells)
                 net.augment(total)
-                assert _column_lists_hold_the_flows(net)
+                assert _column_lists_hold_the_flows(net, cells)

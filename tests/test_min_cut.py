@@ -4,7 +4,7 @@ An untargeted run reads ``reachable_rows`` and ``reachable_cols`` off its
 last search, the one that missed the sink.  Here the residual graph is
 rebuilt from the run's cell flows, the marginals and the finite cells alone
 and searched breadth-first; both must reach the same rows and columns.  A
-run stopped at its target has no cut.
+run stopped at its target has no cut, and the readers of a cut say so.
 """
 
 from collections import deque
@@ -14,7 +14,10 @@ import pytest
 
 import kantgap as kg
 from kantgap import modes
+from kantgap.dual import dual_from_run
+from kantgap.errors import PreconditionError
 from kantgap.flow import _run_ssp
+from kantgap.kellerer import _indicator_cost, cover_from_run, decompose_from_run
 from kantgap.modes import EXACT, FLOAT, arithmetic
 
 SOURCE, SINK = ("source",), ("sink",)
@@ -85,3 +88,39 @@ def test_targeted_run_has_no_cut(mode):
             runs.append(_run_ssp(c, mu, nu, target=mu.mass, warm=True))
             for run in runs:
                 assert run.reachable_rows is None and run.reachable_cols is None
+
+
+def _half_matching_run():
+    """The diagonal cell set of ``example_diagonal(3)`` and a matching run
+    on it stopped at half of full mass."""
+    _c, mu, nu = kg.example_diagonal(3)
+    L = kg.cellset_from_pairs(3, 3, [(i, i) for i in range(3)])
+    run = _run_ssp(_indicator_cost(L), mu, nu, target=modes.coerce(F(1, 2)))
+    assert modes.eq(run.shipped, F(1, 2))
+    return L, run
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_a_targeted_run_gives_no_dual_ray(mode):
+    with arithmetic(mode):
+        run = _run_ssp(*kg.example_diagonal(3), target=modes.coerce(F(1, 2)))
+        assert modes.eq(run.shipped, F(1, 2))
+        with pytest.raises(PreconditionError, match="a targeted run has no min cut"):
+            dual_from_run(run)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_a_targeted_run_gives_no_cover(mode):
+    with arithmetic(mode):
+        L, run = _half_matching_run()
+        with pytest.raises(PreconditionError, match="a targeted run has no min cut"):
+            cover_from_run(run, L)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_a_targeted_run_still_decomposes(mode):
+    """The decomposition reads only the shipped mass and the marginals, so
+    it answers on a targeted run as on an untargeted one."""
+    with arithmetic(mode):
+        L, run = _half_matching_run()
+        assert decompose_from_run(run, L) == kg.kellerer_decompose(L, run.mu, run.nu)
