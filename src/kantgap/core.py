@@ -24,7 +24,9 @@ Conventions fixed here and relied on everywhere else:
   read goes through ``modes.coerce``, whose fast branch reads the plain
   ``"p/q"`` and digit tokens of a problem file on ints; a repeat is one
   dict lookup.  A marginal's mass is summed on its weights in engine form
-  (``_ints``), so an exact mass is an ``int`` when it is integral.
+  (``_ints``), so an exact mass is an ``int`` when it is integral.  Signs
+  are read on ints too: a weight's on its scaled value, a cost's on its
+  numerator, so no check goes through ``Fraction``'s comparisons.
 """
 
 from __future__ import annotations
@@ -145,10 +147,10 @@ def make_marginal(space: DiscreteSpace, weights: Sequence) -> Marginal:
             f"{len(weights)} weights for a space of size {space.size}"
         )
     ws = tuple(map(_read_once(modes.coerce, {}), weights))
-    for i, w in enumerate(ws):
-        if w < 0:
-            raise NegativeWeightError(f"weight {w} at atom {i} is negative")
     values, scale = _ints(ws)
+    for i, v in enumerate(values):  # signs read on the scaled values
+        if v < 0:
+            raise NegativeWeightError(f"weight {ws[i]} at atom {i} is negative")
     return Marginal(space=space, weights=ws, mass=_unscaled(sum(values), scale))
 
 
@@ -217,7 +219,7 @@ def _coerce_cost(v):
     if v is INF or (isinstance(v, str) and v.strip().lower() == "inf"):
         return INF
     x = modes.coerce(v)
-    if x < 0:
+    if (x.numerator if type(x) is Fraction else x) < 0:  # no Fraction.__lt__
         raise NegativeWeightError(f"cost {x} is negative")
     return x
 
@@ -421,17 +423,22 @@ def cost_of(c: CostMatrix, pi: Coupling):
 
 def product_coupling(alpha: Marginal, beta: Marginal, scale=1) -> Coupling:
     """The plan scale * alpha (x) beta; mass is scale*|alpha|*|beta|.  Each
-    entry is formed on the weights in engine form (``_ints``): in exact
-    mode on integer numerators over one common denominator, divided by it
-    once."""
+    entry is formed on the scale and the weights in engine form
+    (``_ints``): in exact mode as an int product over one common
+    denominator, the scale's times the two marginals' lcms, and each
+    distinct product is divided by it once; the sums of ``_coupling`` run
+    on the same ints.  Marginals of few distinct weights give few distinct
+    products, so most entries share an unscaled value."""
     s = modes.coerce(scale)
-    if s < 0:
+    (s_w,), ds = _ints([s])
+    if s_w < 0:
         raise NegativeWeightError(f"scale {s} is negative")
-    a_w, da = _ints([s * a for a in alpha.weights])
-    b_w, db = _ints(list(beta.weights))
+    a_w, da = _ints(alpha.weights)
+    b_w, db = _ints(beta.weights)
+    a_w = [s_w * a for a in a_w]
     if max(a_w) * max(b_w) == math.inf:  # only floats overflow
         raise InputError(f"the product coupling at scale {s} overflows a float")
-    denom = da * db
+    denom = ds * da * db
     values = {}
     for i, sa in enumerate(a_w):
         if sa == 0:
@@ -440,7 +447,8 @@ def product_coupling(alpha: Marginal, beta: Marginal, scale=1) -> Coupling:
             v = sa * b
             if v:  # a float product may underflow to 0
                 values[(i, j)] = v
-    entries = {ij: _unscaled(v, denom) for ij, v in values.items()}
+    unscaled = {v: _unscaled(v, denom) for v in set(values.values())}
+    entries = {ij: unscaled[v] for ij, v in values.items()}
     return _coupling(alpha.space, beta.space, entries, values.values(), denom)
 
 

@@ -24,6 +24,14 @@ side and indicator functions on the other.
 The zero level of all of these is the Kellerer-type dichotomy: either L is
 covered by weightless bands (so every coupling ignores it), or some full
 coupling charges it; ``kellerer_decompose`` returns whichever object exists.
+
+The readers work on the numbers the run carries in engine form (``flow``
+module docstring): the cover's weight is one sum of the run's scaled
+weights, divided once by its ``lw``, and the weightless rows and columns
+are read off the same scaled weights.  The product coupling charges L when
+some cell of L is one of its entries, which hold only positive masses, so
+no mass is summed.  The capacity reads L u L^T off L's rows and columns and
+each f_i from the three values 0, 1/2 and 1.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from .core import (
     CostMatrix,
     Coupling,
     Marginal,
+    _unscaled,
     product_coupling,
 )
 from .errors import (
@@ -149,13 +158,14 @@ def cover_value(L: CellSet, mu: Marginal, nu: Marginal) -> Tuple[object, CoverCe
 
 def cover_from_run(run: SolverRun, L: CellSet) -> Tuple[object, CoverCertificate]:
     """``cover_value`` read from ``matching_run(L, mu, nu)``, or from any
-    untargeted run on L's indicator cost: a targeted run has no min cut."""
+    untargeted run on L's indicator cost: a targeted run has no min cut.
+    The certificate's value is summed on the run's scaled weights and
+    divided once, so in exact mode it is an int when it is integral."""
     _require_cut(run)
     rows = frozenset(i for i in range(L.nx) if i not in run.reachable_rows)
     cols = frozenset(run.reachable_cols)
-    value = sum((run.mu.weights[i] for i in rows), 0) + sum(
-        (run.nu.weights[j] for j in cols), 0
-    )
+    w, nx = run.weights, run.nx
+    value = _unscaled(sum(w[i] for i in rows) + sum(w[nx + j] for j in cols), run.lw)
     if not all(i in rows or j in cols for i, j in L.cells()):
         raise PostconditionError("cover certificate does not cover the cell set")
     if not modes.eq(value, run.shipped):
@@ -176,10 +186,14 @@ def capacity_value(L: CellSet, lam: Marginal) -> Tuple[object, Tuple]:
         raise NotSquareError("capacity needs a square cell set")
     if lam.space.size != L.nx:
         raise NotSquareError("capacity needs one shared marginal on the square")
-    n = L.nx
-    sym = cellset_from_pairs(n, n, [c for i, j in L.cells() for c in ((i, j), (j, i))])
+    sym = CellSet(
+        rows=tuple(
+            tuple(a or b for a, b in zip(row, col)) for row, col in zip(L.rows, zip(*L.rows))
+        )
+    )
     value, cert = cover_value(sym, lam, lam)
-    f = tuple(modes.div((i in cert.rows) + (i in cert.cols), 2) for i in range(n))
+    halves = [modes.div(k, 2) for k in range(3)]
+    f = tuple(halves[(i in cert.rows) + (i in cert.cols)] for i in range(L.nx))
     return modes.div(value, 2), f
 
 
@@ -220,18 +234,14 @@ def kellerer_decompose(L: CellSet, mu: Marginal, nu: Marginal) -> Decomposition:
 
 def decompose_from_run(run: SolverRun, L: CellSet) -> Decomposition:
     """``kellerer_decompose`` read from ``matching_run(L, mu, nu)``."""
-    mu, nu = run.mu, run.nu
+    mu, nu, w, nx = run.mu, run.nu, run.weights, run.nx
     if not modes.is_positive(run.shipped):
-        null_rows = frozenset(
-            i
-            for i in range(L.nx)
-            if mu.weights[i] == 0 and any(L.rows[i])
-        )
+        null_rows = frozenset(i for i in range(nx) if w[i] == 0 and any(L.rows[i]))
         null_cols = frozenset(
             j
             for j in range(L.ny)
-            if nu.weights[j] == 0
-            and any(L.rows[i][j] for i in range(L.nx) if i not in null_rows)
+            if w[nx + j] == 0
+            and any(L.rows[i][j] for i in range(nx) if i not in null_rows)
         )
         for i, j in L.cells():
             if i not in null_rows and j not in null_cols:
@@ -244,7 +254,6 @@ def decompose_from_run(run: SolverRun, L: CellSet) -> Decomposition:
             "a charging witness must be a full coupling; marginal masses differ"
         )
     witness = product_coupling(mu, nu, modes.div(1, mu.mass))
-    charged = sum((m for (i, j), m in witness.entries.items() if (i, j) in L), 0)
-    if not modes.is_positive(charged):
+    if not any(ij in witness.entries for ij in L.cells()):  # entries are positive
         raise PostconditionError("product coupling failed to charge the cell set")
     return Decomposition(null_rows=None, null_cols=None, witness=witness)

@@ -155,9 +155,16 @@ def coerce(x):
 
 
 def div(a, b):
-    """Exact division in exact mode (int/int would give a float)."""
+    """a / b in the current mode: exact in exact mode (int/int would give a
+    float), an int when the quotient is integral.  Two ints (not bools)
+    divide on ints, with at most one ``Fraction(a, b)``; every other pair
+    takes ``Fraction(a) / Fraction(b)``.  b = 0 raises
+    ``ZeroDivisionError``."""
     if not is_exact():
         return a / b
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
     f = Fraction(a) / Fraction(b)
     return int(f) if f.denominator == 1 else f
 

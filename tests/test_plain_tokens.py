@@ -11,13 +11,10 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from kantgap import modes
 from kantgap.errors import InputError
-
-settings.register_profile("ci", max_examples=40, deadline=None)
-settings.load_profile("ci")
 
 BOTH = [modes.EXACT, modes.FLOAT]
 

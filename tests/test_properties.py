@@ -2,12 +2,9 @@
 
 from fractions import Fraction as F
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 import kantgap as kg
-
-settings.register_profile("ci", max_examples=40, deadline=None)
-settings.load_profile("ci")
 
 _small = st.integers(min_value=0, max_value=6)
 _pos = st.integers(min_value=1, max_value=6)

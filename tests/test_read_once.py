@@ -12,15 +12,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 import kantgap as kg
 from kantgap import core, modes
 from kantgap.cli import main
 from kantgap.errors import InputError, NegativeWeightError
-
-settings.register_profile("ci", max_examples=40, deadline=None)
-settings.load_profile("ci")
 
 BOTH = [modes.EXACT, modes.FLOAT]
 
