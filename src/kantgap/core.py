@@ -271,34 +271,61 @@ def truncate_at(c: CostMatrix, level) -> CostMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Coupling:
     """Sparse nonnegative plan on X x Y; only positive entries are stored.
 
-    ``row_sums``/``col_sums``/``mass`` are cached at construction and are
-    exact in exact mode.  A coupling is "full" for (mu, nu) when its cached
-    marginals equal them, "partial" when they are dominated componentwise.
+    A coupling is its entries: ``row_sums``, ``col_sums`` and ``mass`` are
+    derived from them each time they are read, one pass each, in entry
+    order and in the entries' own arithmetic, so they are exact in exact
+    mode.  An exact sum is an ``int`` when it is integral, else a
+    ``Fraction``; a float sum starts from 0.0.  Only a coupling with no
+    entries reads the mode, for its zero.  A coupling is "full" for
+    (mu, nu) when its marginals equal them, "partial" when they are
+    dominated componentwise.
     """
 
     space_x: DiscreteSpace
     space_y: DiscreteSpace
     entries: Mapping[Tuple[int, int], object]
-    row_sums: Marginal
-    col_sums: Marginal
-    mass: object
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Coupling):
-            return NotImplemented
-        return (
-            self.space_x == other.space_x
-            and self.space_y == other.space_y
-            and dict(self.entries) == dict(other.entries)
-        )
 
     def items(self):
         """Entries in row-major order (deterministic)."""
         return sorted(self.entries.items())
+
+    @property
+    def row_sums(self) -> Marginal:
+        return self._marginal(self.space_x, 0)
+
+    @property
+    def col_sums(self) -> Marginal:
+        return self._marginal(self.space_y, 1)
+
+    @property
+    def mass(self):
+        return _reduced(sum(self.entries.values(), self._zero()))
+
+    def _zero(self):
+        """0.0 for float entries, else 0; with no entries, the zero of the
+        mode the sums are read in, so an empty float row sums to 0.0 as a
+        read weight."""
+        for m in self.entries.values():
+            return 0.0 if type(m) is float else 0
+        return modes.coerce(0)
+
+    def _marginal(self, space: DiscreteSpace, axis: int) -> Marginal:
+        """The sums along ``axis``; the mass is the sum of the sums."""
+        sums = [self._zero()] * space.size
+        for ij, m in self.entries.items():
+            sums[ij[axis]] += m
+        weights = tuple(map(_reduced, sums))
+        return Marginal(space=space, weights=weights, mass=_reduced(sum(weights)))
+
+
+def _reduced(x):
+    """An exact sum as ``modes.coerce`` gives a number: an int when it is
+    integral.  Other values pass through."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
 def _ints(values: list) -> Tuple[list, int]:
@@ -341,10 +368,8 @@ def _unscaled(x, scale: int):
 def make_coupling(
     space_x: DiscreteSpace, space_y: DiscreteSpace, entries: Mapping
 ) -> Coupling:
-    """Validate and build a coupling.  The row, column and total sums run
-    on the entries in engine form (``_ints``): in exact mode on ints over
-    their common denominator, divided by it once; in float mode on the
-    floats in entry order."""
+    """Validate and build a coupling of the positive entries; its sums are
+    derived from them when they are read."""
     clean = {}
     for (i, j), m in entries.items():
         if not (0 <= i < space_x.size and 0 <= j < space_y.size):
@@ -355,43 +380,7 @@ def make_coupling(
         if v == 0:
             continue
         clean[(i, j)] = v
-    values, scale = _ints(list(clean.values()))
-    return _coupling(space_x, space_y, clean, values, scale)
-
-
-def _coupling(
-    space_x: DiscreteSpace, space_y: DiscreteSpace, entries: dict, values, scale: int
-) -> Coupling:
-    """The coupling of the checked positive ``entries``; ``values`` are the
-    same masses in entry order times ``scale`` (ints in exact mode).  The
-    row and column sums are built as ``Marginal``s here, on the scaled
-    sums: they are sums of positive masses, so they need no second read."""
-    zero = modes.coerce(0)  # an empty float row sums to 0.0, as a read weight
-    rows = [zero] * space_x.size
-    cols = [zero] * space_y.size
-    total = 0
-    for (i, j), v in zip(entries, values):
-        rows[i] += v
-        cols[j] += v
-        total += v
-    return Coupling(
-        space_x=space_x,
-        space_y=space_y,
-        entries=entries,
-        row_sums=_sum_marginal(space_x, rows, scale),
-        col_sums=_sum_marginal(space_y, cols, scale),
-        mass=_unscaled(total, scale),
-    )
-
-
-def _sum_marginal(space: DiscreteSpace, sums: list, scale: int) -> Marginal:
-    """The marginal of nonnegative scaled ``sums``: each divided by
-    ``scale``, and the mass summed as ``make_marginal`` sums it."""
-    return Marginal(
-        space=space,
-        weights=tuple(_unscaled(x, scale) for x in sums),
-        mass=_unscaled(sum(sums), scale),
-    )
+    return Coupling(space_x, space_y, clean)
 
 
 def empty_coupling(space_x: DiscreteSpace, space_y: DiscreteSpace) -> Coupling:
@@ -399,7 +388,7 @@ def empty_coupling(space_x: DiscreteSpace, space_y: DiscreteSpace) -> Coupling:
 
 
 def coupling_marginals(pi: Coupling) -> Tuple[Marginal, Marginal]:
-    """The cached projections (row sums, column sums)."""
+    """The projections (row sums, column sums), summed when read."""
     return pi.row_sums, pi.col_sums
 
 
@@ -426,9 +415,9 @@ def product_coupling(alpha: Marginal, beta: Marginal, scale=1) -> Coupling:
     entry is formed on the scale and the weights in engine form
     (``_ints``): in exact mode as an int product over one common
     denominator, the scale's times the two marginals' lcms, and each
-    distinct product is divided by it once; the sums of ``_coupling`` run
-    on the same ints.  Marginals of few distinct weights give few distinct
-    products, so most entries share an unscaled value."""
+    distinct product is divided by it once.  Marginals of few distinct
+    weights give few distinct products, so most entries share an unscaled
+    value.  Its sums are derived from the entries when they are read."""
     s = modes.coerce(scale)
     (s_w,), ds = _ints([s])
     if s_w < 0:
@@ -449,7 +438,7 @@ def product_coupling(alpha: Marginal, beta: Marginal, scale=1) -> Coupling:
                 values[(i, j)] = v
     unscaled = {v: _unscaled(v, denom) for v in set(values.values())}
     entries = {ij: unscaled[v] for ij, v in values.items()}
-    return _coupling(alpha.space, beta.space, entries, values.values(), denom)
+    return Coupling(alpha.space, beta.space, entries)
 
 
 def add_couplings(p: Coupling, q: Coupling) -> Coupling:

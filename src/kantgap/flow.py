@@ -51,7 +51,8 @@ what it reads: the snapshots, the final potentials and the finite cells'
 costs (times lc), the flows and the weights (times lw).  The run also
 keeps the marginals it was given, so a reader takes the run and its own
 question, never the instance: ``SolverRun.plan`` builds the witness plan
-from the scaled flows on the marginals' spaces, and ``dual.dual_from_run``
+from the unscaled flows on the marginals' spaces, and its row, column and
+total sums are derived from those entries when read; ``dual.dual_from_run``
 lowers the weightless atoms' potentials on the scaled cells and sums the
 objective over the scaled potentials and weights.  Integral results come
 out as ``int``, the rest as ``Fraction``.
@@ -156,7 +157,6 @@ from .core import (
     CostMatrix,
     Coupling,
     Marginal,
-    _coupling,
     _ints,
     _unscaled,
     is_inf,
@@ -299,11 +299,9 @@ class SolverRun:
         return {ij: _unscaled(f, self.lw) for ij, f in self.scaled_flows.items()}
 
     def plan(self) -> Coupling:
-        """The run's plan as a coupling, its sums taken on the scaled flows
-        and divided once by lw; no entry is read again."""
-        return _coupling(
-            self.mu.space, self.nu.space, self.flows, self.scaled_flows.values(), self.lw
-        )
+        """The run's plan as a coupling of the unscaled flows on the
+        marginals' spaces; its sums are derived from them when read."""
+        return Coupling(self.mu.space, self.nu.space, self.flows)
 
     def segment_potentials(self, k: int) -> PotentialPair:
         """The potentials certifying the profile at the end of segment k."""

@@ -31,6 +31,16 @@ DIAGONAL = "diagonal"
 RANDOM = "random"
 BAND = "band"
 
+#: the most cells a generator builds; a larger grid raises ``InputError``
+#: before its first row, so a huge size fails at once instead of filling
+#: memory
+MAX_CELLS = 10**6
+
+
+def _check_cells(nx: int, ny: int) -> None:
+    if nx * ny > MAX_CELLS:
+        raise InputError(f"{nx}x{ny} cells exceed the budget of {MAX_CELLS} cells")
+
 
 def example_diagonal(n: int) -> Instance:
     """Staircase cost on an n-point grid: 0 below the diagonal, 1 on it,
@@ -42,6 +52,7 @@ def example_diagonal(n: int) -> Instance:
     """
     if n < 1:
         raise InputError("n must be >= 1")
+    _check_cells(n, n)
     rows = []
     for i in range(n):
         rows.append(tuple(0 if j < i else (1 if j == i else INF) for j in range(n)))
@@ -63,6 +74,7 @@ def random_instance(
         raise InputError("inf_density must lie in [0, 1]")
     if nx < 1 or ny < 1:
         raise InputError("sizes must be >= 1")
+    _check_cells(nx, ny)
     rng = random.Random(seed)
     rows = []
     for _ in range(nx):
@@ -103,6 +115,7 @@ def closed_inf_band(n: int, bandwidth: int) -> Instance:
         raise InputError("bandwidth must be >= 0")
     if bandwidth >= n:
         raise InputError("bandwidth must be < n")
+    _check_cells(n, n)
     rows = []
     for i in range(n):
         rows.append(tuple(INF if abs(i - j) < bandwidth else 0 for j in range(n)))

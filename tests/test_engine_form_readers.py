@@ -1,7 +1,8 @@
 """The readers of a run's engine-form numbers give what the checked
 constructors give.
 
-``SolverRun.plan`` builds the witness from the scaled flows, and
+``SolverRun.plan`` builds the witness from the unscaled flows, and its
+sums are derived from those entries when they are read;
 ``dual.dual_from_run`` sums the objective over the scaled potentials and
 weights.  Both are compared here with ``make_coupling`` on the unscaled
 flows and ``make_dual_pair`` on the lowered unscaled potentials: values,

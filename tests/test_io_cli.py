@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import kantgap as kg
-from kantgap import modes, problem_io
+from kantgap import modes, problem_io, scenarios
 from kantgap.cli import main
 from kantgap.errors import InputError
 from kantgap.primal import StudyRow
@@ -281,6 +281,8 @@ _OUT_OF_RANGE = [
     (["solve", "{p}", "--eps-grid", "-1"], "error: eps -1 outside [0, 1]\n"),
     (["solve", "{p}", "--eps-grid", "0,2"], "error: eps 2 outside [0, 1]\n"),
     (["sweep", "{p}", "--m-grid", "-1"], "error: truncation level -1 is negative\n"),
+    (["gen", "--scenario", "diagonal", "--n", "1001"],
+     "error: 1001x1001 cells exceed the budget of 1000000 cells\n"),
 ]
 # two 4,300-digit denominators, each within Python's digit limit; the
 # answer's denominator, their product, is not
@@ -384,6 +386,26 @@ def test_cli_study_reports_a_bad_size(scenario, n, capsys):
 def test_cli_gen_band_reports_a_bad_size(n, capsys):
     assert main(["gen", "--scenario", "band", "--n", n]) == 1
     assert capsys.readouterr().err == "error: n must be >= 1\n"
+
+
+def _no_rows(*args):
+    raise AssertionError("a generator built a row before its size check")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--scenario", "random", "--nx", "100000", "--ny", "100000"],
+        ["study", "--scenario", "band", "--n-list", "100000", "--eps-grid", "0", "--m-grid", "1"],
+    ],
+    ids=["gen-random", "study-band"],
+)
+def test_cli_huge_sizes_exit1_at_once(argv, monkeypatch, capsys):
+    # the generators' loops would build 10^10 cells: none may start
+    monkeypatch.setattr(scenarios, "range", _no_rows, raising=False)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: 100000x100000 cells exceed the budget of 1000000 cells\n"
 
 
 # P sums the plan's cost and D the potentials' objective, in other orders:

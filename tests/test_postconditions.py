@@ -1,4 +1,5 @@
-"""Every postcondition check of the readers fires on a doctored input.
+"""Every postcondition check of the readers and the surgeries fires on a
+doctored input.
 
 The solvers never break these checks on their own, so each test feeds a
 reader a run whose fields were edited, or patches a helper, and asserts the
@@ -11,7 +12,7 @@ from fractions import Fraction as F
 import pytest
 
 import kantgap as kg
-from kantgap import dual, flow
+from kantgap import dual, flow, relaxation
 from kantgap.errors import PostconditionError
 from kantgap.kellerer import cover_from_run, decompose_from_run, matching_run
 
@@ -79,3 +80,11 @@ def test_the_certified_bound_must_reach_the_relaxed_value(monkeypatch):
     c, mu, nu = kg.example_diagonal(3)
     with pytest.raises(PostconditionError, match="certified bound failed"):
         dual.attainment_check(c, mu, nu, [1, 2])
+
+
+def test_a_shrunk_plan_must_sit_below_the_marginals(monkeypatch):
+    monkeypatch.setattr(relaxation, "dominates", lambda mu, sub: False)
+    _c, mu, nu = kg.example_diagonal(3)
+    pi = kg.product_coupling(mu, nu)
+    with pytest.raises(PostconditionError, match="shrunk marginals must be dominated"):
+        relaxation.shrink_to_partial(pi, mu, nu)

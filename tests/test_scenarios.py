@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 import kantgap as kg
+from kantgap import scenarios
 from kantgap.errors import InputError
 
 
@@ -111,3 +112,23 @@ def test_band_sandwich_dual_relaxed():
 def test_band_rejects_too_wide():
     with pytest.raises(InputError):
         kg.closed_inf_band(4, 4)
+
+
+def test_generators_check_the_cell_budget(monkeypatch):
+    monkeypatch.setattr(scenarios, "MAX_CELLS", 12)
+    assert kg.random_instance(3, 4)[0].ny == 4
+    assert kg.example_diagonal(3)[0].nx == 3
+    assert kg.closed_inf_band(3, 1)[0].nx == 3
+    for build in (
+        lambda: kg.random_instance(13, 1),
+        lambda: kg.random_instance(1, 13),
+        lambda: kg.example_diagonal(4),
+        lambda: kg.closed_inf_band(4, 1),
+    ):
+        with pytest.raises(InputError, match="exceed the budget of 12 cells"):
+            build()
+    # the argument checks come first
+    with pytest.raises(InputError, match="bandwidth must be < n"):
+        kg.closed_inf_band(4, 4)
+    with pytest.raises(InputError, match="inf_density"):
+        kg.random_instance(13, 13, 2)
