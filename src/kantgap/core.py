@@ -32,7 +32,6 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence, Tuple
 
@@ -92,12 +91,120 @@ def is_neg_inf(x) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# records
+# ---------------------------------------------------------------------------
+
+
+_set_attr = object.__setattr__
+
+
+def _record_init(names: tuple, check: bool):
+    """The constructor of a record class with the fields ``names``, and a
+    ``__post_init__`` to run if ``check``: a closure over those facts, so
+    that a call looks none of them up on the instance.  Two fast paths,
+    every field by position or every field by keyword in order, install
+    the arguments as the instance ``__dict__``; other calls go through
+    ``Record._bind``."""
+    n = len(names)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != n:
+            if args or tuple(kwargs) != names:
+                kwargs = self._bind(args, kwargs)
+        else:
+            kwargs = dict(zip(names, args))
+        _set_attr(self, "__dict__", kwargs)
+        if check:
+            self.__post_init__()
+
+    return __init__
+
+
+class Record:
+    """A plain record whose fields are its class's own annotations, in order.
+
+    ``class P(Record)`` is frozen: it is built from its fields by position
+    or keyword, a class attribute of a field's name being that field's
+    default; it has a ``repr`` that lists the fields, ``__match_args__``,
+    and ``==`` and ``hash`` over the fields of two records of the same
+    class; assigning or deleting an attribute raises ``AttributeError``.
+    ``uncompared=(...)`` names fields that ``==`` and ``hash`` leave out,
+    and ``frozen=False`` makes a mutable, unhashable record.  A
+    ``__post_init__`` method, if the class has one, runs once the fields
+    are set.  No code is generated: the methods here read the field names
+    that ``__init_subclass__`` records, and the constructor is a closure
+    over them (``_record_init``).  It installs one dict as the instance
+    ``__dict__`` in a single call, not one ``object.__setattr__`` per
+    field; pickle and ``copy`` restore that ``__dict__`` directly, so a
+    frozen record round-trips.
+    """
+
+    __post_init__ = None
+
+    def __init_subclass__(cls, frozen: bool = True, uncompared: tuple = (), **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = tuple(cls.__annotations__)
+        cls.__match_args__ = names
+        cls._compared = tuple(n for n in names if n not in uncompared)
+        cls._defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+        cls.__init__ = _record_init(names, cls.__post_init__ is not None)
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> dict:
+        """The fields of any other call, in order and with the defaults
+        filled in; ``TypeError`` where a function call would raise it."""
+        names, name = cls.__match_args__, cls.__qualname__
+        if len(args) > len(names):
+            raise TypeError(
+                f"{name}() takes {len(names)} positional arguments "
+                f"but {len(args)} were given"
+            )
+        bound = dict(zip(names, args))
+        for key, value in kwargs.items():
+            if key not in names:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            if key in bound:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+            bound[key] = value
+        missing = [n for n in names if n not in bound and n not in cls._defaults]
+        if missing:
+            raise TypeError(f"{name}() missing arguments: {', '.join(missing)}")
+        return {n: bound[n] if n in bound else cls._defaults[n] for n in names}
+
+    def _key(self) -> tuple:
+        d = self.__dict__
+        return tuple([d[n] for n in self._compared])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        d = self.__dict__
+        fields = ", ".join(f"{n}={d[n]!r}" for n in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+# ---------------------------------------------------------------------------
 # spaces and marginals
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiscreteSpace:
+class DiscreteSpace(Record):
     """A finite set of atoms."""
 
     size: int
@@ -108,13 +215,12 @@ class DiscreteSpace:
             raise InputError("space size must be a positive integer")
 
 
-@dataclass(frozen=True)
-class Marginal:
+class Marginal(Record, uncompared=("mass",)):
     """Nonnegative weights over a space; probability iff the mass is 1."""
 
     space: DiscreteSpace
     weights: Tuple
-    mass: object = field(compare=False)
+    mass: object
 
     def is_probability(self) -> bool:
         return modes.eq(self.mass, 1)
@@ -174,8 +280,7 @@ def scale_marginal(mu: Marginal, factors: Sequence) -> Marginal:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CostMatrix:
+class CostMatrix(Record):
     """An nX x nY grid of values in [0, oo]; ``INF`` marks forbidden cells."""
 
     rows: Tuple[Tuple, ...]
@@ -271,8 +376,7 @@ def truncate_at(c: CostMatrix, level) -> CostMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Coupling:
+class Coupling(Record):
     """Sparse nonnegative plan on X x Y; only positive entries are stored.
 
     A coupling is its entries: ``row_sums``, ``col_sums`` and ``mass`` are

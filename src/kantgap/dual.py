@@ -41,7 +41,6 @@ reach at desk scale by design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import FrozenSet, Optional, Sequence, Tuple
 
 from . import modes
@@ -51,6 +50,7 @@ from .core import (
     CostMatrix,
     Coupling,
     Marginal,
+    Record,
     _from_ints,
     _unscaled,
     cost_of,
@@ -70,8 +70,7 @@ from .flow import SolverRun, _require_cut, _run_ssp, truncation_ladder
 from .primal import _require_probability, primal_value
 
 
-@dataclass(frozen=True)
-class DualPair:
+class DualPair(Record):
     """Potentials (phi, psi) with the objective sum(phi mu) + sum(psi nu)
     cached under the (-oo) * 0 = 0 convention."""
 
@@ -95,8 +94,7 @@ def make_dual_pair(phi: Sequence, psi: Sequence, mu: Marginal, nu: Marginal) -> 
     return DualPair(phi=phi, psi=psi, objective=obj)
 
 
-@dataclass(frozen=True)
-class FeasibilityCheck:
+class FeasibilityCheck(Record):
     ok: bool
     violation: Optional[Tuple[int, int]]  # first offending cell, row-major
     excess: Optional[object]  # phi_i + psi_j - c(i, j) there
@@ -119,8 +117,7 @@ def verify_feasible(pair: DualPair, c: CostMatrix) -> FeasibilityCheck:
     return FeasibilityCheck(ok=True, violation=None, excess=None)
 
 
-@dataclass(frozen=True)
-class ImprovingRay:
+class ImprovingRay(Record):
     """Direction (d_phi, d_psi) with d_phi_i + d_psi_j <= 0 on finite cells
     and positive objective slope: a certificate of dual unboundedness."""
 
@@ -129,8 +126,7 @@ class ImprovingRay:
     slope: object
 
 
-@dataclass(frozen=True)
-class DualReport:
+class DualReport(Record):
     value: object  # sup of the dual objective, possibly INF
     pair: DualPair  # optimal when value is finite, else a feasible base point
     ray: Optional[ImprovingRay]  # present exactly when value is INF
@@ -322,8 +318,7 @@ def _strong_components(succ) -> list:
     return label
 
 
-@dataclass(frozen=True)
-class RelaxedDualReport:
+class RelaxedDualReport(Record):
     value: object
     pair: DualPair
     chargeable: FrozenSet
@@ -345,8 +340,7 @@ def relaxed_dual_value(c: CostMatrix, mu: Marginal, nu: Marginal) -> RelaxedDual
     return RelaxedDualReport(value=rep.value, pair=rep.pair, chargeable=chargeable_from_run(run))
 
 
-@dataclass(frozen=True)
-class AttainmentReport:
+class AttainmentReport(Record):
     attained: bool
     level: Optional[object]  # least grid level reaching the relaxed value
     pair: Optional[DualPair]

@@ -147,7 +147,6 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
 from itertools import islice
 from typing import List, Optional, Sequence, Tuple
 
@@ -157,6 +156,7 @@ from .core import (
     CostMatrix,
     Coupling,
     Marginal,
+    Record,
     _ints,
     _unscaled,
     is_inf,
@@ -171,8 +171,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class PotentialPair:
+class PotentialPair(Record):
     """Node potentials (u over X, v over Y) with c(i,j) - u_i - v_j >= 0
     on all finite cells of the instance they certify."""
 
@@ -180,8 +179,7 @@ class PotentialPair:
     v: Tuple
 
 
-@dataclass(frozen=True)
-class TransportProfile:
+class TransportProfile(Record):
     """Convex piecewise-linear map: shipped mass -> minimum cost.
 
     ``breakpoints`` starts at (0, 0) and ends at ``max_mass``, the largest
@@ -235,8 +233,7 @@ def _interpolate(bps, m):
     return c0 + modes.div((c1 - c0) * (m - m0), m1 - m0)
 
 
-@dataclass
-class SolverRun:
+class SolverRun(Record, frozen=False):
     """Full record of one parametric solve.
 
     ``mu`` and ``nu`` are the marginals the run was given, so every reader
@@ -615,8 +612,7 @@ def _run_ssp(
     )
 
 
-@dataclass(frozen=True)
-class LadderStep:
+class LadderStep(Record):
     """One level of a truncation ladder: the level (a number or a
     ``CostMatrix``), the value P(c /\\ level), and the Dijkstra runs and
     the cells unshipped that re-optimising to it took."""

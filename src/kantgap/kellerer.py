@@ -36,7 +36,6 @@ each f_i from the three values 0, 1/2 and 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import FrozenSet, Iterator, Optional, Sequence, Tuple
 
 from . import modes
@@ -45,6 +44,7 @@ from .core import (
     CostMatrix,
     Coupling,
     Marginal,
+    Record,
     _unscaled,
     product_coupling,
 )
@@ -59,8 +59,7 @@ from .flow import SolverRun, _require_cut, _run_ssp
 from .primal import _require_unit_masses
 
 
-@dataclass(frozen=True)
-class CellSet:
+class CellSet(Record):
     """Boolean membership matrix of a subset of the grid."""
 
     rows: Tuple[Tuple[bool, ...], ...]
@@ -121,8 +120,7 @@ def _indicator_cost(L: CellSet) -> CostMatrix:
     )
 
 
-@dataclass(frozen=True)
-class CoverCertificate:
+class CoverCertificate(Record):
     rows: FrozenSet[int]
     cols: FrozenSet[int]
     value: object
@@ -208,8 +206,7 @@ def null_for_all_couplings(L: CellSet, mu: Marginal, nu: Marginal) -> bool:
     return not modes.is_positive(matching_run(L, mu, nu).shipped)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """Either weightless bands covering L, or a full coupling charging it."""
 
     null_rows: Optional[FrozenSet[int]]

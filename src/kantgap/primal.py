@@ -14,7 +14,6 @@ scale it only appears through refinement families (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as _cartesian
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -23,6 +22,7 @@ from .core import (
     CostMatrix,
     Coupling,
     Marginal,
+    Record,
     is_inf,
     scale_marginal,
 )
@@ -104,8 +104,7 @@ def constant_truncation_sweep(
     return [(step.level, step.value) for step in truncation_ladder(c, mu, nu, ms)]
 
 
-@dataclass(frozen=True)
-class PrimalReport:
+class PrimalReport(Record):
     """Summary of the primal side of one instance."""
 
     value: object  # full-transport value, possibly INF
@@ -142,8 +141,7 @@ def primal_from_run(run: SolverRun, eps_grid: Sequence = ()) -> PrimalReport:
     )
 
 
-@dataclass(frozen=True)
-class StudyRow:
+class StudyRow(Record):
     n: int
     eps: object
     level: object
@@ -191,6 +189,8 @@ def refinement_study(
         d = dual_from_run(run).value
         ladder = truncation_ladder(c, mu, nu, sorted(set(m_values)))
         truncated = {step.level: step.value for step in ladder}
+        # one interpolation per distinct eps, not per (eps, level) row
+        partial = {eps: value_from_run(run, 1 - eps) for eps in dict.fromkeys(eps_values)}
         for eps, m in _cartesian(eps_values, m_values):
             rows.append(
                 StudyRow(
@@ -198,7 +198,7 @@ def refinement_study(
                     eps=eps,
                     level=m,
                     value=p,
-                    partial=value_from_run(run, 1 - eps),
+                    partial=partial[eps],
                     truncated=truncated[m],
                     dual=d,
                 )

@@ -103,25 +103,28 @@ def shrink_to_partial(pi: Coupling, mu: Marginal, nu: Marginal) -> Coupling:
         dominates(mu, shrunk.row_sums) and dominates(nu, shrunk.col_sums),
         "shrunk marginals must be dominated by (mu, nu)",
     )
-    if modes.is_positive(pi.mass):
+    # each sum is a pass over the entries: read each mass once
+    mass = pi.mass
+    if modes.is_positive(mass):
+        shrunk_mass = shrunk.mass
         a_pi = modes.div(
-            sum((abs(f[i] - 1) * m for (i, _j), m in pi.entries.items()), 0), pi.mass
+            sum((abs(f[i] - 1) * m for (i, _j), m in pi.entries.items()), 0), mass
         )
         b_pi = modes.div(
-            sum((abs(g[j] - 1) * m for (_i, j), m in pi.entries.items()), 0), pi.mass
+            sum((abs(g[j] - 1) * m for (_i, j), m in pi.entries.items()), 0), mass
         )
-        jensen = modes.div(pi.mass, (1 + a_pi) * (1 + b_pi))
-        _check(modes.geq(shrunk.mass, jensen), "Jensen mass bound must hold")
+        jensen = modes.div(mass, (1 + a_pi) * (1 + b_pi))
+        _check(modes.geq(shrunk_mass, jensen), "Jensen mass bound must hold")
         if all(fi <= 1 for fi in f) and all(gj <= 1 for gj in g):
             a = modes.div(
-                sum((abs(fi - 1) * w for fi, w in zip(f, mu.weights)), 0), pi.mass
+                sum((abs(fi - 1) * w for fi, w in zip(f, mu.weights)), 0), mass
             )
             b = modes.div(
-                sum((abs(gj - 1) * w for gj, w in zip(g, nu.weights)), 0), pi.mass
+                sum((abs(gj - 1) * w for gj, w in zip(g, nu.weights)), 0), mass
             )
-            bound = modes.div(pi.mass, (1 + a) * (1 + b))
+            bound = modes.div(mass, (1 + a) * (1 + b))
             _check(
-                modes.geq(shrunk.mass, bound),
+                modes.geq(shrunk_mass, bound),
                 "sub-marginal Jensen bound must hold for densities below one",
             )
     return shrunk

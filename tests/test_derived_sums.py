@@ -6,7 +6,6 @@ depend on the mode it happens in, except on a coupling with no entries,
 whose zero is the mode's.
 """
 
-import dataclasses
 import json
 import threading
 from fractions import Fraction as F
@@ -14,13 +13,13 @@ from fractions import Fraction as F
 import pytest
 
 import kantgap as kg
-from kantgap import problem_io
+from kantgap import problem_io, relaxation
 from kantgap.cli import main
 from kantgap.core import Coupling
 
 
 def test_a_coupling_holds_only_its_spaces_and_entries():
-    assert [f.name for f in dataclasses.fields(Coupling)] == ["space_x", "space_y", "entries"]
+    assert Coupling.__match_args__ == ("space_x", "space_y", "entries")
     x, y = kg.DiscreteSpace(2), kg.DiscreteSpace(1)
     pi = Coupling(x, y, {(0, 0): F(1, 3), (1, 0): F(2, 3)})
     assert pi == kg.make_coupling(x, y, {(1, 0): "2/3", (0, 0): "1/3"})
@@ -30,15 +29,25 @@ def test_a_coupling_holds_only_its_spaces_and_entries():
     assert type(pi.mass) is int and type(pi.col_sums.mass) is int
 
 
+class _Reads(list):
+    """The names of the sums read, in order; ``plans`` holds the coupling
+    each one was read from."""
+
+    def __init__(self):
+        super().__init__()
+        self.plans = []
+
+
 @pytest.fixture
 def spy(monkeypatch):
     """Counts every read of a coupling's sums."""
-    reads = []
+    reads = _Reads()
     for name in ("row_sums", "col_sums", "mass"):
         derived = getattr(Coupling, name).fget
 
         def counted(pi, name=name, derived=derived):
             reads.append(name)
+            reads.plans.append(pi)
             return derived(pi)
 
         monkeypatch.setattr(Coupling, name, property(counted))
@@ -77,6 +86,18 @@ def test_no_command_sums_a_coupling(mode, spy, tmp_path, capsys):
     # the spy sees a read
     kg.empty_coupling(kg.DiscreteSpace(1), kg.DiscreteSpace(1)).mass
     assert spy == ["mass"]
+
+
+def test_a_shrink_sums_each_plan_once(spy):
+    # each sum is a pass over the entries, so the surgery reads each once
+    c, mu, nu = kg.example_diagonal(6)
+    pi = kg.optimal_coupling_at(c, mu, nu, F(5, 6))
+    assert spy == []
+    shrunk = relaxation.shrink_to_partial(pi, mu, nu)
+    for plan in (pi, shrunk):
+        names = sorted(n for n, p in zip(spy, spy.plans) if p is plan)
+        assert names == ["col_sums", "mass", "row_sums"]
+    assert len(spy) == 6
 
 
 def _shapes(pi):

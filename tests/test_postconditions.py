@@ -6,7 +6,7 @@ reader a run whose fields were edited, or patches a helper, and asserts the
 ``PostconditionError`` text.
 """
 
-import dataclasses
+import copy
 from fractions import Fraction as F
 
 import pytest
@@ -26,9 +26,8 @@ def test_a_cut_that_misses_a_cell_is_no_cover():
     L, mu, nu = _diag3_cells([(0, 0), (1, 2)])
     run = matching_run(L, mu, nu)
     # every row reachable and no column: the cut holds no band
-    run = dataclasses.replace(
-        run, reachable_rows=frozenset(range(3)), reachable_cols=frozenset()
-    )
+    run = copy.copy(run)
+    run.reachable_rows, run.reachable_cols = frozenset(range(3)), frozenset()
     with pytest.raises(PostconditionError, match="does not cover the cell set"):
         cover_from_run(run, L)
 
@@ -36,14 +35,16 @@ def test_a_cut_that_misses_a_cell_is_no_cover():
 def test_a_cover_must_weigh_the_matching_mass():
     L, mu, nu = _diag3_cells([(0, 0), (1, 2)])
     run = matching_run(L, mu, nu)
-    run = dataclasses.replace(run, shipped=run.shipped + F(1, 3))
+    run = copy.copy(run)
+    run.shipped += F(1, 3)
     with pytest.raises(PostconditionError, match="does not match the matching mass"):
         cover_from_run(run, L)
 
 
 def test_zero_matching_mass_needs_a_weightless_cover():
     L, mu, nu = _diag3_cells([(0, 0)])
-    run = dataclasses.replace(matching_run(L, mu, nu), shipped=0)
+    run = copy.copy(matching_run(L, mu, nu))
+    run.shipped = 0
     with pytest.raises(PostconditionError, match="weightless band cover"):
         decompose_from_run(run, L)
 
@@ -53,7 +54,8 @@ def test_a_charging_witness_must_charge_the_cell_set():
     mu = kg.make_marginal(kg.DiscreteSpace(2), [1, 0])
     nu = kg.uniform_marginal(2)
     L = kg.cellset_from_pairs(2, 2, [(1, 0)])
-    run = dataclasses.replace(matching_run(L, mu, nu), shipped=F(1, 2))
+    run = copy.copy(matching_run(L, mu, nu))
+    run.shipped = F(1, 2)
     with pytest.raises(PostconditionError, match="failed to charge the cell set"):
         decompose_from_run(run, L)
 
