@@ -15,7 +15,8 @@ Conventions fixed here and relied on everywhere else:
   are first-class citizens (partial transport needs them); "is a probability"
   is a predicate, not a type.
 * Everything is immutable after construction and safe to share across
-  threads read-only.
+  threads read-only: every record (``Record``), a solver run included, is
+  frozen, so a changed one is a new one.
 * ``make_cost_matrix`` and ``make_marginal`` read each distinct string token
   once per call: the same text gives the same value, so a matrix of a few
   distinct tokens costs a few reads.  Non-string entries are read one by
@@ -121,42 +122,36 @@ def _record_init(names: tuple, check: bool):
 
 
 class Record:
-    """A plain record whose fields are its class's own annotations, in order.
+    """A plain, frozen record whose fields are its class's own annotations,
+    in order.
 
-    ``class P(Record)`` is frozen: it is built from its fields by position
-    or keyword, a class attribute of a field's name being that field's
-    default; it has a ``repr`` that lists the fields, ``__match_args__``,
-    and ``==`` and ``hash`` over the fields of two records of the same
-    class; assigning or deleting an attribute raises ``AttributeError``.
-    ``uncompared=(...)`` names fields that ``==`` and ``hash`` leave out,
-    and ``frozen=False`` makes a mutable, unhashable record.  A
-    ``__post_init__`` method, if the class has one, runs once the fields
-    are set.  No code is generated: the methods here read the field names
-    that ``__init_subclass__`` records, and the constructor is a closure
-    over them (``_record_init``).  It installs one dict as the instance
-    ``__dict__`` in a single call, not one ``object.__setattr__`` per
-    field; pickle and ``copy`` restore that ``__dict__`` directly, so a
-    frozen record round-trips.
+    ``class P(Record)`` is built from every one of its fields, by position
+    or keyword; it has a ``repr`` that lists the fields,
+    ``__match_args__``, and ``==`` and ``hash`` over all the fields of two
+    records of the same class; assigning or deleting an attribute raises
+    ``AttributeError``.  A record has no options and its fields no
+    defaults.  A ``__post_init__`` method, if the class has one, runs once
+    the fields are set.  No code is generated: the methods here read the
+    field names that ``__init_subclass__`` records, and the constructor is
+    a closure over them (``_record_init``).  It installs one dict as the
+    instance ``__dict__`` in a single call, not one ``object.__setattr__``
+    per field; pickle and ``copy`` restore that ``__dict__`` directly, so a
+    record round-trips.  A changed record is a new one:
+    ``P(**{**vars(p), name: value})``.
     """
 
     __post_init__ = None
 
-    def __init_subclass__(cls, frozen: bool = True, uncompared: tuple = (), **kwargs):
-        super().__init_subclass__(**kwargs)
+    def __init_subclass__(cls):
+        super().__init_subclass__()
         names = tuple(cls.__annotations__)
         cls.__match_args__ = names
-        cls._compared = tuple(n for n in names if n not in uncompared)
-        cls._defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
         cls.__init__ = _record_init(names, cls.__post_init__ is not None)
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
     @classmethod
     def _bind(cls, args: tuple, kwargs: dict) -> dict:
-        """The fields of any other call, in order and with the defaults
-        filled in; ``TypeError`` where a function call would raise it."""
+        """The fields of any other call, in order; ``TypeError`` where a
+        function call would raise it."""
         names, name = cls.__match_args__, cls.__qualname__
         if len(args) > len(names):
             raise TypeError(
@@ -170,14 +165,14 @@ class Record:
             if key in bound:
                 raise TypeError(f"{name}() got multiple values for argument {key!r}")
             bound[key] = value
-        missing = [n for n in names if n not in bound and n not in cls._defaults]
+        missing = [n for n in names if n not in bound]
         if missing:
             raise TypeError(f"{name}() missing arguments: {', '.join(missing)}")
-        return {n: bound[n] if n in bound else cls._defaults[n] for n in names}
+        return {n: bound[n] for n in names}
 
     def _key(self) -> tuple:
         d = self.__dict__
-        return tuple([d[n] for n in self._compared])
+        return tuple([d[n] for n in self.__match_args__])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -215,8 +210,12 @@ class DiscreteSpace(Record):
             raise InputError("space size must be a positive integer")
 
 
-class Marginal(Record, uncompared=("mass",)):
-    """Nonnegative weights over a space; probability iff the mass is 1."""
+class Marginal(Record):
+    """Nonnegative weights over a space; probability iff the mass is 1.
+
+    ``mass`` is the weights' sum, so the library's constructors
+    (``make_marginal``, a coupling's sums) derive it from them; like
+    every field, it takes part in ``==`` and ``hash``."""
 
     space: DiscreteSpace
     weights: Tuple

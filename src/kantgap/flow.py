@@ -233,8 +233,9 @@ def _interpolate(bps, m):
     return c0 + modes.div((c1 - c0) * (m - m0), m1 - m0)
 
 
-class SolverRun(Record, frozen=False):
-    """Full record of one parametric solve.
+class SolverRun(Record):
+    """Full record of one parametric solve; frozen like every record, so a
+    changed run is built anew, as ``SolverRun(**{**vars(run), name: value})``.
 
     ``mu`` and ``nu`` are the marginals the run was given, so every reader
     takes the run alone.  ``shipped`` and ``cost`` are unscaled.  The rest
@@ -278,7 +279,7 @@ class SolverRun(Record, frozen=False):
     reachable_rows: Optional[frozenset]
     reachable_cols: Optional[frozenset]
     searches: int
-    full_mass: object = None
+    full_mass: object
 
     @property
     def breakpoints(self) -> tuple:

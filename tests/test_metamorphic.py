@@ -1,13 +1,20 @@
 """Metamorphic relations: transformed instances whose answers are known
 from the original's.
 
-Each example is a seeded ``random_instance`` with sides 8 to 40, beyond
-the brute-force oracle's sizes, so these relations check the solvers where
-no reference value exists.  The transforms live here: transposing,
-permuting rows and columns, splitting an atom of mu into two halves,
-adding a_i + b_j to every finite cell, and scaling the costs.  In exact
-mode every relation holds with equality; in float mode P = D and the
+Each transport example is a seeded ``random_instance`` with sides 8 to 40,
+beyond the brute-force oracle's sizes, so these relations check the
+solvers where no reference value exists.  The transforms live here:
+transposing, permuting rows and columns, splitting an atom of mu into two
+halves, adding a_i + b_j to every finite cell, and scaling the costs.  In
+exact mode every relation holds with equality; in float mode P = D and the
 permutation invariance hold within ``_REL`` of the largest finite cost.
+
+The cover relations draw a cell set L with sides 1 to 9, about a third of
+its cells in L, and rational weights that may be zero: the cover value m
+of L^T under (nu, mu) is m, and its cover with rows and columns swapped
+covers L; permuting L with the marginals keeps m; splitting a weighted row
+atom into two halves that share its L-row keeps m; on a square L, a
+symmetric permutation keeps the capacity gamma.
 """
 
 from datetime import timedelta
@@ -20,6 +27,8 @@ import kantgap as kg
 from kantgap.errors import NotApplicableError
 
 _settings = settings(max_examples=20, deadline=timedelta(seconds=5))
+# a cover example is at most 9 by 9 and takes milliseconds, so it draws more
+_cover_settings = settings(max_examples=100, deadline=timedelta(seconds=5))
 
 # float mode: |x - y| <= _REL * (largest finite cost) for P = D and for the
 # permutation invariance, at every cost scale 10^k drawn below
@@ -222,3 +231,69 @@ def test_float_p_equals_d_and_permuting_keeps_p(k, inst, rnd):
         value = kg.primal_value(fc, fmu, fnu)
         assert _close(value, kg.dual_value(fc, fmu, fnu).value, cmax)
         assert _close(value, kg.primal_value(*perm), cmax)
+
+
+@st.composite
+def cell_sets(draw, square=False):
+    """A cell set L with sides 1 to 9 and marginals over its sides (one
+    shared marginal if ``square``), about a third of the cells in L."""
+    nx = draw(st.integers(1, 9))
+    ny = nx if square else draw(st.integers(1, 9))
+    flags = st.lists(st.sampled_from([True, False, False]), min_size=ny, max_size=ny)
+    L = kg.cellset_from_matrix(draw(st.lists(flags, min_size=nx, max_size=nx)))
+    mu = _marginal(draw(st.lists(_rationals, min_size=nx, max_size=nx)))
+    if square:
+        return L, mu
+    return L, mu, _marginal(draw(st.lists(_rationals, min_size=ny, max_size=ny)))
+
+
+def _cells(rows):
+    return kg.cellset_from_matrix([list(row) for row in rows])
+
+
+@_cover_settings
+@given(cell_sets())
+def test_transposing_a_cell_set_keeps_its_cover_value(inst):
+    L, mu, nu = inst
+    m, _ = kg.cover_value(L, mu, nu)
+    m_t, cert = kg.cover_value(_cells(zip(*L.rows)), nu, mu)
+    assert m_t == m == cert.value
+    # the transposed cover, rows and columns swapped, covers L and weighs m
+    assert all(i in cert.cols or j in cert.rows for i, j in L.cells())
+    weight = sum(mu.weights[i] for i in cert.cols) + sum(nu.weights[j] for j in cert.rows)
+    assert weight == m
+
+
+@_cover_settings
+@given(cell_sets(), st.randoms(use_true_random=False))
+def test_permuting_a_cell_set_keeps_its_cover_value(inst, rnd):
+    L, mu, nu = inst
+    p, q = list(range(L.nx)), list(range(L.ny))
+    rnd.shuffle(p)
+    rnd.shuffle(q)
+    permuted = _cells([[L.rows[i][j] for j in q] for i in p])
+    pmu, pnu = _marginal([mu.weights[i] for i in p]), _marginal([nu.weights[j] for j in q])
+    assert kg.cover_value(permuted, pmu, pnu)[0] == kg.cover_value(L, mu, nu)[0]
+
+
+@_cover_settings
+@given(cell_sets(), st.data())
+def test_splitting_a_weighted_row_atom_keeps_the_cover_value(inst, data):
+    L, mu, nu = inst
+    weighted = [i for i, w in enumerate(mu.weights) if w > 0]
+    k = data.draw(st.sampled_from(weighted)) if weighted else 0
+    split = _cells(L.rows[: k + 1] + L.rows[k:])
+    half = F(mu.weights[k]) / 2
+    smu = _marginal(mu.weights[:k] + (half, half) + mu.weights[k + 1 :])
+    assert kg.cover_value(split, smu, nu)[0] == kg.cover_value(L, mu, nu)[0]
+
+
+@_cover_settings
+@given(cell_sets(square=True), st.randoms(use_true_random=False))
+def test_a_symmetric_permutation_keeps_the_capacity(inst, rnd):
+    L, lam = inst
+    p = list(range(L.nx))
+    rnd.shuffle(p)
+    permuted = _cells([[L.rows[i][j] for j in p] for i in p])
+    plam = _marginal([lam.weights[i] for i in p])
+    assert kg.capacity_value(permuted, plam)[0] == kg.capacity_value(L, lam)[0]

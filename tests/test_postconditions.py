@@ -2,11 +2,10 @@
 doctored input.
 
 The solvers never break these checks on their own, so each test feeds a
-reader a run whose fields were edited, or patches a helper, and asserts the
+reader a run rebuilt with edited fields, or patches a helper, and asserts the
 ``PostconditionError`` text.
 """
 
-import copy
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +14,11 @@ import kantgap as kg
 from kantgap import dual, flow, relaxation
 from kantgap.errors import PostconditionError
 from kantgap.kellerer import cover_from_run, decompose_from_run, matching_run
+
+
+def _doctored(run, **changes):
+    """A new run with ``changes`` to its fields: a run is frozen."""
+    return flow.SolverRun(**{**vars(run), **changes})
 
 
 def _diag3_cells(pairs):
@@ -26,8 +30,7 @@ def test_a_cut_that_misses_a_cell_is_no_cover():
     L, mu, nu = _diag3_cells([(0, 0), (1, 2)])
     run = matching_run(L, mu, nu)
     # every row reachable and no column: the cut holds no band
-    run = copy.copy(run)
-    run.reachable_rows, run.reachable_cols = frozenset(range(3)), frozenset()
+    run = _doctored(run, reachable_rows=frozenset(range(3)), reachable_cols=frozenset())
     with pytest.raises(PostconditionError, match="does not cover the cell set"):
         cover_from_run(run, L)
 
@@ -35,16 +38,14 @@ def test_a_cut_that_misses_a_cell_is_no_cover():
 def test_a_cover_must_weigh_the_matching_mass():
     L, mu, nu = _diag3_cells([(0, 0), (1, 2)])
     run = matching_run(L, mu, nu)
-    run = copy.copy(run)
-    run.shipped += F(1, 3)
+    run = _doctored(run, shipped=run.shipped + F(1, 3))
     with pytest.raises(PostconditionError, match="does not match the matching mass"):
         cover_from_run(run, L)
 
 
 def test_zero_matching_mass_needs_a_weightless_cover():
     L, mu, nu = _diag3_cells([(0, 0)])
-    run = copy.copy(matching_run(L, mu, nu))
-    run.shipped = 0
+    run = _doctored(matching_run(L, mu, nu), shipped=0)
     with pytest.raises(PostconditionError, match="weightless band cover"):
         decompose_from_run(run, L)
 
@@ -54,8 +55,7 @@ def test_a_charging_witness_must_charge_the_cell_set():
     mu = kg.make_marginal(kg.DiscreteSpace(2), [1, 0])
     nu = kg.uniform_marginal(2)
     L = kg.cellset_from_pairs(2, 2, [(1, 0)])
-    run = copy.copy(matching_run(L, mu, nu))
-    run.shipped = F(1, 2)
+    run = _doctored(matching_run(L, mu, nu), shipped=F(1, 2))
     with pytest.raises(PostconditionError, match="failed to charge the cell set"):
         decompose_from_run(run, L)
 
