@@ -4,6 +4,16 @@ Costs take values in [0, oo], marginals are rational weight vectors, and
 every value of interest (full, partial, relaxed, truncated, dual, cover,
 capacity) is computed exactly together with a certificate.  See README.md
 for the tour and ``demos/`` for worked narratives.
+
+Three modules load on first use, so that ``import kantgap`` (and every
+command but ``covers`` and ``oracle``) does without them: ``kellerer``
+(``CellSet``, ``CoverCertificate``, ``Decomposition``, ``capacity_value``,
+``cellset_from_matrix``, ``cellset_from_pairs``, ``cover_value``,
+``kellerer_decompose``, ``max_mass_on``, ``null_for_all_couplings``),
+``oracle`` (``brute_capacity``, ``brute_chargeable``, ``brute_cover``,
+``brute_primal``, ``brute_profile``) and ``relaxation``
+(``complete_partial``, ``shrink_to_partial``).  Reading one of these names,
+or the module's own, imports the module.
 """
 
 from .core import (
@@ -55,26 +65,7 @@ from .flow import (
     optimal_coupling_at,
     solve_profile,
 )
-from .kellerer import (
-    CellSet,
-    CoverCertificate,
-    Decomposition,
-    capacity_value,
-    cellset_from_matrix,
-    cellset_from_pairs,
-    cover_value,
-    kellerer_decompose,
-    max_mass_on,
-    null_for_all_couplings,
-)
 from .modes import arithmetic, get_mode
-from .oracle import (
-    brute_capacity,
-    brute_chargeable,
-    brute_cover,
-    brute_primal,
-    brute_profile,
-)
 from .primal import (
     PrimalReport,
     StudyRow,
@@ -87,7 +78,37 @@ from .primal import (
     relaxed_value,
     truncation_sweep,
 )
-from .relaxation import complete_partial, shrink_to_partial
 from .scenarios import closed_inf_band, example_diagonal, random_instance
 
 __version__ = "0.1.0"
+
+_LAZY = {
+    "kellerer": (
+        "CellSet", "CoverCertificate", "Decomposition", "capacity_value",
+        "cellset_from_matrix", "cellset_from_pairs", "cover_value", "kellerer_decompose",
+        "max_mass_on", "null_for_all_couplings",
+    ),
+    "oracle": (
+        "brute_capacity", "brute_chargeable", "brute_cover", "brute_primal", "brute_profile",
+    ),
+    "relaxation": ("complete_partial", "shrink_to_partial"),
+}
+_LAZY_MODULE = {name: mod for mod, names in _LAZY.items() for name in (mod, *names)}
+
+
+def __getattr__(name):
+    """A name of ``_LAZY``, or one of its modules, imported on first use
+    (PEP 562) and then bound here like the eager names."""
+    mod = _LAZY_MODULE.get(name)
+    if mod is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    module = importlib.import_module(f"{__name__}.{mod}")
+    value = module if name == mod else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY_MODULE})

@@ -32,13 +32,6 @@ from . import modes, problem_io, scenarios
 from .dual import dual_from_run, dual_value, relaxed_dual_value, verify_feasible
 from .errors import InputError, NotApplicableError, TransportError
 from .flow import _run_ssp, evaluate_profile, solve_profile
-from .kellerer import (
-    capacity_value,
-    cover_from_run,
-    decompose_from_run,
-    matching_run,
-)
-from .oracle import brute_cover, brute_primal
 from .primal import (
     _require_probability,
     check_eps,
@@ -151,6 +144,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_covers(args) -> int:
+    from .kellerer import capacity_value, cover_from_run, decompose_from_run, matching_run
+
     c, mu, nu = problem_io.load_problem_file(args.problem)
     L = problem_io.load_cellset_file(args.cells, c.nx, c.ny)
     _require_probability(mu, nu)
@@ -196,6 +191,8 @@ def _cmd_study(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import brute_cover, brute_primal
+
     c, mu, nu = problem_io.load_problem_file(args.problem)
     if args.cover:
         L = problem_io.load_cellset_file(args.cover, c.nx, c.ny)

@@ -33,8 +33,8 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence, Tuple
 
 from . import modes
 from .errors import (
@@ -218,7 +218,7 @@ class Marginal(Record):
     every field, it takes part in ``==`` and ``hash``."""
 
     space: DiscreteSpace
-    weights: Tuple
+    weights: tuple
     mass: object
 
     def is_probability(self) -> bool:
@@ -282,7 +282,7 @@ def scale_marginal(mu: Marginal, factors: Sequence) -> Marginal:
 class CostMatrix(Record):
     """An nX x nY grid of values in [0, oo]; ``INF`` marks forbidden cells."""
 
-    rows: Tuple[Tuple, ...]
+    rows: tuple[tuple, ...]
 
     @property
     def nx(self) -> int:
@@ -292,16 +292,16 @@ class CostMatrix(Record):
     def ny(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    def __getitem__(self, ij: Tuple[int, int]):
+    def __getitem__(self, ij: tuple[int, int]):
         i, j = ij
         return self.rows[i][j]
 
-    def cells(self) -> Iterator[Tuple[int, int, object]]:
+    def cells(self) -> Iterator[tuple[int, int, object]]:
         for i, row in enumerate(self.rows):
             for j, v in enumerate(row):
                 yield i, j, v
 
-    def finite_cells(self) -> Iterator[Tuple[int, int, object]]:
+    def finite_cells(self) -> Iterator[tuple[int, int, object]]:
         # a flat loop, not one over cells(): every engine run lists them
         for i, row in enumerate(self.rows):
             for j, v in enumerate(row):
@@ -390,7 +390,7 @@ class Coupling(Record):
 
     space_x: DiscreteSpace
     space_y: DiscreteSpace
-    entries: Mapping[Tuple[int, int], object]
+    entries: Mapping[tuple[int, int], object]
 
     def items(self):
         """Entries in row-major order (deterministic)."""
@@ -431,7 +431,7 @@ def _reduced(x):
     return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
-def _ints(values: list) -> Tuple[list, int]:
+def _ints(values: list) -> tuple[list, int]:
     """The numbers ``values`` in the form the flow engine runs on, with
     their scale.  In exact mode: each value times the lcm of their
     denominators, as an int, and that lcm (1 for none).  In float mode: the
@@ -490,7 +490,7 @@ def empty_coupling(space_x: DiscreteSpace, space_y: DiscreteSpace) -> Coupling:
     return make_coupling(space_x, space_y, {})
 
 
-def coupling_marginals(pi: Coupling) -> Tuple[Marginal, Marginal]:
+def coupling_marginals(pi: Coupling) -> tuple[Marginal, Marginal]:
     """The projections (row sums, column sums), summed when read."""
     return pi.row_sums, pi.col_sums
 

@@ -41,7 +41,7 @@ reach at desk scale by design.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional, Sequence, Tuple
+from collections.abc import Sequence
 
 from . import modes
 from .core import (
@@ -74,8 +74,8 @@ class DualPair(Record):
     """Potentials (phi, psi) with the objective sum(phi mu) + sum(psi nu)
     cached under the (-oo) * 0 = 0 convention."""
 
-    phi: Tuple
-    psi: Tuple
+    phi: tuple
+    psi: tuple
     objective: object
 
 
@@ -96,8 +96,8 @@ def make_dual_pair(phi: Sequence, psi: Sequence, mu: Marginal, nu: Marginal) -> 
 
 class FeasibilityCheck(Record):
     ok: bool
-    violation: Optional[Tuple[int, int]]  # first offending cell, row-major
-    excess: Optional[object]  # phi_i + psi_j - c(i, j) there
+    violation: tuple[int, int] | None  # first offending cell, row-major
+    excess: object | None  # phi_i + psi_j - c(i, j) there
 
 
 def verify_feasible(pair: DualPair, c: CostMatrix) -> FeasibilityCheck:
@@ -121,15 +121,15 @@ class ImprovingRay(Record):
     """Direction (d_phi, d_psi) with d_phi_i + d_psi_j <= 0 on finite cells
     and positive objective slope: a certificate of dual unboundedness."""
 
-    d_phi: Tuple
-    d_psi: Tuple
+    d_phi: tuple
+    d_psi: tuple
     slope: object
 
 
 class DualReport(Record):
     value: object  # sup of the dual objective, possibly INF
     pair: DualPair  # optimal when value is finite, else a feasible base point
-    ray: Optional[ImprovingRay]  # present exactly when value is INF
+    ray: ImprovingRay | None  # present exactly when value is INF
 
 
 def _pair_from_run(run: SolverRun) -> DualPair:
@@ -244,14 +244,14 @@ def j_functional(pair: DualPair, pi: Coupling, c: CostMatrix):
     return total
 
 
-def chargeable_cells(c: CostMatrix, mu: Marginal, nu: Marginal) -> FrozenSet:
+def chargeable_cells(c: CostMatrix, mu: Marginal, nu: Marginal) -> frozenset:
     """Cells that some finite-cost full coupling charges (none when no
     finite-cost full coupling exists)."""
     _require_probability(mu, nu)
     return chargeable_from_run(_run_ssp(c, mu, nu, warm=True))
 
 
-def chargeable_from_run(run: SolverRun) -> FrozenSet:
+def chargeable_from_run(run: SolverRun) -> frozenset:
     """``chargeable_cells`` read from an untargeted run, on its finite
     cells.
 
@@ -321,7 +321,7 @@ def _strong_components(succ) -> list:
 class RelaxedDualReport(Record):
     value: object
     pair: DualPair
-    chargeable: FrozenSet
+    chargeable: frozenset
 
 
 def relaxed_dual_value(c: CostMatrix, mu: Marginal, nu: Marginal) -> RelaxedDualReport:
@@ -342,10 +342,10 @@ def relaxed_dual_value(c: CostMatrix, mu: Marginal, nu: Marginal) -> RelaxedDual
 
 class AttainmentReport(Record):
     attained: bool
-    level: Optional[object]  # least grid level reaching the relaxed value
-    pair: Optional[DualPair]
-    h: Optional[CostMatrix]  # (phi_i + psi_j)_+ , a finite attaining ladder
-    certified_bound: Optional[object]  # max cell of h; truncating there attains
+    level: object | None  # least grid level reaching the relaxed value
+    pair: DualPair | None
+    h: CostMatrix | None  # (phi_i + psi_j)_+ , a finite attaining ladder
+    certified_bound: object | None  # max cell of h; truncating there attains
     relaxed: object
 
 

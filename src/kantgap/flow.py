@@ -147,8 +147,8 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left, bisect_right, insort
+from collections.abc import Sequence
 from itertools import islice
-from typing import List, Optional, Sequence, Tuple
 
 from . import modes
 from .core import (
@@ -175,8 +175,8 @@ class PotentialPair(Record):
     """Node potentials (u over X, v over Y) with c(i,j) - u_i - v_j >= 0
     on all finite cells of the instance they certify."""
 
-    u: Tuple
-    v: Tuple
+    u: tuple
+    v: tuple
 
 
 class TransportProfile(Record):
@@ -187,8 +187,8 @@ class TransportProfile(Record):
     ``breakpoints[k]``.
     """
 
-    breakpoints: Tuple[Tuple[object, object], ...]
-    potentials: Tuple[PotentialPair, ...]
+    breakpoints: tuple[tuple[object, object], ...]
+    potentials: tuple[PotentialPair, ...]
 
     @property
     def max_mass(self):
@@ -269,15 +269,15 @@ class SolverRun(Record):
     nu: Marginal
     shipped: object
     cost: object
-    segments: List[Tuple[object, object, tuple]]
+    segments: list[tuple[object, object, tuple]]
     potentials: list
     cells: list  # (i, j, cost times lc) on every finite cell
     scaled_flows: dict  # (i, j) -> positive flow times lw
     weights: list
     lc: int
     lw: int
-    reachable_rows: Optional[frozenset]
-    reachable_cols: Optional[frozenset]
+    reachable_rows: frozenset | None
+    reachable_cols: frozenset | None
     searches: int
     full_mass: object
 
@@ -364,7 +364,7 @@ class _Network:
         self.col_node = [1 + nx + j for _, j, _ in cells]
         starts = [bisect_left(self.row_node, 1 + i) for i in range(nx + 1)]
         self.row_cells = [range(a, b) for a, b in zip(starts, starts[1:])]
-        self.col_cells: List[List[int]] = [[] for _ in range(ny)]
+        self.col_cells: list[list[int]] = [[] for _ in range(ny)]
         self.row_room, self.col_room = weights[:nx], weights[nx:]
         self.potentials = [0] * (nx + ny + 2)
         self.shipped = self.total_cost = self.searches = 0
@@ -403,7 +403,7 @@ class _Network:
                 total_cost += cost[k] * delta
         self.shipped, self.total_cost = shipped, total_cost
 
-    def augment(self, target=None, segments: Optional[list] = None):
+    def augment(self, target=None, segments: list | None = None):
         """Ship along shortest augmenting paths until the shipped mass
         reaches the (scaled) target or, without one, until a search finds
         no column with room.
@@ -477,8 +477,8 @@ class _Network:
 
             # trace the path back from its last column: its true (unreduced)
             # unit cost, its room and the cells it crosses each way
-            forward: List[int] = []
-            backward: List[int] = []
+            forward: list[int] = []
+            backward: list[int] = []
             sigma, delta, v = 0, col_room[last - 1 - nx], last
             while True:
                 k = parent[v]
@@ -626,7 +626,7 @@ class LadderStep(Record):
 
 def truncation_ladder(
     c: CostMatrix, mu: Marginal, nu: Marginal, levels: Sequence
-) -> List[LadderStep]:
+) -> list[LadderStep]:
     """P(c /\\ level) for each of a nondecreasing sequence of finite
     levels, each a number M >= 0 or a ``CostMatrix`` h, from one network
     (module docstring).

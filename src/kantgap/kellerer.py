@@ -36,7 +36,7 @@ each f_i from the three values 0, 1/2 and 1.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterator, Optional, Sequence, Tuple
+from collections.abc import Iterator, Sequence
 
 from . import modes
 from .core import (
@@ -62,7 +62,7 @@ from .primal import _require_unit_masses
 class CellSet(Record):
     """Boolean membership matrix of a subset of the grid."""
 
-    rows: Tuple[Tuple[bool, ...], ...]
+    rows: tuple[tuple[bool, ...], ...]
 
     @property
     def nx(self) -> int:
@@ -72,18 +72,18 @@ class CellSet(Record):
     def ny(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    def cells(self) -> Iterator[Tuple[int, int]]:
+    def cells(self) -> Iterator[tuple[int, int]]:
         for i, row in enumerate(self.rows):
             for j, flag in enumerate(row):
                 if flag:
                     yield i, j
 
-    def __contains__(self, ij: Tuple[int, int]) -> bool:
+    def __contains__(self, ij: tuple[int, int]) -> bool:
         i, j = ij
         return bool(self.rows[i][j])
 
 
-def cellset_from_pairs(nx: int, ny: int, pairs: Sequence[Tuple[int, int]]) -> CellSet:
+def cellset_from_pairs(nx: int, ny: int, pairs: Sequence[tuple[int, int]]) -> CellSet:
     if not isinstance(pairs, (list, tuple)):
         raise InputError("cell-set pairs must be a list of [i, j] pairs")
     grid = [[False] * ny for _ in range(nx)]
@@ -121,8 +121,8 @@ def _indicator_cost(L: CellSet) -> CostMatrix:
 
 
 class CoverCertificate(Record):
-    rows: FrozenSet[int]
-    cols: FrozenSet[int]
+    rows: frozenset[int]
+    cols: frozenset[int]
     value: object
 
 
@@ -137,13 +137,13 @@ def matching_run(L: CellSet, mu: Marginal, nu: Marginal) -> SolverRun:
     return _run_ssp(_indicator_cost(L), mu, nu, warm=True)
 
 
-def max_mass_on(L: CellSet, mu: Marginal, nu: Marginal) -> Tuple[object, Coupling]:
+def max_mass_on(L: CellSet, mu: Marginal, nu: Marginal) -> tuple[object, Coupling]:
     """Largest mass of a partial coupling supported inside L, with witness."""
     run = matching_run(L, mu, nu)
     return run.shipped, run.plan()
 
 
-def cover_value(L: CellSet, mu: Marginal, nu: Marginal) -> Tuple[object, CoverCertificate]:
+def cover_value(L: CellSet, mu: Marginal, nu: Marginal) -> tuple[object, CoverCertificate]:
     """Exact minimum of mu(A) + nu(B) over band covers of L.
 
     By max-flow min-cut (Koenig's theorem on the bipartite graph L), the
@@ -154,7 +154,7 @@ def cover_value(L: CellSet, mu: Marginal, nu: Marginal) -> Tuple[object, CoverCe
     return cover_from_run(matching_run(L, mu, nu), L)
 
 
-def cover_from_run(run: SolverRun, L: CellSet) -> Tuple[object, CoverCertificate]:
+def cover_from_run(run: SolverRun, L: CellSet) -> tuple[object, CoverCertificate]:
     """``cover_value`` read from ``matching_run(L, mu, nu)``, or from any
     untargeted run on L's indicator cost: a targeted run has no min cut.
     The certificate's value is summed on the run's scaled weights and
@@ -171,7 +171,7 @@ def cover_from_run(run: SolverRun, L: CellSet) -> Tuple[object, CoverCertificate
     return run.shipped, CoverCertificate(rows=rows, cols=cols, value=value)
 
 
-def capacity_value(L: CellSet, lam: Marginal) -> Tuple[object, Tuple]:
+def capacity_value(L: CellSet, lam: Marginal) -> tuple[object, tuple]:
     """Least integral of f: X -> [0, 1] with f(x) + f(y) >= 1 on L, for a
     square cell set over one space with one shared weighting.
 
@@ -209,9 +209,9 @@ def null_for_all_couplings(L: CellSet, mu: Marginal, nu: Marginal) -> bool:
 class Decomposition(Record):
     """Either weightless bands covering L, or a full coupling charging it."""
 
-    null_rows: Optional[FrozenSet[int]]
-    null_cols: Optional[FrozenSet[int]]
-    witness: Optional[Coupling]
+    null_rows: frozenset[int] | None
+    null_cols: frozenset[int] | None
+    witness: Coupling | None
 
     @property
     def is_null(self) -> bool:

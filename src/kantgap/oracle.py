@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from typing import Dict, Tuple
 
 from . import modes
 from .core import INF, CostMatrix, Marginal, make_cost_matrix
@@ -71,10 +70,10 @@ def _profile_points(c: CostMatrix, mu: Marginal, nu: Marginal):
     finite = sorted(
         ((v, i, j) for i, j, v in c.finite_cells()), key=lambda t: (t[0], t[1], t[2])
     )
-    memo: Dict[Tuple, Tuple] = {}
+    memo: dict[tuple, tuple] = {}
     tol = modes.tolerance()  # a float residual within it is rounding, not mass
 
-    def explore(a: Tuple, b: Tuple):
+    def explore(a: tuple, b: tuple):
         key = (a, b)
         cached = memo.get(key)
         if cached is not None:

@@ -14,8 +14,8 @@ scale it only appears through refinement families (see
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from itertools import product as _cartesian
-from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import modes
 from .core import (
@@ -87,7 +87,7 @@ def phi_value(c: CostMatrix, mu: Marginal, nu: Marginal, f: Sequence, g: Sequenc
 
 def truncation_sweep(
     c: CostMatrix, mu: Marginal, nu: Marginal, levels: Sequence[CostMatrix]
-) -> List[Tuple[int, object]]:
+) -> list[tuple[int, object]]:
     """Full-transport values of c /\\ h for a nondecreasing ladder of finite
     truncation levels h, re-optimised level to level on one network."""
     _require_probability(mu, nu)
@@ -97,7 +97,7 @@ def truncation_sweep(
 
 def constant_truncation_sweep(
     c: CostMatrix, mu: Marginal, nu: Marginal, ms: Sequence
-) -> List[Tuple[object, object]]:
+) -> list[tuple[object, object]]:
     """Convenience sweep over nondecreasing constant levels M; returns
     (M, value) pairs."""
     _require_probability(mu, nu)
@@ -108,10 +108,10 @@ class PrimalReport(Record):
     """Summary of the primal side of one instance."""
 
     value: object  # full-transport value, possibly INF
-    partials: Tuple[Tuple[object, object], ...]  # (eps, value), eps ascending
+    partials: tuple[tuple[object, object], ...]  # (eps, value), eps ascending
     relaxed: object
     max_mass: object
-    witness: Optional[Coupling]  # a minimizing full coupling when one exists
+    witness: Coupling | None  # a minimizing full coupling when one exists
 
 
 def primal_report(
@@ -163,11 +163,11 @@ def resolve_eps(token, n: int):
 
 
 def refinement_study(
-    family: Callable[[int], Tuple[CostMatrix, Marginal, Marginal]],
+    family: Callable[[int], tuple[CostMatrix, Marginal, Marginal]],
     n_list: Sequence[int],
     eps_list: Sequence,
     m_list: Sequence,
-) -> List[StudyRow]:
+) -> list[StudyRow]:
     """Cross-tabulated double-limit table over a refinement family.
 
     One row per (n, eps, level).  For the staircase family the value and
@@ -177,7 +177,7 @@ def refinement_study(
     """
     from .dual import dual_from_run  # local import keeps module layering simple
 
-    rows: List[StudyRow] = []
+    rows: list[StudyRow] = []
     for n in n_list:
         # the family checks n, and builds without solving, before n scales the grid
         c, mu, nu = family(n)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import sys
-from typing import List, Sequence, Tuple
+from collections.abc import Sequence
 
 from . import modes
 from .core import (
@@ -32,7 +32,6 @@ from .core import (
     make_marginal,
 )
 from .errors import InputError
-from .kellerer import CellSet, cellset_from_matrix, cellset_from_pairs
 
 
 def format_number(x) -> str:
@@ -62,7 +61,7 @@ def _require_list(value, what: str, length: int) -> list:
     return value
 
 
-def load_problem(doc: dict) -> Tuple[CostMatrix, Marginal, Marginal]:
+def load_problem(doc: dict) -> tuple[CostMatrix, Marginal, Marginal]:
     try:
         nx, ny = doc["nx"], doc["ny"]
         mu_raw, nu_raw, cost_raw = doc["mu"], doc["nu"], doc["cost"]
@@ -94,14 +93,17 @@ def _load_json(path: str):
         raise InputError(f"{path}: {exc}") from None
 
 
-def load_problem_file(path: str) -> Tuple[CostMatrix, Marginal, Marginal]:
+def load_problem_file(path: str) -> tuple[CostMatrix, Marginal, Marginal]:
     return load_problem(_load_json(path))
 
 
-def load_cellset(doc, nx: int, ny: int) -> CellSet:
-    """Cell sets arrive as {"pairs": [[i, j], ...]} or {"matrix": [[0, 1], ..]};
+def load_cellset(doc, nx: int, ny: int):
+    """A ``kellerer.CellSet`` (that module loads here, on first use).  Cell
+    sets arrive as {"pairs": [[i, j], ...]} or {"matrix": [[0, 1], ..]};
     anything else, a bare list included, is rejected: a bare list of pairs
     on an n x 2 grid has a matrix's shape."""
+    from .kellerer import cellset_from_matrix, cellset_from_pairs
+
     if isinstance(doc, dict):
         if "pairs" in doc:
             return cellset_from_pairs(nx, ny, doc["pairs"])
@@ -113,7 +115,7 @@ def load_cellset(doc, nx: int, ny: int) -> CellSet:
     raise InputError('cell-set document needs "pairs" or "matrix"')
 
 
-def load_cellset_file(path: str, nx: int, ny: int) -> CellSet:
+def load_cellset_file(path: str, nx: int, ny: int):
     return load_cellset(_load_json(path), nx, ny)
 
 
@@ -144,7 +146,7 @@ def profile_csv(profile) -> str:
     return _csv("mass,cost", profile.breakpoints)
 
 
-def sweep_csv(rows: Sequence[Tuple[object, object]]) -> str:
+def sweep_csv(rows: Sequence[tuple[object, object]]) -> str:
     return _csv("M,P_trunc", rows)
 
 
@@ -158,5 +160,5 @@ def study_csv(rows) -> str:
     )
 
 
-def coupling_entries(pi) -> List[List]:
+def coupling_entries(pi) -> list[list]:
     return [[i, j, format_number(m)] for (i, j), m in pi.items()]

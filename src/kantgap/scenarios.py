@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Tuple
 
 from .core import (
     INF,
@@ -21,7 +20,7 @@ from .core import (
 )
 from .errors import InputError
 
-Instance = Tuple[CostMatrix, Marginal, Marginal]
+Instance = tuple[CostMatrix, Marginal, Marginal]
 
 #: the only finite-cost full coupling of the staircase instance below is the
 #: diagonal one, so its full-transport value stays at 1 for every n while the

@@ -1,6 +1,7 @@
 """Each CLI command runs the flow engine a fixed number of times: one run
 per instance, read for every answer it serves."""
 
+import importlib
 import json
 import sys
 from fractions import Fraction as F
@@ -17,6 +18,7 @@ from kantgap.errors import NegativeWeightError, PreconditionError
 def engine_runs(monkeypatch):
     """Records calls of flow._run_ssp, as (args, kwargs), through every
     kantgap binding of it."""
+    importlib.import_module("kantgap.kellerer")  # loads on first use; bind it now
     original = flow._run_ssp
     calls = []
 

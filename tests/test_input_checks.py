@@ -94,6 +94,8 @@ _CASES = [
      InputError, "mass -1 is negative"),
     ("cellset_from_pairs cell off the grid", lambda: kg.cellset_from_pairs(3, 3, [(3, 0)]),
      InputError, "cell (3, 0) outside a 3x3 grid"),
+    ("cellset_from_pairs column off the grid", lambda: kg.cellset_from_pairs(3, 3, [(0, 3)]),
+     InputError, "cell (0, 3) outside a 3x3 grid"),
     ("cellset_from_matrix ragged", lambda: kg.cellset_from_matrix([[1, 0], [1]]),
      DimensionMismatchError, "ragged cell-set matrix"),
     ("capacity_value marginal size", lambda: kg.capacity_value(_cells2(), kg.uniform_marginal(3)),
