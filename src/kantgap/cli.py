@@ -149,7 +149,7 @@ def _cmd_covers(args) -> int:
     c, mu, nu = problem_io.load_problem_file(args.problem)
     L = problem_io.load_cellset_file(args.cells, c.nx, c.ny)
     _require_probability(mu, nu)
-    # one engine run on the indicator cost of L serves everything but gamma
+    # one engine run on L as a cost serves everything but gamma
     run = matching_run(L, mu, nu)
     m_val, cert = cover_from_run(run, L)
     dec = decompose_from_run(run, L)
@@ -160,7 +160,7 @@ def _cmd_covers(args) -> int:
         "max_mass": format_number(run.shipped),
         "null_for_all_couplings": dec.is_null,
     }
-    if L.nx == L.ny:
+    if mu == nu:  # the capacity's one shared weighting
         gamma, f = capacity_value(L, mu)
         doc["gamma"] = format_number(gamma)
         doc["f"] = [format_number(v) for v in f]

@@ -18,6 +18,9 @@ therefore parametrizes by exact shipped mass.
 
 Infinite cells are never added to the network.  Zero-weight atoms keep their
 nodes (with zero-capacity source/sink arcs) so indices line up with inputs.
+A run reads its cost only through ``nx``, ``ny`` and ``finite_cells()``, so
+a ``kellerer.CellSet`` is a cost too: 0 on its cells and forbidden
+elsewhere.  It lists just its cells, and no grid is built or scanned.
 The network is indexed by cell, with no arc list: each finite cell keeps its
 cost and its flow, each row and column what is left on its source or sink
 arc (``_Network``).  A search steps forward through any cell of a row,
@@ -556,7 +559,10 @@ def _run_ssp(
     c: CostMatrix, mu: Marginal, nu: Marginal, target=None, warm: bool = False
 ) -> SolverRun:
     """One engine run on (c, mu, nu): to the target mass if one is given,
-    else until no augmenting path is left (module docstring).
+    else until no augmenting path is left (module docstring).  ``c`` is a
+    ``CostMatrix`` or a ``kellerer.CellSet``, the cost 0 on its cells and
+    forbidden elsewhere; the run reads only its ``nx``, ``ny`` and
+    ``finite_cells()``.
 
     ``warm=True`` says that the caller reads only the full-mass answer.
     The engine then starts warm (module docstring) when the masses are

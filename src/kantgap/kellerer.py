@@ -9,17 +9,19 @@ For a cell set L inside the grid X x Y:
 * on a single space with one shared weighting, the capacity gamma(L) is
   the least integral of f: X -> [0, 1] with f(x) + f(y) >= 1 on L.
 
-Cover and matching mass agree exactly on every instance (max-flow min-cut),
-so both are read from one run of the flow engine on the indicator cost of
-L: the shipped mass is the value, the residual cut is the cover, and the
-same run settles the zero-mass questions below.  Each such answer has a
-``*_from_run`` form that takes that run and L, since the run carries the
-marginals it was given (the null question is whether it shipped any mass,
-as in the decomposition); the public functions run the engine once and
-read from it.  The capacity is half the cover value of the symmetrised set
-(Nemhauser-Trotter half-integrality), and it sandwiches the cover within a
-factor of 4: gamma <= m <= 4 gamma, via the threshold set {f >= 1/2} on one
-side and indicator functions on the other.
+A cell set holds its cells, row-major, and is its own cost: 0 on its
+cells and forbidden elsewhere, so the flow engine runs on it as it runs on
+a ``CostMatrix`` and no n x n grid is built.  Cover and matching mass agree
+exactly on every instance (max-flow min-cut), so both are read from one run
+of the flow engine on L: the shipped mass is the value, the residual cut is
+the cover, and the same run settles the zero-mass questions below.  Each
+such answer has a ``*_from_run`` form that takes that run and L, since the
+run carries the marginals it was given (the null question is whether it
+shipped any mass, as in the decomposition); the public functions run the
+engine once and read from it.  The capacity is half the cover value of the
+symmetrised set (Nemhauser-Trotter half-integrality), and it sandwiches the
+cover within a factor of 4: gamma <= m <= 4 gamma, via the threshold set
+{f >= 1/2} on one side and indicator functions on the other.
 
 The zero level of all of these is the Kellerer-type dichotomy: either L is
 covered by weightless bands (so every coupling ignores it), or some full
@@ -30,7 +32,7 @@ module docstring): the cover's weight is one sum of the run's scaled
 weights, divided once by its ``lw``, and the weightless rows and columns
 are read off the same scaled weights.  The product coupling charges L when
 some cell of L is one of its entries, which hold only positive masses, so
-no mass is summed.  The capacity reads L u L^T off L's rows and columns and
+no mass is summed.  The capacity builds L u L^T from L's cells and reads
 each f_i from the three values 0, 1/2 and 1.
 """
 
@@ -40,8 +42,6 @@ from collections.abc import Iterator, Sequence
 
 from . import modes
 from .core import (
-    INF,
-    CostMatrix,
     Coupling,
     Marginal,
     Record,
@@ -60,41 +60,51 @@ from .primal import _require_unit_masses
 
 
 class CellSet(Record):
-    """Boolean membership matrix of a subset of the grid."""
+    """A subset L of the grid nx x ny: its cells, row-major, each once.
 
-    rows: tuple[tuple[bool, ...], ...]
+    A cell set is also a cost: 0 on its cells and forbidden elsewhere, so
+    the flow engine takes it where it takes a ``CostMatrix``, and plans
+    under it live inside L."""
+
+    nx: int
+    ny: int
+    pairs: tuple[tuple[int, int], ...]
 
     @property
-    def nx(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ny(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+    def rows(self) -> tuple[tuple[bool, ...], ...]:
+        """The boolean membership grid, built on each read."""
+        grid = [[False] * self.ny for _ in range(self.nx)]
+        for i, j in self.pairs:
+            grid[i][j] = True
+        return tuple(map(tuple, grid))
 
     def cells(self) -> Iterator[tuple[int, int]]:
-        for i, row in enumerate(self.rows):
-            for j, flag in enumerate(row):
-                if flag:
-                    yield i, j
+        return iter(self.pairs)
+
+    def finite_cells(self) -> Iterator[tuple[int, int, object]]:
+        """Each cell with its cost 0 (0.0 in float mode), as
+        ``CostMatrix.finite_cells`` lists a matrix's cells."""
+        zero = modes.coerce(0)
+        for i, j in self.pairs:
+            yield i, j, zero
 
     def __contains__(self, ij: tuple[int, int]) -> bool:
-        i, j = ij
-        return bool(self.rows[i][j])
+        return tuple(ij) in self.pairs
 
 
 def cellset_from_pairs(nx: int, ny: int, pairs: Sequence[tuple[int, int]]) -> CellSet:
     if not isinstance(pairs, (list, tuple)):
         raise InputError("cell-set pairs must be a list of [i, j] pairs")
-    grid = [[False] * ny for _ in range(nx)]
+    seen = set()
     for cell in pairs:
-        if not (isinstance(cell, (list, tuple)) and [type(v) for v in cell] == [int, int]):
+        if not (isinstance(cell, (list, tuple)) and len(cell) == 2
+                and type(cell[0]) is int and type(cell[1]) is int):
             raise InputError(f"cell {cell!r} is not a pair of integer indices")
         i, j = cell
         if not (0 <= i < nx and 0 <= j < ny):
             raise InputError(f"cell ({i}, {j}) outside a {nx}x{ny} grid")
-        grid[i][j] = True
-    return CellSet(rows=tuple(tuple(row) for row in grid))
+        seen.add((i, j))
+    return CellSet(nx=nx, ny=ny, pairs=tuple(sorted(seen)))
 
 
 def cellset_from_matrix(rows: Sequence[Sequence]) -> CellSet:
@@ -102,22 +112,14 @@ def cellset_from_matrix(rows: Sequence[Sequence]) -> CellSet:
             and rows[0]):
         raise InputError("cell-set matrix needs at least one row and column")
     width = len(rows[0])
-    out = []
-    for row in rows:
+    pairs = []
+    for i, row in enumerate(rows):
         if not isinstance(row, (list, tuple)) or len(row) != width:
             raise DimensionMismatchError("ragged cell-set matrix")
         if not all(isinstance(v, int) and v in (0, 1) for v in row):
             raise InputError(f"cell-set matrix entries must be 0, 1 or booleans: {row!r}")
-        out.append(tuple(bool(v) for v in row))
-    return CellSet(rows=tuple(out))
-
-
-def _indicator_cost(L: CellSet) -> CostMatrix:
-    """Zero on L, forbidden elsewhere: plans under this cost live inside L."""
-    zero = modes.coerce(0)
-    return CostMatrix(
-        rows=tuple(tuple(zero if flag else INF for flag in row) for row in L.rows)
-    )
+        pairs.extend((i, j) for j, v in enumerate(row) if v)
+    return CellSet(nx=len(rows), ny=width, pairs=tuple(pairs))
 
 
 class CoverCertificate(Record):
@@ -127,14 +129,14 @@ class CoverCertificate(Record):
 
 
 def matching_run(L: CellSet, mu: Marginal, nu: Marginal) -> SolverRun:
-    """One engine run on the indicator cost of L: the run that the cover,
+    """One engine run on L as a cost: the run that the cover,
     the matching mass and the zero-mass dichotomy of L all read.  They need
     only its shipped mass and min cut, so it asks for a warm start, which
     the engine takes whenever the masses are equal, in either mode (``flow``
     module docstring).  Its plan may differ from a cold run's, and in float
     mode its shipped mass may differ in the last bits, since a warm plan
     adds its mass up in another order."""
-    return _run_ssp(_indicator_cost(L), mu, nu, warm=True)
+    return _run_ssp(L, mu, nu, warm=True)
 
 
 def max_mass_on(L: CellSet, mu: Marginal, nu: Marginal) -> tuple[object, Coupling]:
@@ -156,7 +158,7 @@ def cover_value(L: CellSet, mu: Marginal, nu: Marginal) -> tuple[object, CoverCe
 
 def cover_from_run(run: SolverRun, L: CellSet) -> tuple[object, CoverCertificate]:
     """``cover_value`` read from ``matching_run(L, mu, nu)``, or from any
-    untargeted run on L's indicator cost: a targeted run has no min cut.
+    untargeted run on L as a cost: a targeted run has no min cut.
     The certificate's value is summed on the run's scaled weights and
     divided once, so in exact mode it is an int when it is integral."""
     _require_cut(run)
@@ -164,7 +166,7 @@ def cover_from_run(run: SolverRun, L: CellSet) -> tuple[object, CoverCertificate
     cols = frozenset(run.reachable_cols)
     w, nx = run.weights, run.nx
     value = _unscaled(sum(w[i] for i in rows) + sum(w[nx + j] for j in cols), run.lw)
-    if not all(i in rows or j in cols for i, j in L.cells()):
+    if not all(i in rows or j in cols for i, j in L.pairs):
         raise PostconditionError("cover certificate does not cover the cell set")
     if not modes.eq(value, run.shipped):
         raise PostconditionError("cover weight does not match the matching mass")
@@ -184,11 +186,8 @@ def capacity_value(L: CellSet, lam: Marginal) -> tuple[object, tuple]:
         raise NotSquareError("capacity needs a square cell set")
     if lam.space.size != L.nx:
         raise NotSquareError("capacity needs one shared marginal on the square")
-    sym = CellSet(
-        rows=tuple(
-            tuple(a or b for a, b in zip(row, col)) for row, col in zip(L.rows, zip(*L.rows))
-        )
-    )
+    pairs = {*L.pairs, *((j, i) for i, j in L.pairs)}
+    sym = CellSet(nx=L.nx, ny=L.ny, pairs=tuple(sorted(pairs)))
     value, cert = cover_value(sym, lam, lam)
     halves = [modes.div(k, 2) for k in range(3)]
     f = tuple(halves[(i in cert.rows) + (i in cert.cols)] for i in range(L.nx))
@@ -233,14 +232,11 @@ def decompose_from_run(run: SolverRun, L: CellSet) -> Decomposition:
     """``kellerer_decompose`` read from ``matching_run(L, mu, nu)``."""
     mu, nu, w, nx = run.mu, run.nu, run.weights, run.nx
     if not modes.is_positive(run.shipped):
-        null_rows = frozenset(i for i in range(nx) if w[i] == 0 and any(L.rows[i]))
+        null_rows = frozenset(i for i, _ in L.pairs if w[i] == 0)
         null_cols = frozenset(
-            j
-            for j in range(L.ny)
-            if w[nx + j] == 0
-            and any(L.rows[i][j] for i in range(nx) if i not in null_rows)
+            j for i, j in L.pairs if i not in null_rows and w[nx + j] == 0
         )
-        for i, j in L.cells():
+        for i, j in L.pairs:
             if i not in null_rows and j not in null_cols:
                 raise PostconditionError(
                     "zero matching mass must force a weightless band cover"
@@ -251,6 +247,6 @@ def decompose_from_run(run: SolverRun, L: CellSet) -> Decomposition:
             "a charging witness must be a full coupling; marginal masses differ"
         )
     witness = product_coupling(mu, nu, modes.div(1, mu.mass))
-    if not any(ij in witness.entries for ij in L.cells()):  # entries are positive
+    if not any(ij in witness.entries for ij in L.pairs):  # entries are positive
         raise PostconditionError("product coupling failed to charge the cell set")
     return Decomposition(null_rows=None, null_cols=None, witness=witness)

@@ -100,11 +100,13 @@ def load_problem_file(path: str) -> tuple[CostMatrix, Marginal, Marginal]:
 def load_cellset(doc, nx: int, ny: int):
     """A ``kellerer.CellSet`` (that module loads here, on first use).  Cell
     sets arrive as {"pairs": [[i, j], ...]} or {"matrix": [[0, 1], ..]};
-    anything else, a bare list included, is rejected: a bare list of pairs
-    on an n x 2 grid has a matrix's shape."""
+    anything else, a bare list or a document with both keys included, is
+    rejected: a bare list of pairs on an n x 2 grid has a matrix's shape."""
     from .kellerer import cellset_from_matrix, cellset_from_pairs
 
     if isinstance(doc, dict):
+        if "pairs" in doc and "matrix" in doc:
+            raise InputError('cell-set document has both "pairs" and "matrix"')
         if "pairs" in doc:
             return cellset_from_pairs(nx, ny, doc["pairs"])
         if "matrix" in doc:

@@ -1,7 +1,7 @@
 """The ``covers`` readers on the engine's ints, beyond the oracle's sizes.
 
 ``kellerer.cover_from_run`` sums the cover's weights on the run's scaled
-weights, ``capacity_value`` builds L u L^T from the rows and reads f from
+weights, ``capacity_value`` builds L u L^T from the cells and reads f from
 three halves, ``decompose_from_run`` decides charging by membership in the
 witness, whose entries ``core.product_coupling`` unscales once per distinct
 product, and ``modes.div`` divides two ints on ints.  Every check compares

@@ -106,6 +106,9 @@ _CASES = [
      InputError, "non-finite number Decimal('NaN')"),
     ("load_cellset matrix shape", lambda: problem_io.load_cellset({"matrix": [[1, 0]]}, 2, 2),
      InputError, "cell-set matrix does not match the problem grid"),
+    ("load_cellset pairs and matrix",
+     lambda: problem_io.load_cellset({"pairs": [[0, 1]], "matrix": [[0, 1], [0, 0]]}, 2, 2),
+     InputError, 'cell-set document has both "pairs" and "matrix"'),
     ("complete_partial deficit mismatch", _deficit_mismatch,
      DeficitMismatchError, "row deficit 1 differs from column deficit 1/2"),
     ("random_instance inf_density", lambda: kg.random_instance(2, 2, 1.5),

@@ -195,6 +195,20 @@ def test_cli_covers(diag3_file, tmp_path, capsys):
     assert doc["null_for_all_couplings"] is False
 
 
+def test_cli_covers_prints_gamma_only_for_one_shared_marginal(tmp_path, capsys):
+    # a square grid with mu != nu: gamma(L) needs one shared weighting, and
+    # gamma = 1/2 here would break gamma <= m <= 4 gamma with m = 0
+    problem, cells = tmp_path / "p.json", tmp_path / "cells.json"
+    problem.write_text(json.dumps(
+        {"nx": 2, "ny": 2, "mu": [1, 0], "nu": [0, 1], "cost": [[0, 0], [0, 0]]}
+    ))
+    cells.write_text(json.dumps({"pairs": [[0, 0]]}))
+    assert main(["covers", str(problem), "--cells", str(cells)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["m"] == "0" and doc["max_mass"] == "0"
+    assert "gamma" not in doc and "f" not in doc
+
+
 def test_cli_study_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = [

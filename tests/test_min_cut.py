@@ -17,7 +17,7 @@ from kantgap import modes
 from kantgap.dual import dual_from_run
 from kantgap.errors import PreconditionError
 from kantgap.flow import _run_ssp
-from kantgap.kellerer import _indicator_cost, cover_from_run, decompose_from_run
+from kantgap.kellerer import cover_from_run, decompose_from_run
 from kantgap.modes import EXACT, FLOAT, arithmetic
 
 SOURCE, SINK = ("source",), ("sink",)
@@ -95,7 +95,7 @@ def _half_matching_run():
     on it stopped at half of full mass."""
     _c, mu, nu = kg.example_diagonal(3)
     L = kg.cellset_from_pairs(3, 3, [(i, i) for i in range(3)])
-    run = _run_ssp(_indicator_cost(L), mu, nu, target=modes.coerce(F(1, 2)))
+    run = _run_ssp(L, mu, nu, target=modes.coerce(F(1, 2)))
     assert modes.eq(run.shipped, F(1, 2))
     return L, run
 

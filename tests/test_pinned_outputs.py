@@ -253,7 +253,7 @@ WARM_DIGESTS = [
      (0, "8fe6d0b1ca0fc2a05c1f5a0fb7f635ce347105fba0f627897bca4e696423ef9f"),
      (0, "f38d4e5482ae3e7d77adfe739343080225cde0cc89ecd22f62f3cb1f438b2ad9"),
      (0, "0527188adf1a5ab9edc5adcaaa963543533aeb773b10d1624275273b22b64721"),
-     (0, "1dbded80dfaf46f2d207b656a9113224c07af4713e70a9f17f4dec4206500ec1")),
+     (0, "d17bcb1610b6e0b56bba9a247c3aff7234e2c9b9787e5979f98cc23489513d8a")),
     # 10: 14x3, 0.3, uniform
     ((0, "81807b7cf49cd2ca4df8bd523d9d4551ac545a32eb5828ba1fac0a838474643e"),
      (0, "416b3be53d4a8fd7202d4ea8922add41ef597cc71607f3f8e88b63cb52fdd51b"),
@@ -289,7 +289,7 @@ WARM_DIGESTS = [
      (0, "0fb41c9bc54fb1de38f2bc6baeaa75d6316f5dee2f092e034845d86918db3557"),
      (0, "e797ace3d0e22f031096f6b99168d2be367e28d382d1d4e64a16e9db1debef47"),
      (0, "9dc32374ec7a3a69fceb239c77f7d398d949817b12652b68d936ff94874c8230"),
-     (0, "fd87a964b5ecfd4ad2311d8cde6184c97f26bea589658d55c1478f8e54f09aa8")),
+     (0, "9498dcf3101ec969c78fa683057bd42c2c550457d343aeee226d5023228b92c9")),
     # 16: 10x4, 0.2, uniform
     ((0, "0aa754db6533946fbcaaf658c135bfc3e1246984364383404053917b70781a46"),
      (0, "cb2eafe485a108e08f94805d477a093d1d772733b9f3611673976191ad5b5b62"),
@@ -325,7 +325,7 @@ WARM_DIGESTS = [
      (0, "4b857f4fcc6b92f0017b33a0a8ac0e4b4db6ecac82fd57c03e787b0d9350499e"),
      (0, "5ad64aa542f21922ec17fdbb7a199a921f321bf53e4386bbe748d33e70569f04"),
      (0, "d65386e93099a8a9812e24e59e1992a82a13c49abbc027176009c5e11c0cbe9d"),
-     (0, "9e53a1b36d24c9d841b041f126013028c3dfa988c95f876a031397999cb588ca")),
+     (0, "0ded3e5e96c45caa3b1054213acca932e9c1bc465fcf72b4852760e9b114f2ce")),
     # 22: 11x7, 0.1, uniform
     ((0, "924bf1ec16672d7066b2cf4d87a70bb90707ade1573a33489e091f9670a80375"),
      (0, "631b13b30014fba6961e9e0bc014da833fb758d66fc527d68ee5dd7088fee839"),
@@ -349,7 +349,7 @@ WARM_DIGESTS = [
      (0, "120250adc49299ec6ca6cb3ab2634604fd9086d3cc3c43c40e827d4c8e57e2f8"),
      (0, "bfcd5d986f177aba0593102d6a5d1ab1c996ed23d1bcf7ccc2117e182bb1da40"),
      (0, "ff34afeca88778bfbf1afb50459add01d9efe8418cf3657bddd6023889c70065"),
-     (0, "802ceb5754834e668015dea4ebaca573c4bc842afaf41579b9fdccbfa9fc9126")),
+     (0, "829ec086f0021db9f9adf4d153f5c9724c84ff154ad104d3dd4e6ca0bcf716e5")),
     # 26: 11x9, 0.5, uniform
     ((0, "eb976c43998b066ec77971f855a12736164c1ce4ca164242b73a43b298787f7c"),
      (0, "99abb537e32a02572fcb4c0469470253005b6ac42b8f3a69d5f47c2ee463dde9"),

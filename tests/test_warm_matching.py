@@ -1,11 +1,12 @@
 """Warm matching runs against cold ones.
 
 The cover, the matching mass and the zero-mass dichotomy of a cell set L
-read one engine run on L's indicator cost, and only its shipped mass and its
-min cut.  Every maximum flow ships the same mass and leaves the same source
-side of the residual graph, so with equal masses that run starts warm in
-either mode, and it must report what a cold run does (in float mode the
-shipped mass within the tolerance).  Unequal masses run cold.
+read one engine run on L as a cost (0 on its cells, forbidden elsewhere),
+and only its shipped mass and its min cut.  Every maximum flow ships the
+same mass and leaves the same source side of the residual graph, so with
+equal masses that run starts warm in either mode, and it must report what
+a cold run does (in float mode the shipped mass within the tolerance).
+Unequal masses run cold.
 """
 
 import random
@@ -16,7 +17,7 @@ import pytest
 import kantgap as kg
 from kantgap import modes
 from kantgap.flow import _run_ssp
-from kantgap.kellerer import _indicator_cost, matching_run
+from kantgap.kellerer import matching_run
 from kantgap.modes import EXACT, FLOAT, arithmetic
 
 SEEDS = range(300)
@@ -53,13 +54,13 @@ def test_warm_and_cold_matching_runs_agree(mode):
         for seed in SEEDS:
             L, mu, nu = _case(seed)
             mu, nu = _marginals(mu, nu)
-            cost = _indicator_cost(L)
-            # built without reading its entries, it matches the read matrix
-            # in value and type (0 or 0.0)
-            indicator = [[0 if flag else kg.INF for flag in row] for row in L.rows]
-            assert repr(cost) == repr(kg.make_cost_matrix(indicator))
-            warm = _run_ssp(cost, mu, nu, warm=True)
-            cold = _run_ssp(cost, mu, nu)
+            # L is its own cost: its finite cells are those of the matrix
+            # read from its 0/"inf" indicator, in value and type (0 or 0.0)
+            indicator = [[0 if flag else "inf" for flag in row] for row in L.rows]
+            cells = list(kg.make_cost_matrix(indicator).finite_cells())
+            assert repr(list(L.finite_cells())) == repr(cells)
+            warm = _run_ssp(L, mu, nu, warm=True)
+            cold = _run_ssp(L, mu, nu)
             # float mode adds the shipped mass up in another order
             assert modes.eq(warm.shipped, cold.shipped), seed
             assert warm.reachable_rows == cold.reachable_rows, seed
