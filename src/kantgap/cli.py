@@ -15,10 +15,15 @@ Subcommands:
 ``solve`` and ``dual`` take ``--format {text,json}``: ``solve`` prints
 either form, and ``dual`` prints its exit-2 report in either.
 
-Exit codes: 0 on success (an infinite transport value is a legitimate
-answer, reported as data), 1 on validation errors, 2 when ``dual
---relaxed`` finds no finite-cost full coupling, so that the relaxed dual is
-undefined.  Outputs are deterministic for fixed inputs and seeds.
+Each ``_cmd_*`` returns its output text and writes nothing.  ``main`` alone
+writes it, to ``-o FILE`` or to stdout, and maps errors to exit codes: 0 on
+success (an infinite transport value is a legitimate answer, reported as
+data), 1 on validation errors and failed reads or writes, each reported as
+one ``error:`` line on stderr, 2 when ``dual --relaxed`` finds no
+finite-cost full coupling, so that the relaxed dual is undefined.  That
+exit-2 report is an ``infeasible:`` line on stderr, or with ``--format
+json`` an output like any other, written to ``-o`` or stdout.  Outputs are
+deterministic for fixed inputs and seeds.
 """
 
 from __future__ import annotations
@@ -46,19 +51,11 @@ EXIT_INVALID = 1
 EXIT_INFEASIBLE = 2
 
 
-def _write(text: str, path):
-    if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _parse_grid(tokens):
     return [t for t in tokens.split(",") if t]
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> str:
     if args.scenario == scenarios.DIAGONAL:
         c, mu, nu = scenarios.example_diagonal(args.n)
     elif args.scenario == scenarios.BAND:
@@ -67,11 +64,10 @@ def _cmd_gen(args) -> int:
         c, mu, nu = scenarios.random_instance(
             args.nx, args.ny, args.inf_density, args.marginals, args.seed
         )
-    _write(json.dumps(problem_io.dump_problem(c, mu, nu), indent=2) + "\n", args.output)
-    return EXIT_OK
+    return json.dumps(problem_io.dump_problem(c, mu, nu), indent=2) + "\n"
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> str:
     c, mu, nu = problem_io.load_problem_file(args.problem)
     eps_grid = [check_eps(t) for t in _parse_grid(args.eps_grid)]
     _require_probability(mu, nu)
@@ -96,8 +92,7 @@ def _cmd_solve(args) -> int:
             doc["P_eps"] = partials
         if dual.ray is not None:
             doc["improving_ray"] = problem_io.improving_ray(dual.ray)
-        _write(json.dumps(doc) + "\n", args.output)
-        return EXIT_OK
+        return json.dumps(doc) + "\n"
     lines = [
         f"P={format_number(rep.value)} D={format_number(dual.value)} "
         f"gap={format_number(gap)}"
@@ -106,22 +101,18 @@ def _cmd_solve(args) -> int:
     if feasible:
         for (i, j), m in rep.witness.items():
             lines.append(f"pi[{i},{j}]={format_number(m)}")
-    _write("\n".join(lines) + "\n", args.output)
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_profile(args) -> int:
+def _cmd_profile(args) -> str:
     c, mu, nu = problem_io.load_problem_file(args.problem)
     profile = solve_profile(c, mu, nu)
     if args.at is not None:
-        value = evaluate_profile(profile, args.at)
-        _write(f"{format_number(value)}\n", args.output)
-        return EXIT_OK
-    _write(problem_io.profile_csv(profile), args.output)
-    return EXIT_OK
+        return f"{format_number(evaluate_profile(profile, args.at))}\n"
+    return problem_io.profile_csv(profile)
 
 
-def _cmd_dual(args) -> int:
+def _cmd_dual(args) -> str:
     c, mu, nu = problem_io.load_problem_file(args.problem)
     rep = (relaxed_dual_value if args.relaxed else dual_value)(c, mu, nu)
     doc = problem_io.dual_certificate(rep.pair, rep.value, verify_feasible(rep.pair, c).ok)
@@ -129,21 +120,19 @@ def _cmd_dual(args) -> int:
         doc["chargeable"] = sorted([i, j] for i, j in rep.chargeable)
     elif rep.ray is not None:
         doc["improving_ray"] = problem_io.improving_ray(rep.ray)
-    _write(json.dumps(doc) + "\n", args.output)
-    return EXIT_OK
+    return json.dumps(doc) + "\n"
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> str:
     c, mu, nu = problem_io.load_problem_file(args.problem)
     grid = _parse_grid(args.m_grid)
     if not grid:
         raise InputError("sweep needs --m-grid")
     rows = constant_truncation_sweep(c, mu, nu, grid)
-    _write(problem_io.sweep_csv(rows), args.output)
-    return EXIT_OK
+    return problem_io.sweep_csv(rows)
 
 
-def _cmd_covers(args) -> int:
+def _cmd_covers(args) -> str:
     from .kellerer import capacity_value, cover_from_run, decompose_from_run, matching_run
 
     c, mu, nu = problem_io.load_problem_file(args.problem)
@@ -171,11 +160,10 @@ def _cmd_covers(args) -> int:
         }
     else:
         doc["decomposition"] = {"witness": problem_io.coupling_entries(dec.witness)}
-    _write(json.dumps(doc) + "\n", args.output)
-    return EXIT_OK
+    return json.dumps(doc) + "\n"
 
 
-def _cmd_study(args) -> int:
+def _cmd_study(args) -> str:
     fam = scenarios.family(args.scenario)
     try:
         n_list = [int(t) for t in _parse_grid(args.n_list)]
@@ -186,22 +174,19 @@ def _cmd_study(args) -> int:
     if not n_list or not eps_list or not m_list:
         raise InputError("study needs --n-list, --eps-grid and --m-grid")
     rows = refinement_study(fam, n_list, eps_list, m_list)
-    _write(problem_io.study_csv(rows), args.output)
-    return EXIT_OK
+    return problem_io.study_csv(rows)
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> str:
     from .oracle import brute_cover, brute_primal
 
     c, mu, nu = problem_io.load_problem_file(args.problem)
     if args.cover:
         L = problem_io.load_cellset_file(args.cover, c.nx, c.ny)
-        _write(f"{format_number(brute_cover(L, mu, nu))}\n", args.output)
-        return EXIT_OK
+        return f"{format_number(brute_cover(L, mu, nu))}\n"
     if args.mass is None:
         raise InputError("oracle needs --mass or --cover")
-    _write(f"{format_number(brute_primal(c, mu, nu, args.mass))}\n", args.output)
-    return EXIT_OK
+    return f"{format_number(brute_primal(c, mu, nu, args.mass))}\n"
 
 
 @functools.lru_cache(maxsize=None)
@@ -288,21 +273,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    code = EXIT_OK
     try:
-        with modes.arithmetic(args.mode):
-            return args.func(args)
-    except NotApplicableError as exc:
-        if getattr(args, "format", "text") == "json":
-            sys.stdout.write(json.dumps({"infeasible": str(exc)}) + "\n")
-        else:
-            sys.stderr.write(f"infeasible: {exc}\n")
-        return EXIT_INFEASIBLE
+        try:
+            with modes.arithmetic(args.mode):
+                text = args.func(args)
+        except NotApplicableError as exc:
+            if getattr(args, "format", "text") != "json":
+                sys.stderr.write(f"infeasible: {exc}\n")
+                return EXIT_INFEASIBLE
+            text, code = json.dumps({"infeasible": str(exc)}) + "\n", EXIT_INFEASIBLE
+        if args.output:
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        else:  # looked up now, so that a redirect_stdout around main captures it
+            sys.stdout.write(text)
     except (TransportError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
-
+    return code
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -3,6 +3,7 @@
 import pytest
 
 import kantgap as kg
+from kantgap import problem_io
 from kantgap.errors import InputError
 from kantgap.modes import FLOAT, arithmetic, coerce
 
@@ -72,3 +73,33 @@ def test_shrink_and_complete_float():
     part = kg.optimal_coupling_at(c, mu, nu, 2 / 3)
     full = kg.complete_partial(part, mu, nu)
     assert kg.is_full_coupling(full, mu, nu)
+
+
+# Unit path costs near 3.09e8 whose slopes agree to 1.7e-9 relative: the
+# absolute 1e-9 merge rule in ``_Network.augment`` keeps them apart, and the
+# profile's own check then finds a slope over a segment of mass 6e-9 that is
+# 0.52 below the one before.  Exact ``profile`` and ``--float solve
+# --eps-grid`` answer on the same instance.
+_BIG_SLOPES = {
+    "nx": 6,
+    "ny": 2,
+    "mu": ["0.07445030615767953", "5.993566776517315e-09", "0.6585698768444164",
+           "0.03075749331304951", "0.22688379962513322", "0.009338518066154414"],
+    "nu": ["0.7699240874638774", "0.23007591253612267"],
+    "cost": [["0.13676015630012883", "1.0034583078326866"],
+             ["inf", "0.05672447759721482"],
+             ["308808195.8476453", "0.0"],
+             ["0.0", "inf"],
+             ["183646465.08296588", "inf"],
+             ["inf", "3.8184720974948076e-10"]],
+}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=InputError,
+    reason="ROADMAP item 4: the absolute 1e-9 slope merge splits slopes near 3e8",
+)
+def test_profile_with_slopes_near_3e8():
+    c, mu, nu = problem_io.load_problem(_BIG_SLOPES)
+    assert kg.solve_profile(c, mu, nu).max_mass > 0

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 import kantgap as kg
-from kantgap import modes, problem_io, scenarios
+from kantgap import cli, modes, problem_io, scenarios
 from kantgap.cli import main
 from kantgap.errors import InputError
 from kantgap.primal import StudyRow
@@ -518,6 +518,64 @@ def test_cli_relaxed_dual_exit2_report_in_both_formats(tmp_path, capsys):
     assert main(["dual", str(path), "--relaxed", "--format", "json"]) == 2
     out, err = capsys.readouterr()
     assert list(json.loads(out)) == ["infeasible"] and err == ""
+
+
+def test_cli_relaxed_dual_json_report_goes_to_output(tmp_path, capsys):
+    # the exit-2 json report is the command's output: -o FILE receives it
+    path = tmp_path / "allinf.json"
+    path.write_text(json.dumps({"nx": 1, "ny": 1, "mu": [1], "nu": [1], "cost": [["inf"]]}))
+    out_file = tmp_path / "report.json"
+    argv = ["dual", str(path), "--relaxed", "--format", "json"]
+    assert main(argv + ["-o", str(out_file)]) == 2
+    assert capsys.readouterr() == ("", "")
+    assert list(json.loads(out_file.read_text())) == ["infeasible"]
+    # an unwritable FILE is a failed write like any other: exit 1, one error line
+    assert main(argv + ["-o", str(tmp_path / "missing" / "report.json")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+_WRITER_FORMS = [
+    ["gen", "--scenario", "random", "--nx", "3", "--ny", "4", "--seed", "5"],
+    ["solve", "{p}"],
+    ["solve", "{p}", "--format", "json"],
+    ["solve", "{p}", "--eps-grid", "1/3,1/2"],
+    ["--float", "solve", "{p}", "--format", "json"],
+    ["profile", "{p}"],
+    ["profile", "{p}", "--at", "1/2"],
+    ["dual", "{p}"],
+    ["dual", "{p}", "--relaxed"],
+    ["sweep", "{p}", "--m-grid", "1/2,1"],
+    ["covers", "{p}", "--cells", "{c}"],
+    ["study", "--n-list", "2,3", "--eps-grid", "1/n", "--m-grid", "1"],
+    ["oracle", "{p}", "--mass", "1/2"],
+    ["oracle", "{p}", "--cover", "{c}"],
+]
+
+
+@pytest.fixture
+def writer_files(diag3_file, tmp_path):
+    cells = tmp_path / "cells.json"
+    cells.write_text(json.dumps({"pairs": [[0, 1], [1, 2]]}))
+    return {"p": diag3_file, "c": str(cells)}
+
+
+@pytest.mark.parametrize("form", _WRITER_FORMS, ids=" ".join)
+def test_cli_main_alone_writes_what_the_command_returns(form, writer_files, tmp_path, capsys):
+    argv = [a.format(**writer_files) for a in form]
+    out_file = tmp_path / "out.txt"
+    # called directly, a command handed -o FILE returns its text and writes nothing
+    args = cli.build_parser().parse_args(argv + ["-o", str(out_file)])
+    with modes.arithmetic(args.mode):
+        text = args.func(args)
+    assert isinstance(text, str) and text
+    assert capsys.readouterr() == ("", "") and not out_file.exists()
+    # main prints those bytes, or writes them to FILE and prints nothing
+    assert main(argv) == 0
+    assert capsys.readouterr() == (text, "")
+    assert main(argv + ["-o", str(out_file)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out_file.read_bytes() == text.encode("utf-8")
 
 
 @pytest.mark.parametrize(
