@@ -24,6 +24,14 @@ finite-cost full coupling, so that the relaxed dual is undefined.  That
 exit-2 report is an ``infeasible:`` line on stderr, or with ``--format
 json`` an output like any other, written to ``-o`` or stdout.  Outputs are
 deterministic for fixed inputs and seeds.
+
+Importing this module loads ``core``, ``errors``, ``flow``, ``modes`` and
+``problem_io``, which most commands run; building the parser loads nothing
+more.  Each command imports the rest of what it runs when it runs: ``gen``
+loads ``scenarios``; ``solve`` and ``dual`` load ``primal`` and ``dual``;
+``sweep`` loads ``primal``; ``covers`` loads ``kellerer``; ``study`` loads
+``scenarios``, ``primal`` and ``dual``; ``oracle`` loads ``oracle``, and
+``kellerer`` too with ``--cover``; ``profile`` loads nothing more.
 """
 
 from __future__ import annotations
@@ -33,17 +41,10 @@ import functools
 import json
 import sys
 
-from . import modes, problem_io, scenarios
-from .dual import dual_from_run, dual_value, relaxed_dual_value, verify_feasible
+from . import modes, problem_io
+from .core import _require_probability
 from .errors import InputError, NotApplicableError, TransportError
 from .flow import _run_ssp, evaluate_profile, solve_profile
-from .primal import (
-    _require_probability,
-    check_eps,
-    constant_truncation_sweep,
-    primal_from_run,
-    refinement_study,
-)
 from .problem_io import format_number
 
 EXIT_OK = 0
@@ -56,6 +57,8 @@ def _parse_grid(tokens):
 
 
 def _cmd_gen(args) -> str:
+    from . import scenarios
+
     if args.scenario == scenarios.DIAGONAL:
         c, mu, nu = scenarios.example_diagonal(args.n)
     elif args.scenario == scenarios.BAND:
@@ -68,6 +71,9 @@ def _cmd_gen(args) -> str:
 
 
 def _cmd_solve(args) -> str:
+    from .dual import dual_from_run
+    from .primal import check_eps, primal_from_run
+
     c, mu, nu = problem_io.load_problem_file(args.problem)
     eps_grid = [check_eps(t) for t in _parse_grid(args.eps_grid)]
     _require_probability(mu, nu)
@@ -113,6 +119,8 @@ def _cmd_profile(args) -> str:
 
 
 def _cmd_dual(args) -> str:
+    from .dual import dual_value, relaxed_dual_value, verify_feasible
+
     c, mu, nu = problem_io.load_problem_file(args.problem)
     rep = (relaxed_dual_value if args.relaxed else dual_value)(c, mu, nu)
     doc = problem_io.dual_certificate(rep.pair, rep.value, verify_feasible(rep.pair, c).ok)
@@ -124,6 +132,8 @@ def _cmd_dual(args) -> str:
 
 
 def _cmd_sweep(args) -> str:
+    from .primal import constant_truncation_sweep
+
     c, mu, nu = problem_io.load_problem_file(args.problem)
     grid = _parse_grid(args.m_grid)
     if not grid:
@@ -164,7 +174,10 @@ def _cmd_covers(args) -> str:
 
 
 def _cmd_study(args) -> str:
-    fam = scenarios.family(args.scenario)
+    from .primal import refinement_study
+    from .scenarios import family
+
+    fam = family(args.scenario)
     try:
         n_list = [int(t) for t in _parse_grid(args.n_list)]
     except ValueError as exc:
@@ -208,8 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=("text", "json"), default="text")
 
     g = sub.add_parser("gen", help="generate a problem JSON")
-    g.add_argument("--scenario", required=True,
-                   choices=(scenarios.DIAGONAL, scenarios.RANDOM, scenarios.BAND))
+    g.add_argument("--scenario", required=True, choices=("diagonal", "random", "band"))
     g.add_argument("--n", type=int, default=3)
     g.add_argument("--nx", type=int, default=3)
     g.add_argument("--ny", type=int, default=3)
@@ -253,8 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.set_defaults(func=_cmd_covers)
 
     t = sub.add_parser("study", help="refinement study table")
-    t.add_argument("--scenario", default=scenarios.DIAGONAL,
-                   choices=(scenarios.DIAGONAL, scenarios.BAND))
+    t.add_argument("--scenario", default="diagonal", choices=("diagonal", "band"))
     t.add_argument("--n-list", required=True)
     t.add_argument("--eps-grid", required=True,
                    help='comma-separated; "1/n" style entries scale with n')

@@ -40,7 +40,9 @@ from . import modes
 from .errors import (
     DimensionMismatchError,
     InputError,
+    MassMismatchError,
     NegativeWeightError,
+    PreconditionError,
 )
 
 
@@ -223,6 +225,21 @@ class Marginal(Record):
 
     def is_probability(self) -> bool:
         return modes.eq(self.mass, 1)
+
+
+def _require_unit_masses(mu: Marginal, nu: Marginal) -> None:
+    if not mu.is_probability() or not nu.is_probability():
+        raise PreconditionError("probability marginals required")
+
+
+def _require_probability(mu: Marginal, nu: Marginal) -> None:
+    """Unit masses that also equal each other within the float tolerance,
+    as a full coupling needs."""
+    _require_unit_masses(mu, nu)
+    if not modes.eq(mu.mass, nu.mass):
+        raise MassMismatchError(
+            f"marginal masses differ: |mu| = {mu.mass}, |nu| = {nu.mass}"
+        )
 
 
 def _read_once(read, memo: dict):

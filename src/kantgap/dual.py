@@ -52,6 +52,7 @@ from .core import (
     Marginal,
     Record,
     _from_ints,
+    _require_probability,
     _unscaled,
     cost_of,
     is_inf,
@@ -67,7 +68,7 @@ from .errors import (
     PreconditionError,
 )
 from .flow import SolverRun, _require_cut, _run_ssp, truncation_ladder
-from .primal import _require_probability, primal_value
+from .primal import primal_value
 
 
 class DualPair(Record):

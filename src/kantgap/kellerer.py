@@ -45,6 +45,7 @@ from .core import (
     Coupling,
     Marginal,
     Record,
+    _require_unit_masses,
     _unscaled,
     product_coupling,
 )
@@ -56,7 +57,6 @@ from .errors import (
     PostconditionError,
 )
 from .flow import SolverRun, _require_cut, _run_ssp
-from .primal import _require_unit_masses
 
 
 class CellSet(Record):

@@ -23,26 +23,12 @@ from .core import (
     Coupling,
     Marginal,
     Record,
+    _require_probability,
     is_inf,
     scale_marginal,
 )
-from .errors import InputError, MassMismatchError, PreconditionError
+from .errors import InputError, MassMismatchError
 from .flow import SolverRun, _run_ssp, truncation_ladder, value_from_run
-
-
-def _require_unit_masses(mu: Marginal, nu: Marginal) -> None:
-    if not mu.is_probability() or not nu.is_probability():
-        raise PreconditionError("probability marginals required")
-
-
-def _require_probability(mu: Marginal, nu: Marginal) -> None:
-    """Unit masses that also equal each other within the float tolerance,
-    as a full coupling needs."""
-    _require_unit_masses(mu, nu)
-    if not modes.eq(mu.mass, nu.mass):
-        raise MassMismatchError(
-            f"marginal masses differ: |mu| = {mu.mass}, |nu| = {nu.mass}"
-        )
 
 
 def check_eps(eps):

@@ -3,6 +3,7 @@ per instance, read for every answer it serves."""
 
 import importlib
 import json
+import pkgutil
 import sys
 from fractions import Fraction as F
 
@@ -17,8 +18,11 @@ from kantgap.errors import NegativeWeightError, PreconditionError
 @pytest.fixture
 def engine_runs(monkeypatch):
     """Records calls of flow._run_ssp, as (args, kwargs), through every
-    kantgap binding of it."""
-    importlib.import_module("kantgap.kellerer")  # loads on first use; bind it now
+    kantgap binding of it.  Modules load on first use, so every module of
+    the package is imported first: a binding made after the patch would
+    escape it."""
+    for module in pkgutil.iter_modules(kg.__path__):
+        importlib.import_module(f"kantgap.{module.name}")
     original = flow._run_ssp
     calls = []
 
