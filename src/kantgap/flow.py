@@ -32,11 +32,12 @@ side of a minimum cut, ``reachable_rows`` and ``reachable_cols``.  A
 targeted run has no cut, and a reader of the cut raises
 ``PreconditionError`` on it.
 
-Certificates: forward steps are uncapped, hence always open, so the running
-potentials satisfy cost(i,j) - u_i - v_j >= 0 on *every* finite cell at every
-stage, and cells carrying flow satisfy equality (their backward steps are
-open too).  The potentials recorded at each breakpoint are thus exact
-dual certificates for the profile value there.
+Certificates: forward steps are uncapped, hence always open, so the
+potentials after each search satisfy cost(i,j) - u_i - v_j >= 0 on *every*
+finite cell, and cells carrying flow satisfy equality (their backward steps
+are open too).  Within a search that resumes, the same holds for the raise
+that its last shipment so far would get.  The potentials recorded at each
+breakpoint are thus exact dual certificates for the profile value there.
 
 Exact arithmetic: the engine runs on Python ints.  Costs are scaled by lc,
 the lcm of the finite costs' denominators, and masses (weights and the
@@ -64,14 +65,33 @@ Determinism: the search is bipartite.  The source pushes the rows with room
 in index order, a row scans its cells in cell order (row-major, each step
 open), and a column the sorted list of its cells that carry flow, which
 every shipment keeps current.  No search scans a sink arc or steps back to
-the source or the sink.  A search ends at the first settled column whose
-sink arc has room, the stop rule of Jonker and Volgenant (*Computing* 38,
-1987), which takes the sink's label from that column.  A path's room is the
-least of that column's room, the flows of the cells it crosses backward and
-its row's room; its unit cost is summed from the sink back, plus each
-forward cell's cost and minus each backward one's.  Dijkstra breaks
-distance ties by node index with strict-improvement relaxation, so
-profiles, couplings and potentials are reproducible byte for byte.
+the source or the sink.  A search stops at each settled column whose sink
+arc has room, the stop rule of Jonker and Volgenant (*Computing* 38, 1987):
+the sink takes that column's label, and the path to it is shipped.  A
+path's room is the least of that column's room, the flows of the cells it
+crosses backward and its row's room; its unit cost is summed from the sink
+back, plus each forward cell's cost and minus each backward one's.
+Dijkstra breaks distance ties by node index with strict-improvement
+relaxation, so profiles, couplings and potentials are reproducible byte
+for byte.
+
+Resumption: a shipment that fills only its column's sink arc leaves its
+search valid.  That holds when, after it, the path's first row still has
+room, every cell the path crossed backward still carries flow, and the
+target, if any, is not reached: the path's room is the least of its
+column's room and those three, so the column's room was the least, and the
+column is full.  The residual graph then lost only that sink arc; each cell
+the path crossed forward now also steps back, but it joins two settled
+nodes at equal labels, since the path is tight, so no label changes.  The
+search therefore resumes on the same heap, labels and parents: the filled
+column is scanned as any full one, and the next settled column with room
+ends the next path.  Any other shipment ends the search
+(Ahuja-Magnanti-Orlin, *Network Flows*, 1993, ch. 9, the primal-dual
+method).  The potentials are raised once per search, when it ends, with the
+label d of the last column it shipped to: each node settled below d gains
+its label, every other node gains d.  A search that finds no column with
+room and shipped nothing raises nothing.  ``SolverRun.searches`` counts the
+fresh searches and ``SolverRun.shipments`` the paths shipped.
 
 A cold run (zero flow, zero potentials) takes the paths and sets the
 potentials that a search on to the sink would.  A column whose sink arc has
@@ -82,8 +102,13 @@ path runs back through a sink arc, so a full column never reopens.  Hence
 the first settled column with room carries the sink's label, and
 strict-improvement relaxation would make it the sink's parent.  Every node
 a search on to the sink would settle after it has exactly that label, so
-the potential updates agree.  (In float mode a rounded reduced cost may
+the potential updates agree.  A resumed search keeps this path by path:
+once a column is full, the next settled column with room carries the label
+the sink would take through it.  (In float mode a rounded reduced cost may
 fall just below 0, and the two rules may then part by a rounding error.)
+The segment snapshot of a cold run is the raise of its search at the
+shipment that ends the segment; when the search goes on, it is computed
+without being applied.
 
 Warm start: a caller that reads only the answer at full mass (the value,
 the dual pair, the witness plan) passes ``warm=True``, and the engine
@@ -99,7 +124,7 @@ warm start leaves the sink arcs unpriced (the sink starts at 0, not at a
 column's v_j), and the stop rule is exact there for another reason: a
 full-mass plan saturates every sink arc, so the sink arcs' costs change
 neither which plan is cheapest nor the shipped mass or the min cut.  With
-each open sink arc priced tight, the first column with room ends a
+each open sink arc priced tight, each settled column with room ends a
 shortest path; the labels of the settled nodes keep every cell's reduced
 cost >= 0 and make the path tight.  At full mass every source and sink
 arc is saturated, so the final potentials certify the plan as above; a
@@ -134,15 +159,17 @@ Dijkstra loop runs unchanged to full mass (Ahuja-Magnanti-Orlin, ch. 9);
 ``raise_costs`` says why the source potential needs no reset.  Only the
 unshipped mass is re-routed.  On the 20-level sweep over the finite-cost
 quantiles of a random 60x60 instance with 30% of its cells forbidden, this
-takes 189 Dijkstra runs and unships 137 cells, where fresh warm runs per
-level take 1,291.
+takes 122 Dijkstra searches and unships 137 cells, where fresh warm runs
+per level take 970.
 
-Size: each augmentation is one Dijkstra (``SolverRun.searches`` counts
-them), so the time grows with the number of augmenting paths, not only with
-the number of cells.  ``random_instance(120, 120, 0.3, "random", 0)``
-(~10^4 finite cells) traces its profile in 285 searches, in about 0.50 s
-in exact mode and 0.47 s in float mode, on one core of a shared machine
-(CPython 3.11); a warm run of it takes 120 searches and about 0.20 s.
+Size: a search serves one augmenting path or more (``SolverRun.searches``
+counts the searches, ``SolverRun.shipments`` the paths), so the time grows
+with the number of searches and paths, not only with the number of cells.
+``random_instance(120, 120, 0.3, "random", 0)`` (~10^4 finite cells)
+traces its profile along 284 paths in 185 searches, in about 0.17 s in
+exact mode and 0.15 s in float mode, on one core of a shared 2-vCPU
+machine (CPython 3.11); a warm run of it takes 102 searches and about
+0.09 s.
 """
 
 from __future__ import annotations
@@ -257,7 +284,9 @@ class SolverRun(Record):
     profile after (0, 0), one per maximal run of equal slopes.  Mass and
     cost are unscaled; a snapshot is the engine's raw node potentials, still
     scaled by ``lc``, and ``segment_potentials`` unscales it on demand.
-    ``searches`` counts the Dijkstra runs.  ``full_mass`` is None on a run
+    ``searches`` counts the fresh Dijkstra searches and ``shipments`` the
+    augmenting paths shipped; a search that resumes after a shipment
+    (module docstring) counts once.  ``full_mass`` is None on a run
     that traced the profile from zero flow, and the marginals' mass on a
     warm-started run, which answers only there and has no segments.
     ``reachable_rows`` and ``reachable_cols`` are the source side of a min
@@ -282,6 +311,7 @@ class SolverRun(Record):
     reachable_rows: frozenset | None
     reachable_cols: frozenset | None
     searches: int
+    shipments: int
     full_mass: object
 
     @property
@@ -354,9 +384,9 @@ class _Network:
     ``row_room`` and ``col_room`` hold what is left on each source arc and
     each sink arc.  A forward step through cell k is uncapped and costs
     ``cost[k]``; a backward one costs ``-cost[k]`` and has room ``flow[k]``.
-    Every search stops at the first settled column with room (module
-    docstring).  Flat lists keep the network free of reference cycles, so
-    it is freed as soon as its run returns.
+    A search stops at each settled column with room, and may resume after
+    the shipment to it (module docstring).  Flat lists keep the network
+    free of reference cycles, so it is freed as soon as its run returns.
     """
 
     def __init__(self, nx: int, ny: int, cells: list, weights: list):
@@ -370,7 +400,7 @@ class _Network:
         self.col_cells: list[list[int]] = [[] for _ in range(ny)]
         self.row_room, self.col_room = weights[:nx], weights[nx:]
         self.potentials = [0] * (nx + ny + 2)
-        self.shipped = self.total_cost = self.searches = 0
+        self.shipped = self.total_cost = self.searches = self.shipments = 0
         self.tol = modes.tolerance()
 
     def warm_start(self) -> None:
@@ -411,6 +441,14 @@ class _Network:
         reaches the (scaled) target or, without one, until a search finds
         no column with room.
 
+        A search yields each settled column with room, and the path to it
+        is shipped.  The search then resumes where it stopped when the
+        shipment filled only that column's sink arc: the path's first row
+        still has room, every cell the path crosses backward still carries
+        flow, and the target is not reached.  Otherwise the potentials are
+        raised, with the label of the last column shipped to, and a fresh
+        search starts (module docstring).
+
         With ``segments``, append (shipped, total cost, potentials) where
         each maximal run of equal slopes ends, still scaled; a slope within
         the tolerance of the one that opened the run counts as equal.
@@ -423,15 +461,13 @@ class _Network:
         n_nodes = len(potentials)
         shipped, total_cost = self.shipped, self.total_cost
 
-        def dijkstra():
-            """Labels, the cell each node was reached through (-1: the
-            source), settled flags and the column that stopped the search
-            (None: none did), whose label the sink takes."""
-            dist = [math.inf] * n_nodes
-            parent = [-1] * n_nodes
+        def dijkstra(dist, parent, settled):
+            """Fill in the labels, the cell each node was reached through
+            (-1: the source) and the settled flags, yielding each settled
+            column with room; resumed, the search goes on from that column
+            as from any other."""
             dist[0] = 0
             heap = [(0, 0)]
-            settled = [False] * n_nodes
             while heap:
                 d, u = heapq.heappop(heap)
                 if settled[u]:
@@ -440,7 +476,7 @@ class _Network:
                 pu = potentials[u]
                 if u > nx:  # a column: back through its cells with flow
                     if col_room[u - 1 - nx] > tol:  # the stop rule (module docstring)
-                        return dist, parent, settled, u
+                        yield u
                     for k in col_cells[u - 1 - nx]:
                         v = row_node[k]
                         if settled[v]:
@@ -465,62 +501,87 @@ class _Network:
                         if row_room[v - 1] > tol:
                             dist[v] = nd = d + (pu - potentials[v])
                             heapq.heappush(heap, (nd, v))
-            return dist, parent, settled, None
+
+        def raised(dist, settled, d):
+            """The potentials raised by a search's labels, capped at d."""
+            return [
+                potentials[v] + (dist[v] if settled[v] and dist[v] < d else d)
+                for v in range(n_nodes)
+            ]
 
         last_sigma = settled = None
-        searches = 0
+        searches = shipments = 0
         while target is None or target - shipped > tol:
-            dist, parent, settled, last = dijkstra()
+            dist, parent, settled = [math.inf] * n_nodes, [-1] * n_nodes, [False] * n_nodes
             searches += 1
-            if last is None:
-                break
-            d_sink = dist[last]
-            for v in range(n_nodes):
-                potentials[v] += dist[v] if settled[v] and dist[v] < d_sink else d_sink
-
-            # trace the path back from its last column: its true (unreduced)
-            # unit cost, its room and the cells it crosses each way
-            forward: list[int] = []
-            backward: list[int] = []
-            sigma, delta, v = 0, col_room[last - 1 - nx], last
-            while True:
-                k = parent[v]
-                forward.append(k)
-                sigma += cost[k]
-                v = row_node[k]
-                k = parent[v]
-                if k < 0:  # reached from the source
+            d = None  # the label of the last column shipped to
+            for last in dijkstra(dist, parent, settled):
+                d = dist[last]
+                # trace the path back from its last column: its true
+                # (unreduced) unit cost, its room and the cells it crosses
+                # each way
+                forward: list[int] = []
+                backward: list[int] = []
+                sigma, delta, v = 0, col_room[last - 1 - nx], last
+                while True:
+                    k = parent[v]
+                    forward.append(k)
+                    sigma += cost[k]
+                    v = row_node[k]
+                    k = parent[v]
+                    if k < 0:  # reached from the source
+                        break
+                    backward.append(k)
+                    sigma -= cost[k]
+                    delta = min(delta, flow[k])
+                    v = col_node[k]
+                delta = min(delta, row_room[v - 1])  # v is the path's first row
+                if target is not None:
+                    delta = min(delta, target - shipped)
+                if not delta > tol:  # a listed cell without flow would ship nothing, forever
+                    raise PostconditionError("an augmenting path has no room")
+                row_room[v - 1] -= delta
+                col_room[last - 1 - nx] -= delta
+                for k in forward:  # no flow is negative, so each ends above tol
+                    if not flow[k] > tol:
+                        insort(col_cells[col_node[k] - 1 - nx], k)
+                    flow[k] += delta
+                drained = False  # whether a cell crossed backward ran dry
+                for k in backward:
+                    flow[k] -= delta
+                    if not flow[k] > tol:
+                        col_cells[col_node[k] - 1 - nx].remove(k)
+                        drained = True
+                shipped += delta
+                total_cost += sigma * delta
+                shipments += 1
+                # the shipment filled only its column's sink arc if nothing
+                # else ran dry and the target is still ahead (module docstring)
+                resume = (
+                    not drained
+                    and row_room[v - 1] > tol
+                    and (target is None or target - shipped > tol)
+                )
+                if segments is not None or not resume:
+                    pots = raised(dist, settled, d)
+                    if not resume:
+                        potentials[:] = pots
+                if segments is not None:
+                    point = (shipped, total_cost, tuple(pots))
+                    if last_sigma is not None and abs(sigma - last_sigma) <= tol:
+                        segments[-1] = point
+                    else:
+                        segments.append(point)
+                        last_sigma = sigma
+                if not resume:
                     break
-                backward.append(k)
-                sigma -= cost[k]
-                delta = min(delta, flow[k])
-                v = col_node[k]
-            delta = min(delta, row_room[v - 1])  # v is the path's first row
-            if target is not None:
-                delta = min(delta, target - shipped)
-            if not delta > tol:  # a listed cell without flow would ship nothing, forever
-                raise PostconditionError("an augmenting path has no room")
-            row_room[v - 1] -= delta
-            col_room[last - 1 - nx] -= delta
-            for k in forward:  # no flow is negative, so each ends above tol
-                if not flow[k] > tol:
-                    insort(col_cells[col_node[k] - 1 - nx], k)
-                flow[k] += delta
-            for k in backward:
-                flow[k] -= delta
-                if not flow[k] > tol:
-                    col_cells[col_node[k] - 1 - nx].remove(k)
-            shipped += delta
-            total_cost += sigma * delta
-            if segments is not None:
-                point = (shipped, total_cost, tuple(potentials))
-                if last_sigma is not None and abs(sigma - last_sigma) <= tol:
-                    segments[-1] = point
-                else:
-                    segments.append(point)
-                    last_sigma = sigma
+            else:  # no column with room is left
+                if d is not None:
+                    potentials[:] = raised(dist, settled, d)
+                break
         self.shipped, self.total_cost = shipped, total_cost
         self.searches += searches
+        self.shipments += shipments
         return settled
 
     def raise_costs(self, costs: list) -> int:
@@ -615,14 +676,15 @@ def _run_ssp(
         reachable_rows=rows,
         reachable_cols=cols,
         searches=net.searches,
+        shipments=net.shipments,
         full_mass=_unscaled(sum(weights[:nx]), lw) if warm else None,
     )
 
 
 class LadderStep(Record):
     """One level of a truncation ladder: the level (a number or a
-    ``CostMatrix``), the value P(c /\\ level), and the Dijkstra runs and
-    the cells unshipped that re-optimising to it took."""
+    ``CostMatrix``), the value P(c /\\ level), and the fresh Dijkstra
+    searches and the cells unshipped that re-optimising to it took."""
 
     level: object
     value: object
