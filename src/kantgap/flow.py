@@ -61,19 +61,19 @@ lowers the weightless atoms' potentials on the scaled cells and sums the
 objective over the scaled potentials and weights.  Integral results come
 out as ``int``, the rest as ``Fraction``.
 
-Determinism: the search is bipartite.  The source pushes the rows with room
-in index order, a row scans its cells in cell order (row-major, each step
-open), and a column the sorted list of its cells that carry flow, which
-every shipment keeps current.  No search scans a sink arc or steps back to
-the source or the sink.  A search stops at each settled column whose sink
-arc has room, the stop rule of Jonker and Volgenant (*Computing* 38, 1987):
-the sink takes that column's label, and the path to it is shipped.  A
-path's room is the least of that column's room, the flows of the cells it
-crosses backward and its row's room; its unit cost is summed from the sink
-back, plus each forward cell's cost and minus each backward one's.
-Dijkstra breaks distance ties by node index with strict-improvement
-relaxation, so profiles, couplings and potentials are reproducible byte
-for byte.
+Determinism: the search, ``_Network._search``, is bipartite.  The source
+pushes the rows with room in index order, a row scans its cells in cell
+order (row-major, each step open), and a column the sorted list of its
+cells that carry flow, which every shipment keeps current.  No search scans
+a sink arc or steps back to the source or the sink.  A search stops at each
+settled column whose sink arc has room, the stop rule of Jonker and
+Volgenant (*Computing* 38, 1987): the sink takes that column's label, and
+the path to it is shipped.  A path's room is the least of that column's
+room, the flows of the cells it crosses backward and its row's room; its
+unit cost is summed from the sink back, plus each forward cell's cost and
+minus each backward one's.  Dijkstra breaks distance ties by node index
+with strict-improvement relaxation, so profiles, couplings and potentials
+are reproducible byte for byte.
 
 Resumption: a shipment that fills only its column's sink arc leaves its
 search valid.  That holds when, after it, the path's first row still has
@@ -88,10 +88,11 @@ column is scanned as any full one, and the next settled column with room
 ends the next path.  Any other shipment ends the search
 (Ahuja-Magnanti-Orlin, *Network Flows*, 1993, ch. 9, the primal-dual
 method).  The potentials are raised once per search, when it ends, with the
-label d of the last column it shipped to: each node settled below d gains
-its label, every other node gains d.  A search that finds no column with
-room and shipped nothing raises nothing.  ``SolverRun.searches`` counts the
-fresh searches and ``SolverRun.shipments`` the paths shipped.
+label d of the last column it shipped to (``_Network._raised``): each node
+settled below d gains its label, every other node gains d.  A search that
+finds no column with room and shipped nothing raises nothing.  The network
+counts each fresh search as it starts and each path as it is shipped, and
+``SolverRun.searches`` and ``SolverRun.shipments`` report the counts.
 
 A cold run (zero flow, zero potentials) takes the paths and sets the
 potentials that a search on to the sink would.  A column whose sink arc has
@@ -284,9 +285,9 @@ class SolverRun(Record):
     profile after (0, 0), one per maximal run of equal slopes.  Mass and
     cost are unscaled; a snapshot is the engine's raw node potentials, still
     scaled by ``lc``, and ``segment_potentials`` unscales it on demand.
-    ``searches`` counts the fresh Dijkstra searches and ``shipments`` the
-    augmenting paths shipped; a search that resumes after a shipment
-    (module docstring) counts once.  ``full_mass`` is None on a run
+    ``searches`` counts the fresh Dijkstra searches (``_Network._search``)
+    and ``shipments`` the augmenting paths shipped; a search that resumes
+    after a shipment (module docstring) counts once.  ``full_mass`` is None on a run
     that traced the profile from zero flow, and the marginals' mass on a
     warm-started run, which answers only there and has no segments.
     ``reachable_rows`` and ``reachable_cols`` are the source side of a min
@@ -384,8 +385,11 @@ class _Network:
     ``row_room`` and ``col_room`` hold what is left on each source arc and
     each sink arc.  A forward step through cell k is uncapped and costs
     ``cost[k]``; a backward one costs ``-cost[k]`` and has room ``flow[k]``.
-    A search stops at each settled column with room, and may resume after
-    the shipment to it (module docstring).  Flat lists keep the network
+    ``_search`` runs one search, which stops at each settled column with
+    room and may resume after the shipment to it, and ``_raised`` gives the
+    potentials its labels raise; ``augment`` ships along the paths it finds
+    (module docstring).  ``searches`` counts the searches started and
+    ``shipments`` the paths shipped.  Flat lists keep the network
     free of reference cycles, so it is freed as soon as its run returns.
     """
 
@@ -436,86 +440,87 @@ class _Network:
                 total_cost += cost[k] * delta
         self.shipped, self.total_cost = shipped, total_cost
 
+    def _search(self, dist, parent, settled):
+        """Fill in the labels, the cell each node was reached through (-1:
+        the source) and the settled flags of one search from the source,
+        yielding each settled column with room; resumed, the search goes on
+        from that column as from any other (module docstring)."""
+        nx, cost, tol, potentials = self.nx, self.cost, self.tol, self.potentials
+        row_node, col_node, row_cells, col_cells = (
+            self.row_node, self.col_node, self.row_cells, self.col_cells
+        )
+        row_room, col_room = self.row_room, self.col_room
+        self.searches += 1
+        dist[0] = 0
+        heap = [(0, 0)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if settled[u]:
+                continue
+            settled[u] = True
+            pu = potentials[u]
+            if u > nx:  # a column: back through its cells with flow
+                if col_room[u - 1 - nx] > tol:  # the stop rule (module docstring)
+                    yield u
+                for k in col_cells[u - 1 - nx]:
+                    v = row_node[k]
+                    if settled[v]:
+                        continue
+                    nd = d + (pu - cost[k] - potentials[v])
+                    if nd < dist[v]:
+                        dist[v] = nd
+                        parent[v] = k
+                        heapq.heappush(heap, (nd, v))
+            elif u:  # a row: on through its cells
+                for k in row_cells[u - 1]:
+                    v = col_node[k]
+                    if settled[v]:
+                        continue
+                    nd = d + (cost[k] + pu - potentials[v])
+                    if nd < dist[v]:
+                        dist[v] = nd
+                        parent[v] = k
+                        heapq.heappush(heap, (nd, v))
+            else:  # the source: the rows with room
+                for v in range(1, 1 + nx):
+                    if row_room[v - 1] > tol:
+                        dist[v] = nd = d + (pu - potentials[v])
+                        heapq.heappush(heap, (nd, v))
+
+    def _raised(self, dist, settled, d):
+        """The potentials raised by a search's labels, capped at d."""
+        return [
+            p + (dist[v] if settled[v] and dist[v] < d else d)
+            for v, p in enumerate(self.potentials)
+        ]
+
     def augment(self, target=None, segments: list | None = None):
         """Ship along shortest augmenting paths until the shipped mass
         reaches the (scaled) target or, without one, until a search finds
         no column with room.
 
-        A search yields each settled column with room, and the path to it
-        is shipped.  The search then resumes where it stopped when the
+        ``_search`` yields each settled column with room, and the path to
+        it is shipped.  The search then resumes where it stopped when the
         shipment filled only that column's sink arc: the path's first row
         still has room, every cell the path crosses backward still carries
-        flow, and the target is not reached.  Otherwise the potentials are
-        raised, with the label of the last column shipped to, and a fresh
-        search starts (module docstring).
+        flow, and the target is not reached.  Otherwise ``_raised`` raises
+        the potentials, with the label of the last column shipped to, and a
+        fresh search starts (module docstring).
 
         With ``segments``, append (shipped, total cost, potentials) where
         each maximal run of equal slopes ends, still scaled; a slope within
         the tolerance of the one that opened the run counts as equal.
         Returns the settled flags of the last search (None when none ran)."""
         nx, cost, flow, tol = self.nx, self.cost, self.flow, self.tol
-        row_node, col_node, row_cells, col_cells = (
-            self.row_node, self.col_node, self.row_cells, self.col_cells
-        )
+        row_node, col_node, col_cells = self.row_node, self.col_node, self.col_cells
         row_room, col_room, potentials = self.row_room, self.col_room, self.potentials
         n_nodes = len(potentials)
         shipped, total_cost = self.shipped, self.total_cost
-
-        def dijkstra(dist, parent, settled):
-            """Fill in the labels, the cell each node was reached through
-            (-1: the source) and the settled flags, yielding each settled
-            column with room; resumed, the search goes on from that column
-            as from any other."""
-            dist[0] = 0
-            heap = [(0, 0)]
-            while heap:
-                d, u = heapq.heappop(heap)
-                if settled[u]:
-                    continue
-                settled[u] = True
-                pu = potentials[u]
-                if u > nx:  # a column: back through its cells with flow
-                    if col_room[u - 1 - nx] > tol:  # the stop rule (module docstring)
-                        yield u
-                    for k in col_cells[u - 1 - nx]:
-                        v = row_node[k]
-                        if settled[v]:
-                            continue
-                        nd = d + (pu - cost[k] - potentials[v])
-                        if nd < dist[v]:
-                            dist[v] = nd
-                            parent[v] = k
-                            heapq.heappush(heap, (nd, v))
-                elif u:  # a row: on through its cells
-                    for k in row_cells[u - 1]:
-                        v = col_node[k]
-                        if settled[v]:
-                            continue
-                        nd = d + (cost[k] + pu - potentials[v])
-                        if nd < dist[v]:
-                            dist[v] = nd
-                            parent[v] = k
-                            heapq.heappush(heap, (nd, v))
-                else:  # the source: the rows with room
-                    for v in range(1, 1 + nx):
-                        if row_room[v - 1] > tol:
-                            dist[v] = nd = d + (pu - potentials[v])
-                            heapq.heappush(heap, (nd, v))
-
-        def raised(dist, settled, d):
-            """The potentials raised by a search's labels, capped at d."""
-            return [
-                potentials[v] + (dist[v] if settled[v] and dist[v] < d else d)
-                for v in range(n_nodes)
-            ]
-
         last_sigma = settled = None
-        searches = shipments = 0
         while target is None or target - shipped > tol:
             dist, parent, settled = [math.inf] * n_nodes, [-1] * n_nodes, [False] * n_nodes
-            searches += 1
             d = None  # the label of the last column shipped to
-            for last in dijkstra(dist, parent, settled):
+            for last in self._search(dist, parent, settled):
                 d = dist[last]
                 # trace the path back from its last column: its true
                 # (unreduced) unit cost, its room and the cells it crosses
@@ -554,7 +559,7 @@ class _Network:
                         drained = True
                 shipped += delta
                 total_cost += sigma * delta
-                shipments += 1
+                self.shipments += 1
                 # the shipment filled only its column's sink arc if nothing
                 # else ran dry and the target is still ahead (module docstring)
                 resume = (
@@ -563,7 +568,7 @@ class _Network:
                     and (target is None or target - shipped > tol)
                 )
                 if segments is not None or not resume:
-                    pots = raised(dist, settled, d)
+                    pots = self._raised(dist, settled, d)
                     if not resume:
                         potentials[:] = pots
                 if segments is not None:
@@ -577,11 +582,9 @@ class _Network:
                     break
             else:  # no column with room is left
                 if d is not None:
-                    potentials[:] = raised(dist, settled, d)
+                    potentials[:] = self._raised(dist, settled, d)
                 break
         self.shipped, self.total_cost = shipped, total_cost
-        self.searches += searches
-        self.shipments += shipments
         return settled
 
     def raise_costs(self, costs: list) -> int:
