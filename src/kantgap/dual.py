@@ -145,10 +145,11 @@ def _pair_from_run(run: SolverRun) -> DualPair:
     lc*lw; in float mode (lc = lw = 1) it is ``make_dual_pair``'s sum in
     its order.  Each potential is divided by lc, and in float mode a
     potential no search raised, the engine's int 0, becomes 0.0, as
-    ``modes.coerce`` makes it.
+    ``modes.coerce`` makes it.  phi is read as 0 - pot(X_i), so a float
+    potential of 0.0 gives 0.0, not -0.0.
     """
     nx, weights = run.nx, run.weights
-    u, v = [-p for p in run.potentials[1 : 1 + nx]], run.potentials[1 + nx : -1]
+    u, v = [0 - p for p in run.potentials[1 : 1 + nx]], run.potentials[1 + nx : -1]
     _lower_weightless(u, v, weights, run.cells)
     scaled = u + v
     total = 0

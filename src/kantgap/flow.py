@@ -358,9 +358,10 @@ def _require_cut(run: SolverRun) -> None:
 
 def _potential_pair(pots, nx: int, ny: int, scale: int) -> PotentialPair:
     """(u, v) from raw node potentials: u_i = -pot(X_i), v_j = pot(Y_j),
-    both divided by scale."""
+    both divided by scale.  u_i is computed as 0 - pot(X_i), so that a
+    float potential of 0.0 gives 0.0, not -0.0."""
     return PotentialPair(
-        u=tuple(_unscaled(-pots[1 + i], scale) for i in range(nx)),
+        u=tuple(_unscaled(0 - pots[1 + i], scale) for i in range(nx)),
         v=tuple(_unscaled(pots[1 + nx + j], scale) for j in range(ny)),
     )
 

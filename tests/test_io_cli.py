@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -694,3 +695,28 @@ def test_cli_float_masses_that_differ_exit_1(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith("error: marginal masses differ: |mu| = 1.0000000009")
         assert "|nu| = 0.99999999" in captured.err
+
+
+def test_cli_float_certificates_print_no_negative_zero(tmp_path, capsys):
+    """A float potential of 0 prints as 0.0, as exact mode prints 0: u is
+    read as 0 - pot(X_i), which is never -0.0, on the staircase and on
+    seeded random instances, feasible or not."""
+    instances = [kg.example_diagonal(n) for n in range(1, 7)] + [
+        kg.random_instance(2 + seed % 6, 2 + seed % 5, 0.3, "random", seed)
+        for seed in range(50)
+    ]
+    negative_zero = re.compile(r"(?<![\d.])-0\.0(?![\d.])")
+    certificates = 0
+    for k, inst in enumerate(instances):
+        path = tmp_path / f"p{k}.json"
+        path.write_text(json.dumps(problem_io.dump_problem(*inst)))
+        for argv in (
+            ["dual", str(path)],
+            ["dual", str(path), "--relaxed", "--format", "json"],
+            ["solve", str(path), "--format", "json"],
+        ):
+            main(["--float", *argv])
+            out = capsys.readouterr().out
+            certificates += '"phi"' in out
+            assert not negative_zero.search(out), (k, argv, out)
+    assert certificates > 100
