@@ -45,6 +45,9 @@ from .errors import (
     PreconditionError,
 )
 
+# the most bits that ``_ints`` lets the common denominator of one call have
+MAX_SCALE_BITS = 2**17
+
 
 class _Infinity:
     """Symbolic +oo (sign 1) or -oo (sign -1): above, or below, every
@@ -453,16 +456,29 @@ def _ints(values: list) -> tuple[list, int]:
     their scale.  In exact mode: each value times the lcm of their
     denominators, as an int, and that lcm (1 for none).  In float mode: the
     list itself and 1.  This is the one place where the two modes part on
-    the way in; ``_unscaled`` and ``_from_ints`` undo it."""
+    the way in; ``_unscaled`` and ``_from_ints`` undo it.
+
+    The lcm is built one denominator at a time, and ``InputError`` is
+    raised as soon as it has more than ``MAX_SCALE_BITS`` bits: every
+    scaled number holds the scale, so each step of a run on it would cost
+    time and memory that grow with its length."""
     if not modes.is_exact():
         return values, 1
     try:
-        scale = math.lcm(*{v.denominator for v in values})
+        denominators = {v.denominator for v in values}
     except AttributeError:
         raise InputError(
             "a float reached the exact engine; objects built under one "
             "arithmetic mode cannot be solved under the other"
         ) from None
+    scale = 1
+    for q in denominators:
+        scale = math.lcm(scale, q)
+        if scale.bit_length() > MAX_SCALE_BITS:
+            raise InputError(
+                "the numbers' common denominator has more than "
+                f"{MAX_SCALE_BITS} bits, the exact engine's budget"
+            )
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 

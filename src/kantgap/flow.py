@@ -44,9 +44,11 @@ the lcm of the finite costs' denominators, and masses (weights and the
 target) by lw, the lcm of theirs.  One helper, ``core._ints``, scales every
 network and every ladder, and it is the only place where the two modes
 part: float mode takes the floats as given, with lc = lw = 1, and runs the
-same code.  Scaling by a positive constant keeps every comparison and tie,
-so the ints take the same paths the rationals would.  The profile is
-recorded as the run goes: ``SolverRun.segments`` holds, for each breakpoint
+same code.  A scale of more than ``core.MAX_SCALE_BITS`` bits is refused
+there with ``InputError``, before any network is built, since every scaled
+number holds it.  Scaling by a positive constant keeps every comparison
+and tie, so the ints take the same paths the rationals would.  The profile
+is recorded as the run goes: ``SolverRun.segments`` holds, for each breakpoint
 after (0, 0), the running shipped mass and total cost with a snapshot of
 the potentials there.  The run returns its shipped mass and cost, and
 each segment's mass and cost, unscaled: masses divided by lw, costs by

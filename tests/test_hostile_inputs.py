@@ -13,19 +13,30 @@ that reads one, so that none of them rests on the draw.
 Size arguments are drawn small or beyond ``scenarios.MAX_CELLS``: below
 the budget a large size is accepted work, which the budget bounds, and a
 per-example deadline would only time it.
+
+Long denominators meet a budget too: a file whose costs' common
+denominator has more than ``core.MAX_SCALE_BITS`` bits exits 1 before any
+network is built, and seeded files below it keep their pinned answers.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
+import random
 import tempfile
 from datetime import timedelta
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kantgap import cli
+from kantgap.core import MAX_SCALE_BITS, DiscreteSpace, make_marginal
+from kantgap.errors import InputError
+from kantgap.flow import optimal_coupling_at
+from kantgap.scenarios import example_diagonal
 
 _HUGE = "9" * 5000
 _LONG = "x" * 100_000
@@ -236,3 +247,97 @@ def test_every_raw_text_exits_0_1_or_2_under_every_reader(text, role):
                 continue
             argv = [a.format(**files) for a in argv]
             _check(argv, *_run(argv))
+
+
+def _reciprocals(n, seed=20):
+    """An n x n problem whose costs are 1/q, each q a distinct odd
+    300-digit number (the longest plain token), with uniform marginals:
+    the common denominator of its costs has about 990 n^2 bits."""
+    rng = random.Random(seed)
+    qs = []
+    while len(qs) < n * n:
+        q = rng.randrange(10**299, 10**300) | 1
+        if q not in qs:
+            qs.append(q)
+    cost = [[f"1/{q}" for q in qs[i * n : (i + 1) * n]] for i in range(n)]
+    return {"nx": n, "ny": n, "mu": [f"1/{n}"] * n, "nu": [f"1/{n}"] * n, "cost": cost}
+
+
+def _fractions(n, seed=60):
+    """An n x n problem whose costs are p/q with q up to 10**6, with
+    uniform marginals: about 22,000 bits of common denominator at n = 60."""
+    rng = random.Random(seed)
+    cost = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            q = rng.randint(1, 10**6)
+            row.append(f"{rng.randint(0, q)}/{q}")
+        cost.append(row)
+    return {"nx": n, "ny": n, "mu": [f"1/{n}"] * n, "nu": [f"1/{n}"] * n, "cost": cost}
+
+
+def _networks_built(monkeypatch):
+    """A list that gains an entry each time a ``flow._Network`` is built."""
+    from kantgap import flow
+
+    built = []
+    init = flow._Network.__init__
+
+    def counted(self, *args):
+        built.append(None)
+        init(self, *args)
+
+    monkeypatch.setattr(flow._Network, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("n", [20, 40])
+@pytest.mark.parametrize(
+    "argv",
+    [["solve"], ["dual", "--relaxed"], ["profile"], ["sweep", "--m-grid", "1"]],
+)
+def test_a_scale_over_the_budget_exits_1_before_any_network(tmp_path, monkeypatch, n, argv):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(_reciprocals(n)))
+    built = _networks_built(monkeypatch)
+    code, err = _run([*argv, str(path)])
+    assert code == 1
+    assert err.splitlines() == [
+        "error: the numbers' common denominator has more than "
+        f"{MAX_SCALE_BITS} bits, the exact engine's budget"
+    ]
+    assert built == []
+
+
+# the SHA-256 of ``solve --format json`` on files whose common denominators
+# have 99,129 bits (10 x 10 reciprocals) and 29,042 bits (60 x 60 fractions)
+_WITHIN_BUDGET = {
+    "reciprocals": "bb6a5d1163eb9d162fdab316249013d03b3aa8f697e835ecf8603f7412149648",
+    "fractions": "b0e3f56ee75c90407f3dd3828fe5f233fcc15632420b27fc29e7bc98ded1a7f2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WITHIN_BUDGET))
+def test_a_scale_within_the_budget_answers(tmp_path, monkeypatch, name):
+    doc = _reciprocals(10) if name == "reciprocals" else _fractions(60)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    built = _networks_built(monkeypatch)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["solve", str(path), "--format", "json"]) == 0
+    assert built
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == _WITHIN_BUDGET[name]
+
+
+def test_the_budget_covers_weights_and_targets():
+    """lw follows the same rule as lc: a marginal whose weights' common
+    denominator is over the budget is refused when it is built, and so is
+    a target mass."""
+    big = 3 ** (MAX_SCALE_BITS // 3)  # about 0.53 MAX_SCALE_BITS bits
+    with pytest.raises(InputError, match="budget"):
+        make_marginal(DiscreteSpace(2), [Fraction(1, big), Fraction(1, big + 2)])
+    c, mu, nu = example_diagonal(2)
+    with pytest.raises(InputError, match="budget"):
+        optimal_coupling_at(c, mu, nu, Fraction(1, big * (big + 2)))
