@@ -32,7 +32,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kantgap import cli
+from kantgap import cli, flow
 from kantgap.core import MAX_SCALE_BITS, DiscreteSpace, make_marginal
 from kantgap.errors import InputError
 from kantgap.flow import optimal_coupling_at
@@ -265,7 +265,7 @@ def _reciprocals(n, seed=20):
 
 def _fractions(n, seed=60):
     """An n x n problem whose costs are p/q with q up to 10**6, with
-    uniform marginals: about 22,000 bits of common denominator at n = 60."""
+    uniform marginals: 29,042 bits of common denominator at n = 60."""
     rng = random.Random(seed)
     cost = []
     for _ in range(n):
@@ -279,8 +279,6 @@ def _fractions(n, seed=60):
 
 def _networks_built(monkeypatch):
     """A list that gains an entry each time a ``flow._Network`` is built."""
-    from kantgap import flow
-
     built = []
     init = flow._Network.__init__
 
