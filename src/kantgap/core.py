@@ -21,10 +21,14 @@ Conventions fixed here and relied on everywhere else:
   once per call: the same text gives the same value, so a matrix of a few
   distinct tokens costs a few reads.  Non-string entries are read one by
   one, and nothing is remembered between calls.  Entries are read in
-  row-major order, so the first bad entry raises first.  A token's first
-  read goes through ``modes.coerce``, whose fast branch reads the plain
-  ``"p/q"`` and digit tokens of a problem file on ints; a repeat is one
-  dict lookup.  A marginal's mass is summed on its weights in engine form
+  row-major order, so the first bad entry raises first.  A cost is read
+  straight to engine form (``_read_cost``): a plain ``"p/q"`` or digit
+  token to a reduced (p, q) on ints, with no ``Fraction`` built, and every
+  other entry through ``_coerce_cost``; the matrix keeps its finite cells
+  scaled by their lcm, and a common denominator over the budget is refused
+  when it is built.  A weight's first read goes through ``modes.coerce``,
+  whose fast branch reads plain tokens on ints.  A repeat is one dict
+  lookup.  A marginal's mass is summed on its weights in engine form
   (``_ints``), so an exact mass is an ``int`` when it is integral.  Signs
   are read on ints too: a weight's on its scaled value, a cost's on its
   numerator, so no check goes through ``Fraction``'s comparisons.
@@ -33,6 +37,7 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
 
@@ -45,8 +50,14 @@ from .errors import (
     PreconditionError,
 )
 
-# the most bits that ``_ints`` lets the common denominator of one call have
+# the most bits that ``_scale`` lets the common denominator of one call have
 MAX_SCALE_BITS = 2**17
+
+# what ``_ints`` and ``_engine_cells`` raise on a float in exact mode
+_MIXED_MODES = (
+    "a float reached the exact engine; objects built under one "
+    "arithmetic mode cannot be solved under the other"
+)
 
 
 class _Infinity:
@@ -300,21 +311,38 @@ def scale_marginal(mu: Marginal, factors: Sequence) -> Marginal:
 
 
 class CostMatrix(Record):
-    """An nX x nY grid of values in [0, oo]; ``INF`` marks forbidden cells."""
+    """An nX x nY grid of values in [0, oo]; ``INF`` marks forbidden cells.
 
-    rows: tuple[tuple, ...]
+    The matrix holds its finite cells in the flow engine's form: ``scaled``
+    lists them row-major, each once, as (i, j, cost times lc), where ``lc``
+    is the lcm of the finite costs' denominators (1 in float mode, where a
+    scaled cost is the float itself).  ``rows``, ``cells()``,
+    ``finite_cells()``, ``c[i, j]`` and ``max_finite()`` derive the values
+    from them on each read, in the form ``modes.coerce`` gives a number, and
+    divide each distinct scaled cost once; a reader that walks the grid
+    binds ``rows`` once per call."""
+
+    nx: int
+    ny: int
+    scaled: tuple
+    lc: int
 
     @property
-    def nx(self) -> int:
-        return len(self.rows)
-
-    @property
-    def ny(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+    def rows(self) -> tuple[tuple, ...]:
+        """The grid, built on each read."""
+        grid = [[INF] * self.ny for _ in range(self.nx)]
+        for i, j, v in self.finite_cells():
+            grid[i][j] = v
+        return tuple(map(tuple, grid))
 
     def __getitem__(self, ij: tuple[int, int]):
         i, j = ij
-        return self.rows[i][j]
+        i, j = range(self.nx)[i], range(self.ny)[j]  # IndexError as a list raises it
+        cells = self.scaled
+        k = bisect_left(cells, (i, j))
+        if k < len(cells) and cells[k][:2] == (i, j):
+            return _unscaled(cells[k][2], self.lc)
+        return INF
 
     def cells(self) -> Iterator[tuple[int, int, object]]:
         for i, row in enumerate(self.rows):
@@ -322,19 +350,20 @@ class CostMatrix(Record):
                 yield i, j, v
 
     def finite_cells(self) -> Iterator[tuple[int, int, object]]:
-        # a flat loop, not one over cells(): every engine run lists them
-        for i, row in enumerate(self.rows):
-            for j, v in enumerate(row):
-                if v is not INF:
-                    yield i, j, v
+        """The finite cells (i, j, cost), row-major."""
+        lc = self.lc
+        if lc == 1:  # the scaled costs are the costs (a float keeps its sign)
+            return iter(self.scaled)
+        values = {x: _unscaled(x, lc) for x in {x for _, _, x in self.scaled}}
+        return iter([(i, j, values[x]) for i, j, x in self.scaled])
 
     def max_finite(self):
         """Largest finite entry, or 0 when every cell is infinite."""
         best = 0
-        for _, _, v in self.finite_cells():
-            if v > best:
-                best = v
-        return best
+        for _, _, x in self.scaled:
+            if x > best:
+                best = x
+        return _unscaled(best, self.lc)
 
 
 def _coerce_cost(v):
@@ -348,24 +377,67 @@ def _coerce_cost(v):
     return x
 
 
+def _read_cost(v):
+    """One entry of a cost matrix as ``make_cost_matrix`` keeps it until it
+    is scaled: ``INF``, else in exact mode the value's reduced (p, q) and in
+    float mode its float.  A plain token (``modes._plain``) is read on ints
+    and is never negative; every other entry goes through ``_coerce_cost``."""
+    if type(v) is str and (pq := modes._plain(v)) is not None:
+        p, q = pq
+        if not modes.is_exact():
+            return p / q
+        g = math.gcd(p, q)
+        return p // g, q // g
+    x = _coerce_cost(v)
+    return x if x is INF or type(x) is float else (x.numerator, x.denominator)
+
+
 def make_cost_matrix(rows: Sequence[Sequence]) -> CostMatrix:
+    """The matrix of ``rows``, its finite cells scaled by the lcm of their
+    denominators (``CostMatrix``).  ``InputError`` when that lcm has more
+    than ``MAX_SCALE_BITS`` bits, as ``_ints`` gives it."""
     if not rows:
         raise InputError("cost matrix needs at least one row")
     width = len(rows[0])
     if width == 0:
         raise InputError("cost matrix needs at least one column")
-    read = _read_once(_coerce_cost, {})
+    denominators = set()  # none in float mode
+
+    def read_cost(v):  # and note its denominator, once per distinct token
+        x = _read_cost(v)
+        if type(x) is tuple:
+            denominators.add(x[1])
+        return x
+
+    read = _read_once(read_cost, {})
     out = []
     for row in rows:
         if len(row) != width:
             raise DimensionMismatchError("ragged cost matrix")
-        out.append(tuple(map(read, row)))
-    return CostMatrix(rows=tuple(out))
+        out.append(list(map(read, row)))
+    lc = _scale(denominators)
+    if denominators:  # exact mode: each (p, q) scaled to an int
+        cells = [
+            (i, j, x[0] * (lc // x[1]))
+            for i, row in enumerate(out)
+            for j, x in enumerate(row)
+            if x is not INF
+        ]
+    else:
+        cells = [(i, j, x) for i, row in enumerate(out) for j, x in enumerate(row) if x is not INF]
+    return CostMatrix(len(out), width, tuple(cells), lc)
+
+
+def _matrix(nx: int, ny: int, cells: list) -> CostMatrix:
+    """The matrix whose finite cells (i, j, value), row-major, are
+    ``cells``, their values already read."""
+    scaled, lc = _ints([v for _, _, v in cells])
+    return CostMatrix(nx, ny, tuple([(i, j, x) for (i, j, _), x in zip(cells, scaled)]), lc)
 
 
 def constant_matrix(nx: int, ny: int, value) -> CostMatrix:
     v = _coerce_cost(value)
-    return CostMatrix(rows=tuple((v,) * ny for _ in range(nx)))
+    return _matrix(nx, ny, [] if v is INF else [(i, j, v) for i in range(nx) for j in range(ny)])
 
 
 def truncate_cost(c: CostMatrix, h: CostMatrix) -> CostMatrix:
@@ -373,11 +445,9 @@ def truncate_cost(c: CostMatrix, h: CostMatrix) -> CostMatrix:
     since ``INF`` sorts above every number (and a tie keeps c's entry)."""
     if (c.nx, c.ny) != (h.nx, h.ny):
         raise DimensionMismatchError("cost matrices have different shapes")
-    return CostMatrix(
-        rows=tuple(
-            tuple(min(a, b) for a, b in zip(crow, hrow))
-            for crow, hrow in zip(c.rows, h.rows)
-        )
+    cells = zip(c.cells(), h.cells())
+    return _matrix(
+        c.nx, c.ny, [(i, j, v) for (i, j, a), (_, _, b) in cells if (v := min(a, b)) is not INF]
     )
 
 
@@ -451,27 +521,39 @@ def _reduced(x):
     return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
-def _ints(values: list) -> tuple[list, int]:
+def _ints(values: list, scale: int = 1) -> tuple[list, int]:
     """The numbers ``values`` in the form the flow engine runs on, with
-    their scale.  In exact mode: each value times the lcm of their
-    denominators, as an int, and that lcm (1 for none).  In float mode: the
-    list itself and 1.  This is the one place where the two modes part on
-    the way in; ``_unscaled`` and ``_from_ints`` undo it.
-
-    The lcm is built one denominator at a time, and ``InputError`` is
-    raised as soon as it has more than ``MAX_SCALE_BITS`` bits: every
-    scaled number holds the scale, so each step of a run on it would cost
-    time and memory that grow with its length."""
+    their scale.  In exact mode: each value times the lcm of ``scale`` and
+    their denominators, as an int, and that lcm (``scale`` for none).  In
+    float mode: the list itself and ``scale``, which is 1 there.  This and
+    ``_read_cost`` are where the two modes part on the way in;
+    ``_unscaled`` and ``_from_ints`` undo it."""
     if not modes.is_exact():
-        return values, 1
+        return values, scale
     try:
         denominators = {v.denominator for v in values}
     except AttributeError:
-        raise InputError(
-            "a float reached the exact engine; objects built under one "
-            "arithmetic mode cannot be solved under the other"
-        ) from None
-    scale = 1
+        raise InputError(_MIXED_MODES) from None
+    scale = _scale(denominators, scale)
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def _engine_cells(c) -> tuple:
+    """The finite cells (i, j, cost times lc) that the cost ``c`` holds, a
+    ``CostMatrix`` or a ``kellerer.CellSet``, and lc; ``InputError`` for a
+    matrix built under float mode that reaches the exact engine."""
+    cells = c.scaled
+    if cells and type(cells[0][2]) is float and modes.is_exact():
+        raise InputError(_MIXED_MODES)
+    return cells, c.lc
+
+
+def _scale(denominators, scale: int = 1) -> int:
+    """The lcm of ``scale`` and ``denominators``, built one denominator at a
+    time.  ``InputError`` is raised as soon as it has more than
+    ``MAX_SCALE_BITS`` bits: every scaled number holds the scale, so each
+    step of a run on it would cost time and memory that grow with its
+    length."""
     for q in denominators:
         scale = math.lcm(scale, q)
         if scale.bit_length() > MAX_SCALE_BITS:
@@ -479,7 +561,7 @@ def _ints(values: list) -> tuple[list, int]:
                 "the numbers' common denominator has more than "
                 f"{MAX_SCALE_BITS} bits, the exact engine's budget"
             )
-    return [v.numerator * (scale // v.denominator) for v in values], scale
+    return scale
 
 
 def _from_ints(values, scale: int) -> list:
@@ -538,8 +620,9 @@ def cost_of(c: CostMatrix, pi: Coupling):
     if (c.nx, c.ny) != (pi.space_x.size, pi.space_y.size):
         raise DimensionMismatchError("cost matrix and coupling shapes differ")
     total = 0
+    rows = c.rows
     for (i, j), m in pi.entries.items():
-        v = c.rows[i][j]
+        v = rows[i][j]
         if v is INF:
             return INF
         total += v * m

@@ -52,6 +52,7 @@ from .core import (
     Marginal,
     Record,
     _from_ints,
+    _reduced,
     _require_probability,
     _unscaled,
     cost_of,
@@ -102,19 +103,20 @@ class FeasibilityCheck(Record):
 
 
 def verify_feasible(pair: DualPair, c: CostMatrix) -> FeasibilityCheck:
-    """Exhaustive feasibility check of phi_i + psi_j <= c(i, j)."""
-    for i, p in enumerate(pair.phi):
-        if is_neg_inf(p):
+    """Exhaustive feasibility check of phi_i + psi_j <= c(i, j), on the
+    finite cells in engine form: each finite potential is multiplied by
+    the cost's lc once, an int when its denominator divides lc, and held
+    against the scaled costs, which keeps every comparison."""
+    lc, tol = c.lc, modes.tolerance()
+    phi = [p if p is NEG_INF else _reduced(p * lc) for p in pair.phi]
+    psi = [q if q is NEG_INF else _reduced(q * lc) for q in pair.psi]
+    for i, j, x in c.scaled:
+        p, q = phi[i], psi[j]
+        if p is NEG_INF or q is NEG_INF:
             continue
-        row = c.rows[i]
-        for j, q in enumerate(pair.psi):
-            if is_neg_inf(q):
-                continue
-            v = row[j]
-            if v is INF:
-                continue
-            if not modes.leq(p + q, v):
-                return FeasibilityCheck(ok=False, violation=(i, j), excess=p + q - v)
+        if p + q - x > tol:
+            excess = pair.phi[i] + pair.psi[j] - c[i, j]
+            return FeasibilityCheck(ok=False, violation=(i, j), excess=excess)
     return FeasibilityCheck(ok=True, violation=None, excess=None)
 
 

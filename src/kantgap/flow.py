@@ -18,9 +18,11 @@ therefore parametrizes by exact shipped mass.
 
 Infinite cells are never added to the network.  Zero-weight atoms keep their
 nodes (with zero-capacity source/sink arcs) so indices line up with inputs.
-A run reads its cost only through ``nx``, ``ny`` and ``finite_cells()``, so
-a ``kellerer.CellSet`` is a cost too: 0 on its cells and forbidden
-elsewhere.  It lists just its cells, and no grid is built or scanned.
+A run reads its cost only through ``nx``, ``ny``, ``scaled`` and ``lc``,
+the finite cells in engine form and their scale, which a ``CostMatrix``
+holds as it was read.  So a ``kellerer.CellSet`` is a cost too: its cells
+at 0 with scale 1, forbidden elsewhere.  No grid is built or scanned, and
+no cost is rescaled.
 The network is indexed by cell, with no arc list: each finite cell keeps its
 cost and its flow, each row and column what is left on its source or sink
 arc (``_Network``).  A search steps forward through any cell of a row,
@@ -41,12 +43,14 @@ breakpoint are thus exact dual certificates for the profile value there.
 
 Exact arithmetic: the engine runs on Python ints.  Costs are scaled by lc,
 the lcm of the finite costs' denominators, and masses (weights and the
-target) by lw, the lcm of theirs.  One helper, ``core._ints``, scales every
-network and every ladder, and it is the only place where the two modes
-part: float mode takes the floats as given, with lc = lw = 1, and runs the
-same code.  A scale of more than ``core.MAX_SCALE_BITS`` bits is refused
-there with ``InputError``, before any network is built, since every scaled
-number holds it.  Scaling by a positive constant keeps every comparison
+target) by lw, the lcm of theirs.  A ``CostMatrix`` holds its costs scaled
+(``core.make_cost_matrix``), and one helper, ``core._ints``, scales the
+masses of every network and the levels of every ladder; those two are the
+only places where the modes part: float mode takes the floats as given,
+with lc = lw = 1, and runs the same code.  A scale of more than
+``core.MAX_SCALE_BITS`` bits is refused there with ``InputError``: a cost's
+when its matrix is built, a mass's before any network is, since every
+scaled number holds it.  Scaling by a positive constant keeps every comparison
 and tie, so the ints take the same paths the rationals would.  The profile
 is recorded as the run goes: ``SolverRun.segments`` holds, for each breakpoint
 after (0, 0), the running shipped mass and total cost with a snapshot of
@@ -149,7 +153,8 @@ Re-optimisation across truncation levels: ``truncation_ladder`` answers
 P(c /\\ level) for a nondecreasing sequence of finite levels from one
 network.  Every cell is finite under a finite level, so the network holds
 all of them, and lc also covers the levels' denominators: one call of
-``core._ints`` scales the finite costs and every level value together.
+``core._ints`` scales every level value to the lcm of the cost's lc and
+theirs, and the cost's scaled cells are brought to it.
 The ladder is eager: it checks every level, collecting the values for
 that call as it goes, before it solves the first, and then returns the
 steps of all of them as a list.  The first level is always a warm run,
@@ -190,6 +195,7 @@ from .core import (
     Coupling,
     Marginal,
     Record,
+    _engine_cells,
     _ints,
     _unscaled,
     is_inf,
@@ -306,7 +312,7 @@ class SolverRun(Record):
     cost: object
     segments: list[tuple[object, object, tuple]]
     potentials: list
-    cells: list  # (i, j, cost times lc) on every finite cell
+    cells: tuple  # (i, j, cost times lc) on every finite cell, as the cost holds them
     scaled_flows: dict  # (i, j) -> positive flow times lw
     weights: list
     lc: int
@@ -490,12 +496,11 @@ class _Network:
                         dist[v] = nd = d + (pu - potentials[v])
                         heapq.heappush(heap, (nd, v))
 
-    def _raised(self, dist, settled, d):
-        """The potentials raised by a search's labels, capped at d."""
-        return [
-            p + (dist[v] if settled[v] and dist[v] < d else d)
-            for v, p in enumerate(self.potentials)
-        ]
+    def _raised(self, dist, d):
+        """The potentials raised by a search's labels, capped at d.  A
+        label below d is a settled node's: an unsettled node is still on
+        the heap, at a label of at least d, or unreached, at ``math.inf``."""
+        return [p + (dist[v] if dist[v] < d else d) for v, p in enumerate(self.potentials)]
 
     def augment(self, target=None, segments: list | None = None):
         """Ship along shortest augmenting paths until the shipped mass
@@ -571,7 +576,7 @@ class _Network:
                     and (target is None or target - shipped > tol)
                 )
                 if segments is not None or not resume:
-                    pots = self._raised(dist, settled, d)
+                    pots = self._raised(dist, d)
                     if not resume:
                         potentials[:] = pots
                 if segments is not None:
@@ -585,7 +590,7 @@ class _Network:
                     break
             else:  # no column with room is left
                 if d is not None:
-                    potentials[:] = self._raised(dist, settled, d)
+                    potentials[:] = self._raised(dist, d)
                 break
         self.shipped, self.total_cost = shipped, total_cost
         return settled
@@ -628,8 +633,8 @@ def _run_ssp(
     """One engine run on (c, mu, nu): to the target mass if one is given,
     else until no augmenting path is left (module docstring).  ``c`` is a
     ``CostMatrix`` or a ``kellerer.CellSet``, the cost 0 on its cells and
-    forbidden elsewhere; the run reads only its ``nx``, ``ny`` and
-    ``finite_cells()``.
+    forbidden elsewhere; the run reads only its ``nx``, ``ny`` and its
+    scaled finite cells and their scale (``core._engine_cells``).
 
     ``warm=True`` says that the caller reads only the full-mass answer.
     The engine then starts warm (module docstring) when the masses are
@@ -643,11 +648,8 @@ def _run_ssp(
         target is None or modes.eq(target, mu.mass) and modes.eq(target, nu.mass)
     )
     nx, ny = c.nx, c.ny
-    # costs times lc and masses times lw, in engine form (module docstring)
-    cells = list(c.finite_cells())
-    costs, lc = _ints([cij for _, _, cij in cells])
-    if lc != 1:
-        cells = [(i, j, x) for (i, j, _), x in zip(cells, costs)]
+    # costs times lc, as the cost holds them, and masses times lw (module docstring)
+    cells, lc = _engine_cells(c)
     masses, lw = _ints([*mu.weights, *nu.weights, 0 if target is None else target])
     weights = masses[:-1]
     target = None if target is None else masses[-1]
@@ -712,9 +714,7 @@ def truncation_ladder(
     if not modes.eq(mu.mass, nu.mass):  # the ladder always starts warm
         raise PreconditionError("a warm start needs marginals of equal mass")
     nx, ny = c.nx, c.ny
-    base = [v for row in c.rows for v in row]
-    # one lc over the finite costs and every level value (module docstring)
-    finite = [v for v in base if v is not INF]
+    values = []  # every level's values, in order
     checked = []  # the levels, each number coerced
     prev = None  # the last level's values row-major, or its number
     for k, level in enumerate(levels):
@@ -729,21 +729,26 @@ def truncation_ladder(
                     raise InputError(
                         f"levels decrease at {divmod(n, ny)} between {k - 1} and {k}"
                     )
-            finite += vals
+            values += vals
         else:
             level = vals = modes.coerce(level)
             if prev is not None and level < (max(prev) if isinstance(prev, list) else prev):
                 raise InputError("constant levels must be nondecreasing")
             if level < 0:
                 raise NegativeWeightError(f"truncation level {level} is negative")
-            finite.append(level)
+            values.append(level)
         checked.append(level)
         prev = vals
     if not checked:
         return []
-    scaled, lc = _ints(finite)
-    scaled = iter(scaled)  # the finite costs, then each level's values
-    base = [v if v is INF else next(scaled) for v in base]
+    # one lc over the finite costs and every level value (module docstring)
+    cells, lc_c = _engine_cells(c)
+    scaled, lc = _ints(values, lc_c)
+    scaled = iter(scaled)  # each level's values
+    base = [INF] * (nx * ny)  # the costs row-major, rescaled to lc
+    f = lc // lc_c
+    for i, j, x in cells:
+        base[i * ny + j] = x * f
     weights, lw = _ints([*mu.weights, *nu.weights])
     full = min(sum(weights[:nx]), sum(weights[nx:]))
     net = None

@@ -78,6 +78,16 @@ class CellSet(Record):
             grid[i][j] = True
         return tuple(map(tuple, grid))
 
+    # the scale of ``scaled``: a cell set's costs are integral
+    lc = 1
+
+    @property
+    def scaled(self) -> tuple[tuple[int, int, object], ...]:
+        """The cells in engine form, as ``CostMatrix.scaled`` holds a
+        matrix's: each at its cost 0 (0.0 in float mode), with scale 1."""
+        zero = modes.coerce(0)
+        return tuple([(i, j, zero) for i, j in self.pairs])
+
     def cells(self) -> Iterator[tuple[int, int]]:
         return iter(self.pairs)
 

@@ -137,11 +137,12 @@ def brute_chargeable(c: CostMatrix, mu: Marginal, nu: Marginal):
             f"{_PRIMAL_LIMIT}x{_PRIMAL_LIMIT}"
         )
     out = set()
+    rows = c.rows  # derived on each read: once per call
     for i, j, _v in c.finite_cells():
         one_cell = make_cost_matrix(
             [
                 [INF if v is INF else int((a, b) != (i, j)) for b, v in enumerate(row)]
-                for a, row in enumerate(c.rows)
+                for a, row in enumerate(rows)
             ]
         )
         off_mass = brute_primal(one_cell, mu, nu, 1)
@@ -165,18 +166,19 @@ def brute_cover(L, mu: Marginal, nu: Marginal):
     if nx != mu.space.size or ny != nu.space.size:
         raise InputError("cell set does not match the marginals")
 
+    rows = L.rows  # derived on each read: once per call
     if nx <= ny:
         side_weights = mu.weights
         other_weights = nu.weights
         masks = [
-            sum(1 << j for j in range(ny) if L.rows[i][j]) for i in range(nx)
+            sum(1 << j for j in range(ny) if rows[i][j]) for i in range(nx)
         ]
         n_side = nx
     else:
         side_weights = nu.weights
         other_weights = mu.weights
         masks = [
-            sum(1 << i for i in range(nx) if L.rows[i][j]) for j in range(ny)
+            sum(1 << i for i in range(nx) if rows[i][j]) for j in range(ny)
         ]
         n_side = ny
 

@@ -9,11 +9,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from . import modes
 from .core import (
     INF,
     CostMatrix,
     DiscreteSpace,
     Marginal,
+    _matrix,
     make_cost_matrix,
     make_marginal,
     uniform_marginal,
@@ -52,11 +54,10 @@ def example_diagonal(n: int) -> Instance:
     if n < 1:
         raise InputError("n must be >= 1")
     _check_cells(n, n)
-    rows = []
-    for i in range(n):
-        rows.append(tuple(0 if j < i else (1 if j == i else INF) for j in range(n)))
+    zero, one = modes.coerce(0), modes.coerce(1)
+    cells = [(i, j, zero if j < i else one) for i in range(n) for j in range(i + 1)]
     mu = uniform_marginal(n)
-    return make_cost_matrix(rows), mu, mu
+    return _matrix(n, n, cells), mu, mu
 
 
 def random_instance(
@@ -115,11 +116,10 @@ def closed_inf_band(n: int, bandwidth: int) -> Instance:
     if bandwidth >= n:
         raise InputError("bandwidth must be < n")
     _check_cells(n, n)
-    rows = []
-    for i in range(n):
-        rows.append(tuple(INF if abs(i - j) < bandwidth else 0 for j in range(n)))
+    zero = modes.coerce(0)
+    cells = [(i, j, zero) for i in range(n) for j in range(n) if abs(i - j) >= bandwidth]
     mu = uniform_marginal(n)
-    return make_cost_matrix(rows), mu, mu
+    return _matrix(n, n, cells), mu, mu
 
 
 def family(name: str):

@@ -6,9 +6,12 @@ sums are derived from those entries when they are read;
 ``dual.dual_from_run`` sums the objective over the scaled potentials and
 weights.  Both are compared here with ``make_coupling`` on the unscaled
 flows and ``make_dual_pair`` on the lowered unscaled potentials: values,
-their types, and in float mode the bits.
+their types, and in float mode the bits.  ``dual.verify_feasible`` holds
+the potentials, times the cost's lc, against its scaled cells; it is
+compared with the same check on the grid of unscaled costs.
 """
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -151,3 +154,45 @@ def test_weightless_row_then_column_sharing_a_cell(mode):
         assert pair.phi[0] == phi0 < 0 and phi0 != engine.u[0]
         assert pair.psi[1] == 0 != engine.v[1]
         assert modes.eq(pair.objective, modes.coerce("5/2"))
+
+
+def _feasibility_on_the_grid(pair, c):
+    """phi_i + psi_j against each finite c(i, j) of ``c.rows``, row-major,
+    within the mode's tolerance: (ok, first violation, its excess)."""
+    rows = c.rows
+    for i, p in enumerate(pair.phi):
+        for j, q in enumerate(pair.psi):
+            if kg.is_neg_inf(p) or kg.is_neg_inf(q) or kg.is_inf(rows[i][j]):
+                continue
+            if not modes.leq(p + q, rows[i][j]):
+                return False, (i, j), _shape([p + q - rows[i][j]])
+    return True, None, _shape([None])
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_verify_feasible_on_the_scaled_cells_matches_the_grid(mode):
+    rng = random.Random(7)
+    checks = violations = 0
+    with arithmetic(mode):
+        for c, mu, nu in _instances():
+            base = kg.dual_value(c, mu, nu).pair  # feasible, tight on its plan
+            for _ in range(8):
+                # nudged by fractions whose denominators lc need not hold,
+                # some potentials at -oo, some left as they are
+                def nudge(p):
+                    r = rng.random()
+                    if kg.is_neg_inf(p) or r < 0.1:
+                        return kg.NEG_INF
+                    if r < 0.5:
+                        return p
+                    return p + modes.coerce(F(rng.randint(-3, 3), rng.choice([1, 2, 7, 9])))
+
+                pair = kg.make_dual_pair(
+                    [nudge(p) for p in base.phi], [nudge(q) for q in base.psi], mu, nu
+                )
+                check = kg.verify_feasible(pair, c)
+                got = (check.ok, check.violation, _shape([check.excess]))
+                assert got == _feasibility_on_the_grid(pair, c)
+                checks += 1
+                violations += not check.ok
+    assert 0 < violations < checks

@@ -293,13 +293,16 @@ def _networks_built(monkeypatch):
 @pytest.mark.parametrize("n", [20, 40])
 @pytest.mark.parametrize(
     "argv",
-    [["solve"], ["dual", "--relaxed"], ["profile"], ["sweep", "--m-grid", "1"]],
+    [["solve"], ["dual", "--relaxed"], ["profile"], ["sweep", "--m-grid", "1"],
+     # these read no cost, but the matrix is refused when it is built
+     ["covers", "--cells", "{c}"], ["oracle", "--cover", "{c}"]],
 )
 def test_a_scale_over_the_budget_exits_1_before_any_network(tmp_path, monkeypatch, n, argv):
-    path = tmp_path / "p.json"
+    path, cells = tmp_path / "p.json", tmp_path / "c.json"
     path.write_text(json.dumps(_reciprocals(n)))
+    cells.write_text(json.dumps({"pairs": [[0, 0], [1, 1]]}))
     built = _networks_built(monkeypatch)
-    code, err = _run([*argv, str(path)])
+    code, err = _run([*(a.format(c=cells) for a in argv), str(path)])
     assert code == 1
     assert err.splitlines() == [
         "error: the numbers' common denominator has more than "

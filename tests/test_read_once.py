@@ -124,24 +124,32 @@ def test_repeated_negative_tokens(mode):
 
 @pytest.mark.parametrize("mode", BOTH)
 def test_one_read_per_distinct_string(mode, monkeypatch):
-    seen = []
-    real = modes.coerce
+    # a cost entry is read by core._read_cost, which reads a plain token on
+    # ints and hands every other entry to _coerce_cost; a weight by
+    # modes.coerce
+    costs, weights = [], []
 
-    def counting(x):
-        seen.append(x)
-        return real(x)
+    def counting(real, seen):
+        def read(x):
+            seen.append(x)
+            return real(x)
 
-    monkeypatch.setattr(modes, "coerce", counting)
+        return read
+
+    monkeypatch.setattr(core, "_read_cost", counting(core._read_cost, costs))
+    monkeypatch.setattr(modes, "coerce", counting(modes.coerce, weights))
     rows = [["1", "7/3", "inf", 2], ["7/3", "1", " INF ", 2], ["1.0", "1", "inf", 2.5]]
     with modes.arithmetic(mode):
         kg.make_cost_matrix(rows)
-        assert sorted(map(repr, seen)) == sorted(map(repr, ["1", "7/3", "1.0", 2, 2, 2.5]))
-        seen.clear()
+        assert sorted(map(repr, costs)) == sorted(
+            map(repr, ["1", "7/3", "inf", " INF ", "1.0", 2, 2, 2.5])
+        )
+        weights.clear()
         kg.make_marginal(kg.DiscreteSpace(6), ["1/6", "1/6", "1/6", "1/6", "2/12", 1 / 6])
-        assert sorted(map(repr, seen)) == sorted(map(repr, ["1/6", "2/12", 1 / 6]))
-        seen.clear()
+        assert sorted(map(repr, weights)) == sorted(map(repr, ["1/6", "2/12", 1 / 6]))
+        costs.clear()
         kg.make_cost_matrix(rows)  # a new call reads afresh: nothing is kept
-        assert len(seen) == 6
+        assert len(costs) == 8
 
 
 def _per_entry_matrix(rows, monkeypatch):

@@ -126,7 +126,7 @@ def _check_exhausted_search(net):
         assert dist[v] == dist[u] + cost + pots[u] - pots[v]
 
     for d in {dist[v] for v in yielded}:
-        raised = net._raised(dist, settled, d)
+        raised = net._raised(dist, d)
         assert all(cost + raised[u] - raised[v] >= 0 for u, v, cost in steps)
     return len(yielded)
 
