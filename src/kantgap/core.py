@@ -23,13 +23,14 @@ Conventions fixed here and relied on everywhere else:
   one, and nothing is remembered between calls.  Entries are read in
   row-major order, so the first bad entry raises first.  A cost is read
   straight to engine form (``_read_cost``): a plain ``"p/q"`` or digit
-  token to a reduced (p, q) on ints, with no ``Fraction`` built, and every
-  other entry through ``_coerce_cost``; the matrix keeps its finite cells
-  scaled by their lcm, and a common denominator over the budget is refused
-  when it is built.  A weight's first read goes through ``modes.coerce``,
-  whose fast branch reads plain tokens on ints.  A repeat is one dict
-  lookup.  A marginal's mass is summed on its weights in engine form
-  (``_ints``), so an exact mass is an ``int`` when it is integral.  Signs
+  token through ``modes._plain``, to a reduced (p, q) on ints with no
+  ``Fraction`` built (a float in float mode), and every other entry through
+  ``_coerce_cost``; the matrix keeps its finite cells scaled by their lcm,
+  and a common denominator over the budget is refused when it is built.
+  A weight's first read goes through ``modes.coerce``, which reads plain
+  tokens through the same ``_plain``.  A repeat is one dict lookup.  A
+  marginal's mass is summed on its weights in engine form (``_ints``), so
+  an exact mass is an ``int`` when it is integral.  Signs
   are read on ints too: a weight's on its scaled value, a cost's on its
   numerator, so no check goes through ``Fraction``'s comparisons.
 """
@@ -380,14 +381,11 @@ def _coerce_cost(v):
 def _read_cost(v):
     """One entry of a cost matrix as ``make_cost_matrix`` keeps it until it
     is scaled: ``INF``, else in exact mode the value's reduced (p, q) and in
-    float mode its float.  A plain token (``modes._plain``) is read on ints
-    and is never negative; every other entry goes through ``_coerce_cost``."""
-    if type(v) is str and (pq := modes._plain(v)) is not None:
-        p, q = pq
-        if not modes.is_exact():
-            return p / q
-        g = math.gcd(p, q)
-        return p // g, q // g
+    float mode its float.  A plain token is read by ``modes._plain``, which
+    gives that form, and is never negative; every other entry goes through
+    ``_coerce_cost``."""
+    if type(v) is str and (x := modes._plain(v)) is not None:
+        return x
     x = _coerce_cost(v)
     return x if x is INF or type(x) is float else (x.numerator, x.denominator)
 
@@ -526,8 +524,10 @@ def _ints(values: list, scale: int = 1) -> tuple[list, int]:
     their scale.  In exact mode: each value times the lcm of ``scale`` and
     their denominators, as an int, and that lcm (``scale`` for none).  In
     float mode: the list itself and ``scale``, which is 1 there.  This and
-    ``_read_cost`` are where the two modes part on the way in;
-    ``_unscaled`` and ``_from_ints`` undo it."""
+    ``_engine_cells`` are the only places outside ``modes`` that read the
+    mode.  ``_unscaled`` undoes it (a float-mode scale is 1, so a value
+    stays as it is), and ``modes.div`` where an engine int must come back
+    as a float in float mode."""
     if not modes.is_exact():
         return values, scale
     try:
@@ -562,16 +562,6 @@ def _scale(denominators, scale: int = 1) -> int:
                 f"{MAX_SCALE_BITS} bits, the exact engine's budget"
             )
     return scale
-
-
-def _from_ints(values, scale: int) -> list:
-    """``values`` in engine form, each divided by ``scale`` and in the form
-    ``modes.coerce`` gives a number: ``_unscaled`` in exact mode, a float
-    in float mode, where ``_unscaled`` would keep an engine int such as the
-    0 of a potential that no search raised."""
-    if not modes.is_exact():
-        return list(map(float, values))
-    return [_unscaled(v, scale) for v in values]
 
 
 def _unscaled(x, scale: int):
@@ -669,12 +659,19 @@ def add_couplings(p: Coupling, q: Coupling) -> Coupling:
     return make_coupling(p.space_x, p.space_y, merged)
 
 
+def _require_same_size(a: Marginal, b: Marginal) -> None:
+    if a.space.size != b.space.size:
+        raise DimensionMismatchError("marginals live on spaces of different sizes")
+
+
 def dominates(mu: Marginal, sub: Marginal) -> bool:
     """Componentwise sub <= mu (tolerance-aware in float mode)."""
+    _require_same_size(mu, sub)
     return all(modes.leq(s, m) for s, m in zip(sub.weights, mu.weights))
 
 
 def marginals_equal(a: Marginal, b: Marginal) -> bool:
+    _require_same_size(a, b)
     return all(modes.eq(x, y) for x, y in zip(a.weights, b.weights))
 
 

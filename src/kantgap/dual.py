@@ -51,7 +51,6 @@ from .core import (
     Coupling,
     Marginal,
     Record,
-    _from_ints,
     _reduced,
     _require_probability,
     _unscaled,
@@ -63,6 +62,7 @@ from .core import (
     truncate_cost,
 )
 from .errors import (
+    DimensionMismatchError,
     InputError,
     NotApplicableError,
     PostconditionError,
@@ -107,6 +107,8 @@ def verify_feasible(pair: DualPair, c: CostMatrix) -> FeasibilityCheck:
     finite cells in engine form: each finite potential is multiplied by
     the cost's lc once, an int when its denominator divides lc, and held
     against the scaled costs, which keeps every comparison."""
+    if (len(pair.phi), len(pair.psi)) != (c.nx, c.ny):
+        raise DimensionMismatchError("potential lengths do not match the cost matrix")
     lc, tol = c.lc, modes.tolerance()
     phi = [p if p is NEG_INF else _reduced(p * lc) for p in pair.phi]
     psi = [q if q is NEG_INF else _reduced(q * lc) for q in pair.psi]
@@ -145,12 +147,12 @@ def _pair_from_run(run: SolverRun) -> DualPair:
     The objective is one running sum of scaled potential times scaled
     weight over phi, then psi, skipping weightless atoms, divided once by
     lc*lw; in float mode (lc = lw = 1) it is ``make_dual_pair``'s sum in
-    its order.  Each potential is divided by lc, and in float mode a
-    potential no search raised, the engine's int 0, becomes 0.0, as
-    ``modes.coerce`` makes it.  phi is read as 0 - pot(X_i), so a float
-    potential of 0.0 gives 0.0, not -0.0.
+    its order.  Each potential is divided by lc with ``modes.div``, so in
+    float mode a potential no search raised, the engine's int 0, becomes
+    0.0, as ``modes.coerce`` makes it.  phi is read as 0 - pot(X_i), so a
+    float potential of 0.0 gives 0.0, not -0.0.
     """
-    nx, weights = run.nx, run.weights
+    nx, weights, lc = run.nx, run.weights, run.lc
     u, v = [0 - p for p in run.potentials[1 : 1 + nx]], run.potentials[1 + nx : -1]
     _lower_weightless(u, v, weights, run.cells)
     scaled = u + v
@@ -158,9 +160,9 @@ def _pair_from_run(run: SolverRun) -> DualPair:
     for p, w in zip(scaled, weights):
         if w:  # (-oo) * 0 = 0
             total += p * w
-    pair = _from_ints(scaled, run.lc)
+    pair = [modes.div(p, lc) for p in scaled]
     return DualPair(
-        phi=tuple(pair[:nx]), psi=tuple(pair[nx:]), objective=_unscaled(total, run.lc * run.lw)
+        phi=tuple(pair[:nx]), psi=tuple(pair[nx:]), objective=_unscaled(total, lc * run.lw)
     )
 
 

@@ -64,7 +64,8 @@ class CellSet(Record):
 
     A cell set is also a cost: 0 on its cells and forbidden elsewhere, so
     the flow engine takes it where it takes a ``CostMatrix``, and plans
-    under it live inside L."""
+    under it live inside L.  The engine reads it only through ``nx``,
+    ``ny``, ``scaled`` and ``lc``."""
 
     nx: int
     ny: int
@@ -90,13 +91,6 @@ class CellSet(Record):
 
     def cells(self) -> Iterator[tuple[int, int]]:
         return iter(self.pairs)
-
-    def finite_cells(self) -> Iterator[tuple[int, int, object]]:
-        """Each cell with its cost 0 (0.0 in float mode), as
-        ``CostMatrix.finite_cells`` lists a matrix's cells."""
-        zero = modes.coerce(0)
-        for i, j in self.pairs:
-            yield i, j, zero
 
     def __contains__(self, ij: tuple[int, int]) -> bool:
         return tuple(ij) in self.pairs

@@ -15,11 +15,14 @@ the other.
 ``coerce`` is the one place where an outside value becomes a number.  It
 is a pure function of its input and the mode, so the ``core`` constructors
 call it once per distinct string token of a call and reuse the value.
-The tokens files are made of, ``"p/q"`` and integers in plain digits, take
-a fast branch that reads them on ints; it gives the value, type and error
-of the general path, which every other input takes.  Error messages show
-at most 30 characters of a rejected string or of any other rejected
-input's ``repr``, and only the size of an int of more than 30 digits.
+The tokens files are made of, ``"p/q"`` and integers in plain digits, are
+read on ints by ``_plain``, straight to the flow engine's form: a reduced
+(p, q) in exact mode, the float p / q in float mode.  ``coerce`` builds its
+number from that, and ``core``'s cost reader keeps it as it is, so the two
+share one reading of a token; it gives the value, type and error of the
+general path, which every other input takes.  Error messages show at most
+30 characters of a rejected string or of any other rejected input's
+``repr``, and only the size of an int of more than 30 digits.
 """
 
 from __future__ import annotations
@@ -83,21 +86,24 @@ def _shown(x) -> str:
 
 
 def _plain(x):
-    """(p, q) for a ``str`` token "D" (q = 1) or "D/E" whose D and E are
-    runs of 1 to ``_PLAIN_DIGITS`` ASCII digits, E not all zeros; else None.
-    The cap keeps ``int`` below the smallest settable int-digit limit (640)
-    and every quotient a finite, normal float."""
+    """A ``str`` token "D" or "D/E", whose D and E are runs of 1 to
+    ``_PLAIN_DIGITS`` ASCII digits and E not all zeros, in engine form: in
+    exact mode its reduced (p, q) on ints (q = 1 for an integer), in float
+    mode the float p / q.  None for any other input, in either mode.  The
+    cap keeps ``int`` below the smallest settable int-digit limit (640) and
+    every quotient a finite, normal float."""
     if type(x) is not str or not x.isascii():
         return None
     d, slash, e = x.partition("/")
     if not (d.isdigit() and len(d) <= _PLAIN_DIGITS):
         return None
-    if not slash:
-        return int(d), 1
-    if not (e.isdigit() and len(e) <= _PLAIN_DIGITS):
+    if slash and not (e.isdigit() and len(e) <= _PLAIN_DIGITS and e.strip("0")):
         return None
-    q = int(e)
-    return (int(d), q) if q else None
+    p, q = int(d), int(e) if slash else 1
+    if not is_exact():
+        return p / q
+    g = math.gcd(p, q)
+    return p // g, q // g
 
 
 def coerce(x):
@@ -112,19 +118,16 @@ def coerce(x):
     ``InputError`` in both modes, and so, in float mode, do well-formed
     values too large for a float, with a message that says so.
 
-    A plain token (``_plain``) is read on ints, without ``Fraction``'s
-    string parser: the exact value is the same int or reduced Fraction, and
-    the float is the same correctly rounded quotient, so no value, type or
+    A plain token is read by ``_plain``, without ``Fraction``'s string
+    parser: the exact value is the same int or reduced Fraction, and the
+    float is the same correctly rounded quotient, so no value, type or
     error changes.
     """
-    if (pq := _plain(x)) is not None:
-        p, q = pq
-        if not is_exact():
-            return p / q
-        if q == 1:
-            return p
-        v = Fraction(p, q)
-        return v.numerator if v.denominator == 1 else v
+    if (v := _plain(x)) is not None:
+        if type(v) is float:
+            return v
+        p, q = v
+        return p if q == 1 else Fraction(p, q)
     if isinstance(x, str) and (e := _EXPONENT.search(x)):
         limit = sys.get_int_max_str_digits() or math.inf  # 0: no limit
         if len(digits := e.group(1).replace("_", "")) > limit or int(digits) > limit:

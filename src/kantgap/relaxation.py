@@ -43,6 +43,7 @@ from .core import (
 from .errors import (
     DeficitMismatchError,
     DensityUndefinedError,
+    DimensionMismatchError,
     InputError,
     PostconditionError,
 )
@@ -85,6 +86,8 @@ def shrink_to_partial(pi: Coupling, mu: Marginal, nu: Marginal) -> Coupling:
     ``pi``, has marginals below (mu, nu), and satisfies the Jensen mass bound
     above; all three are asserted.
     """
+    if (pi.space_x.size, pi.space_y.size) != (mu.space.size, nu.space.size):
+        raise DimensionMismatchError("plan and marginals live on different grids")
     rows, cols = coupling_marginals(pi)
     f = _densities(rows, mu, "X", "mu")
     g = _densities(cols, nu, "Y", "nu")

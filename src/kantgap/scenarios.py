@@ -69,7 +69,9 @@ def random_instance(
 ) -> Instance:
     """Seeded random instance: rational costs with small denominators, cells
     independently forbidden with probability ``inf_density``, probability
-    marginals either uniform or random (random may contain zero atoms)."""
+    marginals either uniform or random (random may contain zero atoms).
+    The costs are drawn as ``"p/q"`` tokens, as a file holds them, so
+    ``make_cost_matrix`` reads each distinct one once, on ints."""
     if not 0 <= inf_density <= 1:
         raise InputError("inf_density must lie in [0, 1]")
     if nx < 1 or ny < 1:
@@ -83,7 +85,7 @@ def random_instance(
             if rng.random() < inf_density:
                 row.append(INF)
             else:
-                row.append(Fraction(rng.randint(0, 12), rng.randint(1, 8)))
+                row.append(f"{rng.randint(0, 12)}/{rng.randint(1, 8)}")
         rows.append(tuple(row))
     c = make_cost_matrix(rows)
 

@@ -201,6 +201,26 @@ def test_coupling_partial_and_full_predicates(diag3):
     assert not kg.is_full_coupling(part, mu, nu)
 
 
+def _three_and_two_atoms():
+    return kg.uniform_marginal(3), kg.make_marginal(kg.DiscreteSpace(2), ["1/3", "1/3"])
+
+
+def test_marginals_equal_dimension_mismatch():
+    three, two = _three_and_two_atoms()
+    with pytest.raises(DimensionMismatchError):
+        kg.marginals_equal(three, two)
+
+
+def test_dominates_dimension_mismatch():
+    three, two = _three_and_two_atoms()
+    with pytest.raises(DimensionMismatchError):
+        kg.dominates(three, two)
+    # so a 2x2 plan is no partial coupling of 3-atom marginals
+    plan = kg.make_coupling(two.space, two.space, {(0, 0): F(1, 3)})
+    with pytest.raises(DimensionMismatchError):
+        kg.is_partial_coupling(plan, three, three)
+
+
 _BAD_NUMBERS = [float("nan"), float("inf"), float("-inf"), None, True, "abc", "1/0", object()]
 _BAD_IDS = ["nan", "inf", "-inf", "None", "True", "abc", "1/0", "object"]
 # every constructor and parameter check reads its numbers through modes.coerce

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 import kantgap as kg
-from kantgap.errors import NotApplicableError, PreconditionError
+from kantgap.errors import DimensionMismatchError, NotApplicableError, PreconditionError
 
 
 @pytest.fixture
@@ -82,6 +82,25 @@ def test_verify_feasible_neg_inf_column(diag3):
     assert not kg.verify_feasible(kg.make_dual_pair([0, 1, 0], [0, 0, 0], mu, nu), c).ok
     pair = kg.make_dual_pair([0, 1, 0], [kg.NEG_INF, 0, 0], mu, nu)
     assert kg.verify_feasible(pair, c).ok
+
+
+def test_verify_feasible_refuses_a_longer_pair(diag3):
+    # a 3-atom pair on a 2x2 matrix: its third potentials meet no cell
+    _, mu, nu = diag3
+    c2, _, _ = kg.example_diagonal(2)
+    pair = kg.make_dual_pair([0, 0, 100], [0, 0, 100], mu, nu)
+    with pytest.raises(DimensionMismatchError):
+        kg.verify_feasible(pair, c2)
+
+
+def test_verify_feasible_and_j_functional_refuse_a_shorter_pair(diag3):
+    c, mu, nu = diag3
+    _, mu2, nu2 = kg.example_diagonal(2)
+    pair = kg.make_dual_pair([0, 0], [0, 0], mu2, nu2)
+    with pytest.raises(DimensionMismatchError):
+        kg.verify_feasible(pair, c)
+    with pytest.raises(DimensionMismatchError):
+        kg.j_functional(pair, kg.optimal_coupling_at(c, mu, nu, 1), c)
 
 
 def test_objective_neg_inf_convention(diag3):

@@ -1,5 +1,7 @@
 """``modes.coerce`` reads plain tokens ("D" and "D/E" in ASCII digits) on
-ints, and gives what ``Fraction``'s string parser gives.
+ints, and gives what ``Fraction``'s string parser gives; ``modes._plain``
+gives them in engine form, a reduced (p, q) in exact mode and a float in
+float mode.
 
 Every check compares the value, its type and its ``repr`` with a reference
 written here: ``Fraction(token)`` in exact mode (an ``int`` when integral)
@@ -59,6 +61,10 @@ def test_plain_tokens_read_as_the_fraction_parser_reads_them(mode, token):
     assert (modes._plain(token) is None) == zero_denominator
     with modes.arithmetic(mode):
         assert _read(token) == _reference(token)
+        if not zero_denominator:  # _plain gives the engine form
+            f = Fraction(token)
+            want = (f.numerator, f.denominator) if modes.is_exact() else float(f)
+            assert modes._plain(token) == want
 
 
 @pytest.mark.parametrize("mode", BOTH)

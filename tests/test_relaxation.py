@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 import kantgap as kg
-from kantgap.errors import DensityUndefinedError, InputError
+from kantgap.errors import DensityUndefinedError, DimensionMismatchError, InputError
 
 
 @pytest.fixture
@@ -80,6 +80,13 @@ def test_shrink_rejects_mass_on_weightless_atom():
     pi = kg.make_coupling(mu.space, nu.space, {(1, 0): F(1, 4)})
     with pytest.raises(DensityUndefinedError):
         kg.shrink_to_partial(pi, mu, nu)
+
+
+def test_shrink_refuses_marginals_of_another_grid(diag3):
+    _, mu, nu = diag3
+    _, mu2, nu2 = kg.example_diagonal(2)
+    with pytest.raises(DimensionMismatchError):
+        kg.shrink_to_partial(kg.product_coupling(mu2, nu2), mu, nu)
 
 
 def test_complete_partial_on_truncated_staircase(diag3):

@@ -54,11 +54,12 @@ def test_warm_and_cold_matching_runs_agree(mode):
         for seed in SEEDS:
             L, mu, nu = _case(seed)
             mu, nu = _marginals(mu, nu)
-            # L is its own cost: its finite cells are those of the matrix
-            # read from its 0/"inf" indicator, in value and type (0 or 0.0)
+            # L is its own cost: the engine reads the same cells and scale
+            # as from the matrix of its 0/"inf" indicator, in value and type
+            # (0 or 0.0)
             indicator = [[0 if flag else "inf" for flag in row] for row in L.rows]
-            cells = list(kg.make_cost_matrix(indicator).finite_cells())
-            assert repr(list(L.finite_cells())) == repr(cells)
+            c = kg.make_cost_matrix(indicator)
+            assert repr((L.scaled, L.lc)) == repr((c.scaled, c.lc))
             warm = _run_ssp(L, mu, nu, warm=True)
             cold = _run_ssp(L, mu, nu)
             # float mode adds the shipped mass up in another order
