@@ -33,6 +33,9 @@ Conventions fixed here and relied on everywhere else:
   an exact mass is an ``int`` when it is integral.  Signs
   are read on ints too: a weight's on its scaled value, a cost's on its
   numerator, so no check goes through ``Fraction``'s comparisons.
+* Numbers enter engine form through ``_ints`` and leave it through
+  ``modes.div`` alone, in the mode they are read in; ``modes`` builds every
+  ``Fraction`` and holds the one int-when-integral rule (``modes._reduced``).
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Iterator, Mapping, Sequence
-from fractions import Fraction
 
 from . import modes
 from .errors import (
@@ -253,7 +255,8 @@ def _require_probability(mu: Marginal, nu: Marginal) -> None:
     _require_unit_masses(mu, nu)
     if not modes.eq(mu.mass, nu.mass):
         raise MassMismatchError(
-            f"marginal masses differ: |mu| = {mu.mass}, |nu| = {nu.mass}"
+            f"marginal masses differ: |mu| = {modes._text(mu.mass)}, "
+            f"|nu| = {modes._text(nu.mass)}"
         )
 
 
@@ -287,8 +290,8 @@ def make_marginal(space: DiscreteSpace, weights: Sequence) -> Marginal:
     values, scale = _ints(ws)
     for i, v in enumerate(values):  # signs read on the scaled values
         if v < 0:
-            raise NegativeWeightError(f"weight {ws[i]} at atom {i} is negative")
-    return Marginal(space=space, weights=ws, mass=_unscaled(sum(values), scale))
+            raise NegativeWeightError(f"weight {modes._text(ws[i])} at atom {i} is negative")
+    return Marginal(space=space, weights=ws, mass=modes.div(sum(values), scale))
 
 
 def uniform_marginal(n: int) -> Marginal:
@@ -302,7 +305,7 @@ def scale_marginal(mu: Marginal, factors: Sequence) -> Marginal:
     fs = tuple(modes.coerce(f) for f in factors)
     for i, f in enumerate(fs):
         if f < 0:
-            raise NegativeWeightError(f"density {f} at atom {i} is negative")
+            raise NegativeWeightError(f"density {modes._text(f)} at atom {i} is negative")
     return make_marginal(mu.space, tuple(f * w for f, w in zip(fs, mu.weights)))
 
 
@@ -319,9 +322,10 @@ class CostMatrix(Record):
     is the lcm of the finite costs' denominators (1 in float mode, where a
     scaled cost is the float itself).  ``rows``, ``cells()``,
     ``finite_cells()``, ``c[i, j]`` and ``max_finite()`` derive the values
-    from them on each read, in the form ``modes.coerce`` gives a number, and
-    divide each distinct scaled cost once; a reader that walks the grid
-    binds ``rows`` once per call."""
+    from them on each read, dividing each distinct scaled cost once by lc
+    with ``modes.div``, so in the mode they are read in (``finite_cells()``
+    hands the scaled costs back as they are when lc is 1); a reader that
+    walks the grid binds ``rows`` once per call."""
 
     nx: int
     ny: int
@@ -342,7 +346,7 @@ class CostMatrix(Record):
         cells = self.scaled
         k = bisect_left(cells, (i, j))
         if k < len(cells) and cells[k][:2] == (i, j):
-            return _unscaled(cells[k][2], self.lc)
+            return modes.div(cells[k][2], self.lc)
         return INF
 
     def cells(self) -> Iterator[tuple[int, int, object]]:
@@ -355,7 +359,7 @@ class CostMatrix(Record):
         lc = self.lc
         if lc == 1:  # the scaled costs are the costs (a float keeps its sign)
             return iter(self.scaled)
-        values = {x: _unscaled(x, lc) for x in {x for _, _, x in self.scaled}}
+        values = {x: modes.div(x, lc) for x in {x for _, _, x in self.scaled}}
         return iter([(i, j, values[x]) for i, j, x in self.scaled])
 
     def max_finite(self):
@@ -364,7 +368,7 @@ class CostMatrix(Record):
         for _, _, x in self.scaled:
             if x > best:
                 best = x
-        return _unscaled(best, self.lc)
+        return modes.div(best, self.lc)
 
 
 def _coerce_cost(v):
@@ -373,8 +377,8 @@ def _coerce_cost(v):
     if v is INF or (isinstance(v, str) and v.strip().lower() == "inf"):
         return INF
     x = modes.coerce(v)
-    if (x.numerator if type(x) is Fraction else x) < 0:  # no Fraction.__lt__
-        raise NegativeWeightError(f"cost {x} is negative")
+    if (x if type(x) is float else x.numerator) < 0:  # no Fraction.__lt__
+        raise NegativeWeightError(f"cost {modes._text(x)} is negative")
     return x
 
 
@@ -454,7 +458,7 @@ def truncate_at(c: CostMatrix, level) -> CostMatrix:
     try:
         h = constant_matrix(c.nx, c.ny, level)
     except NegativeWeightError:
-        raise NegativeWeightError(f"truncation level {level} is negative") from None
+        raise NegativeWeightError(f"truncation level {modes._text(level)} is negative") from None
     return truncate_cost(c, h)
 
 
@@ -494,7 +498,7 @@ class Coupling(Record):
 
     @property
     def mass(self):
-        return _reduced(sum(self.entries.values(), self._zero()))
+        return modes._reduced(sum(self.entries.values(), self._zero()))
 
     def _zero(self):
         """0.0 for float entries, else 0; with no entries, the zero of the
@@ -509,14 +513,8 @@ class Coupling(Record):
         sums = [self._zero()] * space.size
         for ij, m in self.entries.items():
             sums[ij[axis]] += m
-        weights = tuple(map(_reduced, sums))
-        return Marginal(space=space, weights=weights, mass=_reduced(sum(weights)))
-
-
-def _reduced(x):
-    """An exact sum as ``modes.coerce`` gives a number: an int when it is
-    integral.  Other values pass through."""
-    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+        weights = tuple(map(modes._reduced, sums))
+        return Marginal(space=space, weights=weights, mass=modes._reduced(sum(weights)))
 
 
 def _ints(values: list, scale: int = 1) -> tuple[list, int]:
@@ -525,9 +523,9 @@ def _ints(values: list, scale: int = 1) -> tuple[list, int]:
     their denominators, as an int, and that lcm (``scale`` for none).  In
     float mode: the list itself and ``scale``, which is 1 there.  This and
     ``_engine_cells`` are the only places outside ``modes`` that read the
-    mode.  ``_unscaled`` undoes it (a float-mode scale is 1, so a value
-    stays as it is), and ``modes.div`` where an engine int must come back
-    as a float in float mode."""
+    mode.  ``modes.div`` undoes it, dividing by the scale: an int or a
+    Fraction in exact mode, a float in float mode, the engine's int 0
+    included."""
     if not modes.is_exact():
         return values, scale
     try:
@@ -564,15 +562,6 @@ def _scale(denominators, scale: int = 1) -> int:
     return scale
 
 
-def _unscaled(x, scale: int):
-    """x / scale: x itself when scale is 1, else an int when scale divides x,
-    else a Fraction."""
-    if scale == 1:
-        return x
-    q, r = divmod(x, scale)
-    return Fraction(x, scale) if r else q
-
-
 def make_coupling(
     space_x: DiscreteSpace, space_y: DiscreteSpace, entries: Mapping
 ) -> Coupling:
@@ -584,7 +573,7 @@ def make_coupling(
             raise DimensionMismatchError(f"cell ({i}, {j}) outside the grid")
         v = modes.coerce(m)
         if v < 0:
-            raise NegativeWeightError(f"coupling mass {v} at ({i}, {j})")
+            raise NegativeWeightError(f"coupling mass {modes._text(v)} at ({i}, {j})")
         if v == 0:
             continue
         clean[(i, j)] = v
@@ -630,12 +619,12 @@ def product_coupling(alpha: Marginal, beta: Marginal, scale=1) -> Coupling:
     s = modes.coerce(scale)
     (s_w,), ds = _ints([s])
     if s_w < 0:
-        raise NegativeWeightError(f"scale {s} is negative")
+        raise NegativeWeightError(f"scale {modes._text(s)} is negative")
     a_w, da = _ints(alpha.weights)
     b_w, db = _ints(beta.weights)
     a_w = [s_w * a for a in a_w]
     if max(a_w) * max(b_w) == math.inf:  # only floats overflow
-        raise InputError(f"the product coupling at scale {s} overflows a float")
+        raise InputError(f"the product coupling at scale {modes._text(s)} overflows a float")
     denom = ds * da * db
     values = {}
     for i, sa in enumerate(a_w):
@@ -645,7 +634,7 @@ def product_coupling(alpha: Marginal, beta: Marginal, scale=1) -> Coupling:
             v = sa * b
             if v:  # a float product may underflow to 0
                 values[(i, j)] = v
-    unscaled = {v: _unscaled(v, denom) for v in set(values.values())}
+    unscaled = {v: modes.div(v, denom) for v in set(values.values())}
     entries = {ij: unscaled[v] for ij, v in values.items()}
     return Coupling(alpha.space, beta.space, entries)
 

@@ -51,19 +51,16 @@ from .core import (
     Coupling,
     Marginal,
     Record,
-    _reduced,
+    _matrix,
     _require_probability,
-    _unscaled,
     cost_of,
     is_inf,
     is_neg_inf,
-    make_cost_matrix,
     truncate_at,
     truncate_cost,
 )
 from .errors import (
     DimensionMismatchError,
-    InputError,
     NotApplicableError,
     PostconditionError,
     PreconditionError,
@@ -85,7 +82,7 @@ def make_dual_pair(phi: Sequence, psi: Sequence, mu: Marginal, nu: Marginal) -> 
     phi = tuple(p if is_neg_inf(p) else modes.coerce(p) for p in phi)
     psi = tuple(p if is_neg_inf(p) else modes.coerce(p) for p in psi)
     if len(phi) != mu.space.size or len(psi) != nu.space.size:
-        raise InputError("potential lengths do not match the spaces")
+        raise DimensionMismatchError("potential lengths do not match the spaces")
     obj = 0
     for p, w in tuple(zip(phi, mu.weights)) + tuple(zip(psi, nu.weights)):
         if w == 0:
@@ -110,8 +107,8 @@ def verify_feasible(pair: DualPair, c: CostMatrix) -> FeasibilityCheck:
     if (len(pair.phi), len(pair.psi)) != (c.nx, c.ny):
         raise DimensionMismatchError("potential lengths do not match the cost matrix")
     lc, tol = c.lc, modes.tolerance()
-    phi = [p if p is NEG_INF else _reduced(p * lc) for p in pair.phi]
-    psi = [q if q is NEG_INF else _reduced(q * lc) for q in pair.psi]
+    phi = [p if p is NEG_INF else modes._reduced(p * lc) for p in pair.phi]
+    psi = [q if q is NEG_INF else modes._reduced(q * lc) for q in pair.psi]
     for i, j, x in c.scaled:
         p, q = phi[i], psi[j]
         if p is NEG_INF or q is NEG_INF:
@@ -147,10 +144,11 @@ def _pair_from_run(run: SolverRun) -> DualPair:
     The objective is one running sum of scaled potential times scaled
     weight over phi, then psi, skipping weightless atoms, divided once by
     lc*lw; in float mode (lc = lw = 1) it is ``make_dual_pair``'s sum in
-    its order.  Each potential is divided by lc with ``modes.div``, so in
-    float mode a potential no search raised, the engine's int 0, becomes
-    0.0, as ``modes.coerce`` makes it.  phi is read as 0 - pot(X_i), so a
-    float potential of 0.0 gives 0.0, not -0.0.
+    its order.  Each potential and the objective leave engine form through
+    ``modes.div``, as every engine number does, so in float mode a
+    potential no search raised, the engine's int 0, becomes 0.0, as
+    ``modes.coerce`` makes it.  phi is read as 0 - pot(X_i), so a float
+    potential of 0.0 gives 0.0, not -0.0.
     """
     nx, weights, lc = run.nx, run.weights, run.lc
     u, v = [0 - p for p in run.potentials[1 : 1 + nx]], run.potentials[1 + nx : -1]
@@ -162,7 +160,7 @@ def _pair_from_run(run: SolverRun) -> DualPair:
             total += p * w
     pair = [modes.div(p, lc) for p in scaled]
     return DualPair(
-        phi=tuple(pair[:nx]), psi=tuple(pair[nx:]), objective=_unscaled(total, lc * run.lw)
+        phi=tuple(pair[:nx]), psi=tuple(pair[nx:]), objective=modes.div(total, lc * run.lw)
     )
 
 
@@ -370,7 +368,8 @@ def attainment_check(
     h = (phi_i + psi_j)_+ with truncated value equal to the relaxed value,
     so truncation at max(h) is a certified sufficient level; both facts are
     asserted here, by solves independent of the ladder, rather than
-    trusted.
+    trusted.  h is built from the pair's values as they are, its clipped
+    cells at the mode's zero, and max(h) is read as ``h.max_finite()``.
     """
     _require_probability(mu, nu)
     ladder = truncation_ladder(c, mu, nu, m_grid)
@@ -386,13 +385,10 @@ def attainment_check(
             relaxed=INF,
         )
     pair = rep.pair
-    h = make_cost_matrix(
-        [
-            [max(pair.phi[i] + pair.psi[j], 0) for j in range(c.ny)]
-            for i in range(c.nx)
-        ]
-    )
-    bound = max(v for _, _, v in h.cells())
+    zero, psi = modes.coerce(0), pair.psi
+    cells = [(i, j, max(p + psi[j], zero)) for i, p in enumerate(pair.phi) for j in range(c.ny)]
+    h = _matrix(c.nx, c.ny, cells)
+    bound = h.max_finite()
     if not modes.eq(primal_value(truncate_cost(c, h), mu, nu), relaxed):
         raise PostconditionError("attainment ladder failed to reach the relaxed value")
     if not modes.eq(primal_value(truncate_at(c, bound), mu, nu), relaxed):

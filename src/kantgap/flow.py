@@ -64,8 +64,11 @@ question, never the instance: ``SolverRun.plan`` builds the witness plan
 from the unscaled flows on the marginals' spaces, and its row, column and
 total sums are derived from those entries when read; ``dual.dual_from_run``
 lowers the weightless atoms' potentials on the scaled cells and sums the
-objective over the scaled potentials and weights.  Integral results come
-out as ``int``, the rest as ``Fraction``.
+objective over the scaled potentials and weights.  Every number leaves
+engine form through ``modes.div``, in the mode it is read in: an integral
+exact result as ``int``, the rest as ``Fraction``, and in float mode a
+float, the engine's int 0 (a run that shipped nothing, a potential no
+search raised) included.
 
 Determinism: the search, ``_Network._search``, is bipartite.  The source
 pushes the rows with room in index order, a row scans its cells in cell
@@ -197,7 +200,6 @@ from .core import (
     Record,
     _engine_cells,
     _ints,
-    _unscaled,
     is_inf,
 )
 from .errors import (
@@ -262,7 +264,7 @@ def _interpolate(bps, m):
     start at (0, 0), at mass m: ``INF`` beyond the last mass."""
     m = modes.coerce(m)
     if m < 0:
-        raise InputError(f"mass {m} is negative")
+        raise InputError(f"mass {modes._text(m)} is negative")
     if not modes.leq(m, bps[-1][0]):
         return INF
     k = bisect_right(bps, m, key=lambda bp: bp[0]) - 1
@@ -286,9 +288,10 @@ class SolverRun(Record):
     network's cell k; ``scaled_flows`` maps (i, j) of each cell whose flow
     is above the tolerance, in that order, to its flow times lw.  In float
     mode both scales are 1 and the numbers are the engine's own (a
-    potential no search raised stays the int 0).  ``flows`` and
-    ``final_potentials`` unscale on demand, and ``plan`` builds the
-    coupling on the marginals' spaces.
+    potential no search raised stays the int 0 until it is read).
+    ``flows`` and ``final_potentials`` unscale on demand, and ``plan``
+    builds the coupling on the marginals' spaces.  ``breakpoints`` starts
+    at the origin in the mode's zero.
     ``segments`` holds (mass, cost, snapshot) at each breakpoint of the
     profile after (0, 0), one per maximal run of equal slopes.  Mass and
     cost are unscaled; a snapshot is the engine's raw node potentials, still
@@ -325,8 +328,10 @@ class SolverRun(Record):
 
     @property
     def breakpoints(self) -> tuple:
-        """(0, 0) followed by each segment's (mass, cost)."""
-        return ((0, 0),) + tuple((mass, cost) for mass, cost, _ in self.segments)
+        """(0, 0), in the mode's zero, followed by each segment's (mass,
+        cost)."""
+        zero = modes.coerce(0)
+        return ((zero, zero),) + tuple((mass, cost) for mass, cost, _ in self.segments)
 
     @property
     def final_potentials(self) -> PotentialPair:
@@ -336,7 +341,7 @@ class SolverRun(Record):
     @property
     def flows(self) -> dict:
         """(i, j) -> positive mass, unscaled."""
-        return {ij: _unscaled(f, self.lw) for ij, f in self.scaled_flows.items()}
+        return {ij: modes.div(f, self.lw) for ij, f in self.scaled_flows.items()}
 
     def plan(self) -> Coupling:
         """The run's plan as a coupling of the unscaled flows on the
@@ -352,7 +357,7 @@ class SolverRun(Record):
 def _require_profile(run: SolverRun) -> None:
     if run.full_mass is not None:
         raise PreconditionError(
-            f"a warm-started run answers only at its full mass {run.full_mass}; "
+            f"a warm-started run answers only at its full mass {modes._text(run.full_mass)}; "
             "it traced no profile"
         )
 
@@ -360,17 +365,18 @@ def _require_profile(run: SolverRun) -> None:
 def _require_cut(run: SolverRun) -> None:
     if run.reachable_rows is None:
         raise PreconditionError(
-            f"a targeted run has no min cut; it stopped at mass {run.shipped}"
+            f"a targeted run has no min cut; it stopped at mass {modes._text(run.shipped)}"
         )
 
 
 def _potential_pair(pots, nx: int, ny: int, scale: int) -> PotentialPair:
     """(u, v) from raw node potentials: u_i = -pot(X_i), v_j = pot(Y_j),
-    both divided by scale.  u_i is computed as 0 - pot(X_i), so that a
+    both divided by scale with ``modes.div``, so that in float mode the
+    engine's int 0 gives 0.0.  u_i is computed as 0 - pot(X_i), so that a
     float potential of 0.0 gives 0.0, not -0.0."""
     return PotentialPair(
-        u=tuple(_unscaled(0 - pots[1 + i], scale) for i in range(nx)),
-        v=tuple(_unscaled(pots[1 + nx + j], scale) for j in range(ny)),
+        u=tuple(modes.div(0 - pots[1 + i], scale) for i in range(nx)),
+        v=tuple(modes.div(pots[1 + nx + j], scale) for j in range(ny)),
     )
 
 
@@ -670,11 +676,9 @@ def _run_ssp(
         ny=ny,
         mu=mu,
         nu=nu,
-        shipped=_unscaled(net.shipped, lw),
-        cost=_unscaled(net.total_cost, lc * lw),
-        segments=[
-            (_unscaled(m, lw), _unscaled(x, lc * lw), p) for m, x, p in segments or ()
-        ],
+        shipped=modes.div(net.shipped, lw),
+        cost=modes.div(net.total_cost, lc * lw),
+        segments=[(modes.div(m, lw), modes.div(x, lc * lw), p) for m, x, p in segments or ()],
         potentials=net.potentials,
         cells=cells,
         scaled_flows={(i, j): f for (i, j, _), f in zip(cells, net.flow) if f > net.tol},
@@ -685,7 +689,7 @@ def _run_ssp(
         reachable_cols=cols,
         searches=net.searches,
         shipments=net.shipments,
-        full_mass=_unscaled(sum(weights[:nx]), lw) if warm else None,
+        full_mass=modes.div(sum(weights[:nx]), lw) if warm else None,
     )
 
 
@@ -735,7 +739,7 @@ def truncation_ladder(
             if prev is not None and level < (max(prev) if isinstance(prev, list) else prev):
                 raise InputError("constant levels must be nondecreasing")
             if level < 0:
-                raise NegativeWeightError(f"truncation level {level} is negative")
+                raise NegativeWeightError(f"truncation level {modes._text(level)} is negative")
             values.append(level)
         checked.append(level)
         prev = vals
@@ -771,10 +775,10 @@ def truncation_ladder(
         net.augment(full)
         if full - net.shipped > net.tol:
             raise PostconditionError(
-                f"a truncated network shipped {_unscaled(net.shipped, lw)} "
-                f"of {_unscaled(full, lw)}"
+                f"a truncated network shipped {modes._text(modes.div(net.shipped, lw))} "
+                f"of {modes._text(modes.div(full, lw))}"
             )
-        value = _unscaled(net.total_cost, lc * lw)
+        value = modes.div(net.total_cost, lc * lw)
         steps.append(LadderStep(level, value, net.searches - before, unshipped))
     return steps
 
@@ -783,7 +787,8 @@ def profile_from_run(run: SolverRun) -> TransportProfile:
     """The profile an untargeted run traced, with a certificate per
     breakpoint."""
     _require_profile(run)
-    zero_pots = PotentialPair(u=(0,) * run.nx, v=(0,) * run.ny)
+    zero = modes.coerce(0)
+    zero_pots = PotentialPair(u=(zero,) * run.nx, v=(zero,) * run.ny)
     return TransportProfile(
         breakpoints=run.breakpoints,
         potentials=(zero_pots,)
@@ -811,11 +816,12 @@ def optimal_coupling_at(c: CostMatrix, mu: Marginal, nu: Marginal, m) -> Couplin
     """A minimizing partial coupling of mass exactly m (deterministic)."""
     m = modes.coerce(m)
     if m < 0:
-        raise InputError(f"mass {m} is negative")
+        raise InputError(f"mass {modes._text(m)} is negative")
     run = _run_ssp(c, mu, nu, target=m, warm=True)
     if not modes.eq(run.shipped, m):
         raise InfeasibleMassError(
-            f"requested mass {m} exceeds the largest shippable mass {run.shipped}"
+            f"requested mass {modes._text(m)} exceeds the largest shippable mass "
+            f"{modes._text(run.shipped)}"
         )
     return run.plan()
 

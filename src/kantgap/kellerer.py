@@ -46,7 +46,6 @@ from .core import (
     Marginal,
     Record,
     _require_unit_masses,
-    _unscaled,
     product_coupling,
 )
 from .errors import (
@@ -103,7 +102,7 @@ def cellset_from_pairs(nx: int, ny: int, pairs: Sequence[tuple[int, int]]) -> Ce
     for cell in pairs:
         if not (isinstance(cell, (list, tuple)) and len(cell) == 2
                 and type(cell[0]) is int and type(cell[1]) is int):
-            raise InputError(f"cell {cell!r} is not a pair of integer indices")
+            raise InputError(f"cell {modes._shown(cell)} is not a pair of integer indices")
         i, j = cell
         if not (0 <= i < nx and 0 <= j < ny):
             raise InputError(f"cell ({i}, {j}) outside a {nx}x{ny} grid")
@@ -121,7 +120,9 @@ def cellset_from_matrix(rows: Sequence[Sequence]) -> CellSet:
         if not isinstance(row, (list, tuple)) or len(row) != width:
             raise DimensionMismatchError("ragged cell-set matrix")
         if not all(isinstance(v, int) and v in (0, 1) for v in row):
-            raise InputError(f"cell-set matrix entries must be 0, 1 or booleans: {row!r}")
+            raise InputError(
+                f"cell-set matrix entries must be 0, 1 or booleans: {modes._shown(row)}"
+            )
         pairs.extend((i, j) for j, v in enumerate(row) if v)
     return CellSet(nx=len(rows), ny=width, pairs=tuple(pairs))
 
@@ -169,7 +170,7 @@ def cover_from_run(run: SolverRun, L: CellSet) -> tuple[object, CoverCertificate
     rows = frozenset(i for i in range(L.nx) if i not in run.reachable_rows)
     cols = frozenset(run.reachable_cols)
     w, nx = run.weights, run.nx
-    value = _unscaled(sum(w[i] for i in rows) + sum(w[nx + j] for j in cols), run.lw)
+    value = modes.div(sum(w[i] for i in rows) + sum(w[nx + j] for j in cols), run.lw)
     if not all(i in rows or j in cols for i, j in L.pairs):
         raise PostconditionError("cover certificate does not cover the cell set")
     if not modes.eq(value, run.shipped):

@@ -12,17 +12,23 @@ threads, including ``ThreadPoolExecutor`` workers, start in exact mode.
 Objects built under one mode should not be mixed with objects built under
 the other.
 
-``coerce`` is the one place where an outside value becomes a number.  It
-is a pure function of its input and the mode, so the ``core`` constructors
-call it once per distinct string token of a call and reuse the value.
-The tokens files are made of, ``"p/q"`` and integers in plain digits, are
-read on ints by ``_plain``, straight to the flow engine's form: a reduced
-(p, q) in exact mode, the float p / q in float mode.  ``coerce`` builds its
-number from that, and ``core``'s cost reader keeps it as it is, so the two
-share one reading of a token; it gives the value, type and error of the
-general path, which every other input takes.  Error messages show at most
-30 characters of a rejected string or of any other rejected input's
-``repr``, and only the size of an int of more than 30 digits.
+This module is the one place where a number is built, reduced and
+unscaled.  ``coerce`` is the one place where an outside value becomes a
+number.  It is a pure function of its input and the mode, so the ``core``
+constructors call it once per distinct string token of a call and reuse
+the value.  The tokens files are made of, ``"p/q"`` and integers in plain
+digits, are read on ints by ``_plain``, straight to the flow engine's form:
+a reduced (p, q) in exact mode, the float p / q in float mode.  ``coerce``
+builds its number from that, and ``core``'s cost reader keeps it as it is,
+so the two share one reading of a token; it gives the value, type and error
+of the general path, which every other input takes.  ``div`` brings every
+engine number back, divided by its scale: an exact quotient, or a float in
+float mode, the engine's int 0 included.  ``_reduced`` is the one rule for
+an exact value's form, an int when it is integral, which ``coerce``,
+``div`` and the sums of ``core`` share.  Error messages show a number
+through ``_text``, at most 30 characters of it and only the size of one of
+more than 30 digits, and a rejected input through ``_shown``, which quotes
+a string.
 """
 
 from __future__ import annotations
@@ -42,6 +48,10 @@ FLOAT = "float"
 FLOAT_TOL = 1e-9
 
 _EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)\s*\Z")
+
+# the form ``_plain`` reads, "D" or "D/E" in ASCII digits with E not all
+# zeros, at any length: ``coerce`` names the digit limit for the longer ones
+_PLAIN_TOKEN = re.compile(r"\d+(/\d*[1-9]\d*)?", re.ASCII)
 
 _PLAIN_DIGITS = 300
 
@@ -69,17 +79,26 @@ def arithmetic(mode: str):
 
 
 def _shown(x) -> str:
-    """A rejected input as error messages show it, so a huge input makes a
-    short message: a string cut to its first 30 characters, an int of more
-    than 30 digits by its size, and any other input's ``repr`` cut to 30
-    characters, or its type where the ``repr`` fails (it raises on a
-    Fraction whose numerator is beyond the digit limit).  Never raises."""
+    """A rejected input as error messages show it: a string cut to its
+    first 30 characters and quoted, any other input as ``_text`` shows its
+    ``repr``."""
     if isinstance(x, str):
         return repr(x[:30])
-    if isinstance(x, int) and abs(x) >= 10**30:
-        return f"<an int of about {round(abs(x).bit_length() * math.log10(2))} digits>"
+    return _text(x, repr)
+
+
+def _text(x, show=str) -> str:
+    """A number as error messages show it, so a huge one makes a short
+    message: ``show(x)``, by default its ``str`` (3/2 reads 3/2), cut to 30
+    characters, an int or a Fraction with a part of more than 30 digits by
+    its size (before ``str`` would meet the int digit limit), and x's type
+    where ``show`` raises.  Never raises."""
+    if isinstance(x, (int, Fraction)):
+        size = max(abs(x.numerator), x.denominator)
+        if size >= 10**30:
+            return f"<a number of about {round(size.bit_length() * math.log10(2))} digits>"
     try:
-        text = repr(x)
+        text = show(x)
     except Exception:  # the message is built for an error already being raised
         return f"<a {type(x).__name__}>"
     return text if len(text) <= 30 else text[:30] + "..."
@@ -116,7 +135,8 @@ def coerce(x):
     nan, infinite floats and exponents beyond
     ``sys.get_int_max_str_digits()`` (slow powers of ten) raise
     ``InputError`` in both modes, and so, in float mode, do well-formed
-    values too large for a float, with a message that says so.
+    values too large for a float, and in both a plain token with more
+    digits than that limit, with a message that says so.
 
     A plain token is read by ``_plain``, without ``Fraction``'s string
     parser: the exact value is the same int or reduced Fraction, and the
@@ -149,9 +169,12 @@ def coerce(x):
     except OverflowError as exc:
         raise InputError(f"too large for a float: {_shown(x)}") from exc
     except (TypeError, ValueError, ArithmeticError) as exc:
+        if isinstance(exc, ValueError) and isinstance(x, str) and _PLAIN_TOKEN.fullmatch(x):
+            limit = sys.get_int_max_str_digits()
+            raise InputError(f"a number has more than {limit} digits: {_shown(x)}") from exc
         raise InputError(f"malformed number {_shown(x)}") from exc
     if exact:
-        return int(v) if v.denominator == 1 else v
+        return _reduced(v)
     if not math.isfinite(v):  # a non-float input such as Decimal("nan")
         raise InputError(f"non-finite number {_shown(x)}")
     return v
@@ -168,8 +191,13 @@ def div(a, b):
     if type(a) is int and type(b) is int:
         q, r = divmod(a, b)
         return Fraction(a, b) if r else q
-    f = Fraction(a) / Fraction(b)
-    return int(f) if f.denominator == 1 else f
+    return _reduced(Fraction(a) / Fraction(b))
+
+
+def _reduced(x):
+    """An exact value as ``coerce`` gives a number, an int when it is
+    integral; a float as it is."""
+    return x if type(x) is float or x.denominator != 1 else x.numerator
 
 
 def tolerance():

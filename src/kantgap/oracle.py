@@ -115,7 +115,7 @@ def brute_primal(c: CostMatrix, mu: Marginal, nu: Marginal, m):
     profile evaluated at m, INF beyond the largest enumerated mass."""
     m = modes.coerce(m)
     if m < 0:
-        raise InputError(f"mass {m} is negative")
+        raise InputError(f"mass {modes._text(m)} is negative")
     hull = brute_profile(c, mu, nu)
     if not modes.leq(m, hull[-1][0]):
         return INF

@@ -35,7 +35,7 @@ def check_eps(eps):
     """eps in the current mode; ``InputError`` unless 0 <= eps <= 1."""
     eps = modes.coerce(eps)
     if not (0 <= eps <= 1):
-        raise InputError(f"eps {eps} outside [0, 1]")
+        raise InputError(f"eps {modes._text(eps)} outside [0, 1]")
     return eps
 
 
@@ -66,7 +66,8 @@ def phi_value(c: CostMatrix, mu: Marginal, nu: Marginal, f: Sequence, g: Sequenc
     gnu = scale_marginal(nu, g)
     if not modes.eq(fmu.mass, gnu.mass):
         raise MassMismatchError(
-            f"masses differ: |f mu| = {fmu.mass}, |g nu| = {gnu.mass}"
+            f"masses differ: |f mu| = {modes._text(fmu.mass)}, "
+            f"|g nu| = {modes._text(gnu.mass)}"
         )
     return value_from_run(_run_ssp(c, fmu, gnu, warm=True), fmu.mass)
 
@@ -145,7 +146,7 @@ def resolve_eps(token, n: int):
             return modes.div(int(token.strip()[:-2]), n)
         return modes.coerce(token)
     except (TypeError, ValueError, ArithmeticError) as exc:
-        raise InputError(f"malformed eps {token!r}") from exc
+        raise InputError(f"malformed eps {modes._shown(token)}") from exc
 
 
 def refinement_study(

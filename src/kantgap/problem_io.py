@@ -11,7 +11,9 @@ document's shape and hand every raw entry to the ``core`` constructors, which
 read it once through ``modes.coerce`` in the caller's arithmetic mode; JSON
 ``NaN`` and ``Infinity`` are rejected there like any malformed number.
 Rationals serialize as "p/q" strings in exact mode and as decimal reprs in
-float mode.  All writers emit deterministic bytes for identical inputs.
+float mode, zeros included ("0.0"); the one exception is an improving ray's
+directions, the exact -1, 0 and 1 in either mode.  Indices print as ints.
+All writers emit deterministic bytes for identical inputs.
 """
 
 from __future__ import annotations

@@ -156,7 +156,8 @@ def complete_partial(
     d_mu, d_nu = _deficit(mu, rows), _deficit(nu, cols)
     if not modes.eq(d_mu.mass, d_nu.mass):
         raise DeficitMismatchError(
-            f"row deficit {d_mu.mass} differs from column deficit {d_nu.mass}"
+            f"row deficit {modes._text(d_mu.mass)} differs from column deficit "
+            f"{modes._text(d_nu.mass)}"
         )
     eps = d_mu.mass
     if eps == 0:
@@ -171,7 +172,7 @@ def complete_partial(
         for i, j, v in cost.cells():
             if is_inf(v) or v > bound:
                 raise InputError(
-                    f"cell ({i}, {j}) is not bounded by {bound}; the cost "
+                    f"cell ({i}, {j}) is not bounded by {modes._text(bound)}; the cost "
                     "increase guarantee needs a true cellwise bound"
                 )
         _check(

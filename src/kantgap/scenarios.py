@@ -7,7 +7,6 @@ outputs can be pinned by golden tests and CLI runs reproduce byte for byte.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from . import modes
 from .core import (
@@ -70,8 +69,9 @@ def random_instance(
     """Seeded random instance: rational costs with small denominators, cells
     independently forbidden with probability ``inf_density``, probability
     marginals either uniform or random (random may contain zero atoms).
-    The costs are drawn as ``"p/q"`` tokens, as a file holds them, so
-    ``make_cost_matrix`` reads each distinct one once, on ints."""
+    The costs and the random weights are drawn as ``"p/q"`` tokens, as a
+    file holds them, so ``make_cost_matrix`` and ``make_marginal`` read
+    each distinct one once, on ints."""
     if not 0 <= inf_density <= 1:
         raise InputError("inf_density must lie in [0, 1]")
     if nx < 1 or ny < 1:
@@ -97,9 +97,7 @@ def random_instance(
             if not any(weights):
                 weights[rng.randrange(n)] = 1
             total = sum(weights)
-            return make_marginal(
-                DiscreteSpace(n), [Fraction(w, total) for w in weights]
-            )
+            return make_marginal(DiscreteSpace(n), [f"{w}/{total}" for w in weights])
         raise InputError(f"unknown marginal kind {marginal_kind!r}")
 
     return c, marginal(nx), marginal(ny)

@@ -348,3 +348,16 @@ def test_the_solvers_never_branch_on_the_mode():
                 if "is_exact" in names:
                     readers.add((path.name, getattr(top, "name", None)))
     assert readers == {("core.py", "_ints"), ("core.py", "_engine_cells")}
+
+
+def test_numbers_leave_engine_form_through_modes_alone():
+    # modes builds every Fraction and divides every engine number by its
+    # scale: no other module imports fractions or names Fraction, and no
+    # module defines or calls an unscaler of its own.  A name, an attribute,
+    # a definition or an import counts.
+    found = set()
+    for path in Path(flow.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, key, None) for key in ("id", "attr", "name", "module")}
+            found |= {(path.name, n) for n in names & {"fractions", "Fraction", "_unscaled"}}
+    assert found == {("modes.py", "fractions"), ("modes.py", "Fraction")}

@@ -1,12 +1,16 @@
 """Every input check of the library raises its own class with its own
 message.  Each case below reaches a check that no other test reaches."""
 
+import json
+import re
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
 import kantgap as kg
 from kantgap import modes, problem_io, scenarios
+from kantgap.cli import main
 from kantgap.errors import (
     DeficitMismatchError,
     DimensionMismatchError,
@@ -81,7 +85,7 @@ _CASES = [
      lambda: kg.add_couplings(kg.empty_coupling(_S2, _S2), kg.empty_coupling(_S2, _S3)),
      DimensionMismatchError, "couplings live on different grids"),
     ("make_dual_pair lengths", lambda: kg.make_dual_pair([0], [0, 0], _uniform2(), _uniform2()),
-     InputError, "potential lengths do not match the spaces"),
+     DimensionMismatchError, "potential lengths do not match the spaces"),
     ("j_functional infeasible pair", _infeasible_j,
      PreconditionError, "pair is infeasible at cell (0, 0)"),
     ("flow instance shape",
@@ -134,3 +138,66 @@ def test_input_check_raises_its_class_and_message(call, error, message):
     with pytest.raises(error) as exc:
         call()
     assert str(exc.value) == message
+
+
+# numbers of 4,300 digits, whose str the digit limit still allows
+_BIG, _HUGE = "-1e4299", -(10**4299)
+_SIZE = r"<a number of about \d+ digits>"
+_TOO_LONG = "9" * 5000  # a plain token past the digit limit
+
+_NUMBER_CASES = [
+    ("check_eps", lambda: kg.primal.check_eps("1e4299"), rf"eps {_SIZE} outside \[0, 1\]"),
+    ("cost", lambda: kg.make_cost_matrix([[_BIG]]), rf"cost {_SIZE} is negative"),
+    ("weight", lambda: kg.make_marginal(_S2, ["1", _BIG]),
+     rf"weight {_SIZE} at atom 1 is negative"),
+    ("density", lambda: kg.core.scale_marginal(_uniform2(), [1, Fraction(-1, 10**40)]),
+     rf"density {_SIZE} at atom 1 is negative"),
+    ("coupling mass", lambda: kg.make_coupling(_S2, _S2, {(0, 1): _BIG}),
+     rf"coupling mass {_SIZE} at \(0, 1\)"),
+    ("product scale", lambda: kg.product_coupling(_uniform2(), _uniform2(), _BIG),
+     rf"scale {_SIZE} is negative"),
+    ("truncate_at", lambda: kg.truncate_at(_diag2()[0], _HUGE),
+     rf"truncation level {_SIZE} is negative"),
+    ("truncation ladder", lambda: kg.constant_truncation_sweep(*_diag2(), [_BIG]),
+     rf"truncation level {_SIZE} is negative"),
+    ("evaluate_profile", lambda: kg.evaluate_profile(kg.solve_profile(*_diag2()), _BIG),
+     rf"mass {_SIZE} is negative"),
+    ("optimal_coupling_at", lambda: kg.optimal_coupling_at(*_diag2(), _HUGE),
+     rf"mass {_SIZE} is negative"),
+    ("brute_primal", lambda: kg.brute_primal(*_diag2(), _BIG), rf"mass {_SIZE} is negative"),
+    ("plain token past the digit limit", lambda: modes.coerce(_TOO_LONG),
+     rf"a number has more than \d+ digits: '9{{30}}'"),
+]
+
+
+@pytest.mark.parametrize(
+    "call,message", [c[1:] for c in _NUMBER_CASES], ids=[c[0] for c in _NUMBER_CASES]
+)
+def test_a_huge_number_makes_a_short_message(call, message):
+    """A message shows a number of more than 30 digits by its size."""
+    with pytest.raises(InputError) as exc:
+        call()
+    assert re.fullmatch(message, str(exc.value))
+
+
+_CLI_CASES = [
+    ("eps 1e4299", ["--eps-grid", "1e4299"], {}, "eps <a number"),
+    ("eps 1e4300", ["--eps-grid", "1e4300"], {}, "eps <a number"),
+    ("cost -1e4299", [], {"cost": [[_BIG]]}, "cost <a number"),
+    ("weight -1e4299", [], {"mu": [_BIG]}, "weight <a number"),
+    ("cost of 5000 digits", [], {"cost": [[_TOO_LONG]]}, "digits: '999"),
+    ("float cost of 5000 digits", ["--float"], {"cost": [[_TOO_LONG]]}, "digits: '999"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,doc,says", [c[1:] for c in _CLI_CASES], ids=[c[0] for c in _CLI_CASES]
+)
+def test_a_huge_number_makes_one_short_error_line(tmp_path, capsys, argv, doc, says):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"nx": 1, "ny": 1, "mu": ["1"], "nu": ["1"], "cost": [[0]], **doc}))
+    flags = [a for a in argv if a == "--float"]
+    assert main([*flags, "solve", str(path), *[a for a in argv if a != "--float"]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 90
+    assert says in err
