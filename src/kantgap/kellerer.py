@@ -26,14 +26,17 @@ cover within a factor of 4: gamma <= m <= 4 gamma, via the threshold set
 The zero level of all of these is the Kellerer-type dichotomy: either L is
 covered by weightless bands (so every coupling ignores it), or some full
 coupling charges it; ``kellerer_decompose`` returns whichever object exists.
+The charging coupling is the run's own plan, completed to a full coupling
+along the north-west corner, so it puts the matching mass m on L: the most
+any coupling can (Kellerer's duality), which the cover bounds from above.
 
 The readers work on the numbers the run carries in engine form (``flow``
 module docstring): the cover's weight is one sum of the run's scaled
 weights, divided once by its ``lw``, and the weightless rows and columns
-are read off the same scaled weights.  The product coupling charges L when
-some cell of L is one of its entries, which hold only positive masses, so
-no mass is summed.  The capacity builds L u L^T from L's cells and reads
-each f_i from the three values 0, 1/2 and 1.
+are read off the same scaled weights.  The witness is completed, checked
+and summed on the run's scaled flows and weights, and each entry is
+divided once by ``lw``.  The capacity builds L u L^T from L's cells and
+reads each f_i from the three values 0, 1/2 and 1.
 """
 
 from __future__ import annotations
@@ -41,13 +44,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 
 from . import modes
-from .core import (
-    Coupling,
-    Marginal,
-    Record,
-    _require_unit_masses,
-    product_coupling,
-)
+from .core import Coupling, Marginal, Record, _require_unit_masses
 from .errors import (
     DimensionMismatchError,
     InputError,
@@ -211,7 +208,8 @@ def null_for_all_couplings(L: CellSet, mu: Marginal, nu: Marginal) -> bool:
 
 
 class Decomposition(Record):
-    """Either weightless bands covering L, or a full coupling charging it."""
+    """Either weightless bands covering L, or a full coupling charging it
+    with the matching mass m, the most any coupling puts on L."""
 
     null_rows: frozenset[int] | None
     null_cols: frozenset[int] | None
@@ -228,18 +226,32 @@ def kellerer_decompose(L: CellSet, mu: Marginal, nu: Marginal) -> Decomposition:
     If no partial coupling can charge L, every L-cell must sit on a
     weightless row or column; the weightless rows meeting L, plus the
     weightless columns meeting L elsewhere, form the null cover.  Otherwise
-    some cell of L has positive weights on both sides and the product
-    coupling already charges it."""
+    the matching plan, completed to a full coupling (``decompose_from_run``),
+    charges L with the matching mass."""
     return decompose_from_run(matching_run(L, mu, nu), L)
 
 
 def decompose_from_run(run: SolverRun, L: CellSet) -> Decomposition:
-    """``kellerer_decompose`` read from ``matching_run(L, mu, nu)``."""
+    """``kellerer_decompose`` read from ``matching_run(L, mu, nu)``.
+
+    The witness is the run's plan completed to a full coupling: what each
+    row and column has left of its weight is shipped along the north-west
+    corner (``_deficit_steps``), on the scaled numbers, and each entry is
+    divided once by ``lw``.  It has at most |supp plan| + nx + ny - 1
+    entries.  No step lands on L, since a row and a column that both have
+    weight left and meet in L would be an augmenting path, so its mass on L
+    is the matching mass m, the most any coupling puts there (module
+    docstring).  A run stopped at a target is no maximum matching: a step
+    may land on L there, and the witness puts between the shipped mass and
+    m on L.  Its row and column sums, and on a run with a min cut its mass
+    on L, are checked on the scaled numbers (``modes.eq``) before its
+    entries are divided."""
     mu, nu, w, nx = run.mu, run.nu, run.weights, run.nx
     if not modes.is_positive(run.shipped):
-        null_rows = frozenset(i for i, _ in L.pairs if w[i] == 0)
+        # weightless as the run reads it: in float mode, within the tolerance
+        null_rows = frozenset(i for i, _ in L.pairs if not modes.is_positive(w[i]))
         null_cols = frozenset(
-            j for i, j in L.pairs if i not in null_rows and w[nx + j] == 0
+            j for i, j in L.pairs if i not in null_rows and not modes.is_positive(w[nx + j])
         )
         for i, j in L.pairs:
             if i not in null_rows and j not in null_cols:
@@ -251,7 +263,50 @@ def decompose_from_run(run: SolverRun, L: CellSet) -> Decomposition:
         raise MassMismatchError(
             "a charging witness must be a full coupling; marginal masses differ"
         )
-    witness = product_coupling(mu, nu, modes.div(1, mu.mass))
-    if not any(ij in witness.entries for ij in L.pairs):  # entries are positive
-        raise PostconditionError("product coupling failed to charge the cell set")
-    return Decomposition(null_rows=None, null_cols=None, witness=witness)
+    scaled = dict(run.scaled_flows)
+    for i, j, t in _deficit_steps(run):
+        scaled[i, j] = scaled.get((i, j), 0) + t
+    if not any(ij in scaled for ij in L.pairs):  # entries are positive
+        raise PostconditionError("the witness failed to charge the cell set")
+    sums = [0] * len(w)
+    for (i, j), f in scaled.items():
+        sums[i] += f
+        sums[nx + j] += f
+    if not all(map(modes.eq, sums, w)):
+        raise PostconditionError("the witness is not a full coupling of the marginals")
+    on_L = modes.div(sum(scaled.get(ij, 0) for ij in L.pairs), run.lw)
+    if run.reachable_rows is not None and not modes.eq(on_L, run.shipped):
+        raise PostconditionError("the witness's mass on the cell set is not the matching mass")
+    entries = {ij: modes.div(f, run.lw) for ij, f in scaled.items()}
+    return Decomposition(
+        null_rows=None, null_cols=None, witness=Coupling(mu.space, nu.space, entries)
+    )
+
+
+def _deficit_steps(run: SolverRun) -> list[tuple[int, int, object]]:
+    """The north-west corner steps (i, j, amount), in engine form, that
+    ship what each row and column of ``run`` has left of its weight after
+    its scaled flows.  Rows and columns are taken in index order; a step
+    ships the lesser of the two amounts left and moves past the row or
+    column it empties.  An amount within the engine's tolerance counts as
+    empty (0 in exact mode), so every step is positive.  On marginals of
+    equal mass the steps empty every row and column, in at most
+    nx + ny - 1 steps."""
+    nx, ny, tol = run.nx, run.ny, modes.tolerance()
+    rows, cols = run.weights[:nx], run.weights[nx:]
+    for (i, j), f in run.scaled_flows.items():
+        rows[i] -= f
+        cols[j] -= f
+    steps = []
+    i = j = 0
+    while i < nx and j < ny:
+        if not rows[i] > tol:
+            i += 1
+        elif not cols[j] > tol:
+            j += 1
+        else:
+            t = min(rows[i], cols[j])
+            steps.append((i, j, t))
+            rows[i] -= t
+            cols[j] -= t
+    return steps

@@ -2,13 +2,13 @@
 
 ``kellerer.cover_from_run`` sums the cover's weights on the run's scaled
 weights, ``capacity_value`` builds L u L^T from the cells and reads f from
-three halves, ``decompose_from_run`` decides charging by membership in the
-witness, whose entries ``core.product_coupling`` unscales once per distinct
-product, and ``modes.div`` divides two ints on ints.  Every check compares
-with a reference written here on the marginals' own numbers: ``Fraction``
-sums in exact mode, float sums in float mode (within ``_TOL``, since the
-summation order may differ).  Grids go up to 24 x 24, square and
-rectangular, with weightless atoms and with null and non-null cell sets.
+three halves, ``decompose_from_run`` completes the run's plan to a full
+coupling that puts the matching mass on L, and ``modes.div`` divides two
+ints on ints.  Every check compares with a reference written here on the
+marginals' own numbers: ``Fraction`` sums in exact mode, float sums in
+float mode (within ``_TOL``, since the summation order may differ).  Grids
+go up to 24 x 24, square and rectangular, with weightless atoms and with
+null and non-null cell sets.
 """
 
 import json
@@ -116,29 +116,41 @@ def test_capacity_is_half_the_symmetric_cover(case):
 
 
 @given(_cases())
-def test_witness_is_the_normalised_product(case):
+def test_witness_is_a_full_coupling_at_the_matching_mass(case):
     mode, L, mu, nu = case
     exact = mode == modes.EXACT
     with modes.arithmetic(mode):
         run = matching_run(L, mu, nu)
         dec = decompose_from_run(run, L)
+        m, _cert = kg.cover_value(L, mu, nu)
+        support = len(run.plan().entries)
     if dec.is_null:
         assert run.shipped == 0
         assert all(mu.weights[i] == 0 for i in dec.null_rows)
         assert all(nu.weights[j] == 0 for j in dec.null_cols)
         assert all(i in dec.null_rows or j in dec.null_cols for i, j in L.cells())
         return
-    one = Fraction(1) if exact else 1.0
-    ref = {
-        (i, j): one * a * b / mu.mass
-        for i, a in enumerate(mu.weights)
-        for j, b in enumerate(nu.weights)
-        if a * b
-    }
     entries = dec.witness.entries
-    assert entries.keys() == ref.keys()
-    assert all(_same(entries[ij], ref[ij], exact) for ij in ref)
-    assert any(ij in entries for ij in L.cells())
+    assert all(v > 0 for v in entries.values())
+    zero = Fraction(0) if exact else 0.0
+    rows, cols, on_L = [zero] * L.nx, [zero] * L.ny, zero
+    cells = set(L.cells())
+    for (i, j), v in entries.items():
+        rows[i] += v
+        cols[j] += v
+        if (i, j) in cells:
+            on_L += v
+    assert all(map(_near, rows, mu.weights, [exact] * L.nx))
+    assert all(map(_near, cols, nu.weights, [exact] * L.ny))
+    assert _near(on_L, m, exact)
+    if exact and L.nx + L.ny <= 20:
+        assert on_L == kg.brute_cover(L, mu, nu)
+    assert len(entries) <= support + L.nx + L.ny - 1
+
+
+def _near(value, ref, exact: bool) -> bool:
+    """Equal in exact mode, within _TOL in float mode."""
+    return value == ref if exact else math.isclose(value, ref, rel_tol=0, abs_tol=_TOL)
 
 
 _big = st.integers(-(10**300), 10**300)
@@ -188,8 +200,9 @@ def test_div_takes_the_int_path_only_for_two_ints(monkeypatch, a, b, calls):
 
 @pytest.mark.parametrize("flag", [[], ["--float"]])
 def test_a_tiny_product_mass_still_charges(tmp_path, capsys, flag):
-    """The product coupling puts 1e-10 on the one cell of L: below the float
-    tolerance, yet positive, so it charges L in both modes."""
+    """The matching run ships the 1e-5 atom on the one cell of L, well above
+    the float tolerance, and the witness keeps that entry, so it charges L
+    in both modes."""
     problem = tmp_path / "p.json"
     weights = [0.99999, 0.00001]
     problem.write_text(
@@ -201,3 +214,31 @@ def test_a_tiny_product_mass_still_charges(tmp_path, capsys, flag):
     doc = json.loads(capsys.readouterr().out)
     assert doc["null_for_all_couplings"] is False
     assert [1, 1] in [entry[:2] for entry in doc["decomposition"]["witness"]]
+
+
+@pytest.mark.parametrize("flag", [[], ["--float"]])
+def test_an_atom_within_the_float_tolerance_weighs_nothing_in_float_mode(
+    tmp_path, capsys, flag
+):
+    """mu = nu = [0.999999999999, 1e-12] with L = {(1, 1)}: the float engine
+    gives the 1e-12 atom no room, so float mode reads row 1 as weightless
+    and L as null; exact mode ships 1e-12 on L and charges it."""
+    problem = tmp_path / "p.json"
+    weights = [0.999999999999, 1e-12]
+    problem.write_text(
+        json.dumps({"nx": 2, "ny": 2, "mu": weights, "nu": weights, "cost": [[0, 1], [1, 0]]})
+    )
+    cells = tmp_path / "L.json"
+    cells.write_text(json.dumps({"pairs": [[1, 1]]}))
+    assert main([*flag, "covers", str(problem), "--cells", str(cells)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    if flag:
+        assert doc["null_for_all_couplings"] is True
+        assert doc["decomposition"] == {"null_rows": [1], "null_cols": []}
+    else:
+        assert doc["null_for_all_couplings"] is False
+        assert doc["m"] == doc["max_mass"] == "1/1000000000000"
+        assert doc["decomposition"]["witness"] == [
+            [0, 0, "999999999999/1000000000000"],
+            [1, 1, "1/1000000000000"],
+        ]

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 import kantgap as kg
-from kantgap import dual, flow, relaxation
+from kantgap import dual, flow, kellerer, relaxation
 from kantgap.errors import PostconditionError
 from kantgap.kellerer import cover_from_run, decompose_from_run, matching_run
 
@@ -57,6 +57,23 @@ def test_a_charging_witness_must_charge_the_cell_set():
     L = kg.cellset_from_pairs(2, 2, [(1, 0)])
     run = _doctored(matching_run(L, mu, nu), shipped=F(1, 2))
     with pytest.raises(PostconditionError, match="failed to charge the cell set"):
+        decompose_from_run(run, L)
+
+
+def test_a_charging_witness_must_be_a_full_coupling(monkeypatch):
+    # the completion drops its last step, so a row and a column fall short
+    steps = kellerer._deficit_steps
+    monkeypatch.setattr(kellerer, "_deficit_steps", lambda run: steps(run)[:-1])
+    L, mu, nu = _diag3_cells([(0, 0)])
+    with pytest.raises(PostconditionError, match="not a full coupling of the marginals"):
+        decompose_from_run(matching_run(L, mu, nu), L)
+
+
+def test_a_charging_witness_must_put_the_matching_mass_on_the_cell_set():
+    # the plan puts 2/3 on L; the run claims 1/3
+    L, mu, nu = _diag3_cells([(0, 0), (1, 2)])
+    run = _doctored(matching_run(L, mu, nu), shipped=F(1, 3))
+    with pytest.raises(PostconditionError, match="mass on the cell set is not the matching"):
         decompose_from_run(run, L)
 
 
